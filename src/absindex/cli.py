@@ -11,6 +11,7 @@ verification or lemma check failed, 2 usage or input error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 
@@ -78,15 +79,29 @@ def _order_cap(args) -> int:
 
 
 def _resolve_workers(args) -> int:
+    """The --workers flag, else the environment, else 1; must be positive."""
     if args.workers is not None:
-        return max(1, args.workers)
-    env = os.environ.get(WORKERS_ENV)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
+        source, text = "--workers", str(args.workers)
+    else:
+        source, text = WORKERS_ENV, os.environ.get(WORKERS_ENV)
+        if not text:
+            return 1
+    try:
+        workers = int(text)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"{source} must be a positive integer, got {text!r}")
+    return workers
+
+
+def _open_out(path: str | None):
+    if not path:
+        return contextlib.nullcontext(sys.stdout)
+    try:
+        return open(path, "w", newline="")
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def _summary_rows(g: Graph) -> tuple[list[str], list[str]]:
@@ -207,7 +222,6 @@ def _cmd_verify(args, out) -> int:
             file=sys.stderr,
         )
         return EXIT_USAGE
-    workers = _resolve_workers(args)
     theorems = args.theorems
     header = [
         "theorem",
@@ -226,7 +240,7 @@ def _cmd_verify(args, out) -> int:
         for n in range(n_lo, n_hi + 1):
             for k in _theorem_params(theorem, n):
                 rep = verify_theorem(
-                    theorem, n, k, workers=workers, allow_order_8=args.enable_n8
+                    theorem, n, k, workers=args.workers, allow_order_8=args.enable_n8
                 )
                 if rep.in_hypothesis and not (rep.construction_match and rep.unique):
                     all_ok = False
@@ -275,11 +289,10 @@ def _cmd_audit(args, out) -> int:
 
 def _cmd_lemmas(args, out) -> int:
     n_lo, n_hi = args.n
-    workers = _resolve_workers(args)
     ok = True
     rows = []
     for n in range(n_lo, n_hi + 1):
-        rep = check_edge_additions(n, workers=workers)
+        rep = check_edge_additions(n, workers=args.workers)
         ok &= rep.passed
         rows.append([
             f"edge addition increases ABS (n={n})",
@@ -400,10 +413,9 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     handler = _DISPATCH[args.command]
     try:
-        if args.out:
-            with open(args.out, "w", newline="") as out:
-                return handler(args, out)
-        return handler(args, sys.stdout)
+        args.workers = _resolve_workers(args)
+        with _open_out(args.out) as out:
+            return handler(args, out)
     except ValueError as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -16,6 +16,12 @@ Both must agree exactly; the test suite pins the class counts.  On top
 of the enumeration sit the constrained ABS maximizer, the extremal-
 characterization verifier, and the exhaustive monotonicity checks.
 
+Per-class facts are computed once per order: ``class_table(n)`` decodes
+each canonical form once and keeps χ, α, pendant count and the ABS value
+in compact columns parallel to the sorted forms, cached beside the class
+forms.  A constrained maximization is then a scan of one column and a
+max over the value column; only the maximizers are decoded again.
+
 Work is optionally spread over a process pool; results are merged by a
 deterministic reduction (sets of canonical forms, sorted), so reports
 are identical for any worker count.
@@ -25,10 +31,11 @@ from __future__ import annotations
 
 import itertools
 import multiprocessing
-from dataclasses import dataclass
+from array import array
+from dataclasses import dataclass, replace
 
 from .extremal import complete_split, pendant_maximizer, turan
-from .graphs import Graph, encode_graph6, from_triangle_mask
+from .graphs import Graph, encode_graph6
 from .index import abs_index, edge_weight, gain_contrast, shift_gain
 from .invariants import (
     GraphInvariants,
@@ -43,6 +50,7 @@ TIE_TOLERANCE = 1e-9
 CONSTRAINT_KINDS = ("chromatic", "independence", "pendants", "none")
 
 _class_cache: dict[int, tuple[bytes, ...]] = {}
+_table_cache: dict[int, ClassTable] = {}
 
 
 def _check_order(n: int, allow_order_8: bool) -> None:
@@ -199,6 +207,41 @@ class SearchReport:
     expected_graph6: str | None = None
 
 
+@dataclass(frozen=True)
+class ClassTable:
+    """Invariant columns of all connected classes of one order.
+
+    Row i of every column describes ``forms[i]``; the columns are named
+    after the constraint kinds they answer.
+    """
+
+    forms: tuple[bytes, ...]
+    chromatic: array
+    independence: array
+    pendants: array
+    abs_value: array
+
+
+def class_table(n: int, workers: int = 1) -> ClassTable:
+    """The cached invariant table of order n, built on first use."""
+    cached = _table_cache.get(n)
+    if cached is not None:
+        return cached
+    forms = connected_class_forms(n, workers)
+    chromatic, independence, pendants = array("b"), array("b"), array("b")
+    abs_value = array("d")
+    for form in forms:
+        g = graph_from_canonical_form(form)
+        inv = GraphInvariants.of(g)
+        chromatic.append(inv.chromatic)
+        independence.append(inv.independence)
+        pendants.append(inv.pendants)
+        abs_value.append(abs_index(g))
+    table = ClassTable(forms, chromatic, independence, pendants, abs_value)
+    _table_cache[n] = table
+    return table
+
+
 def max_abs_under(
     constraint: Constraint, workers: int = 1, allow_order_8: bool = False
 ) -> SearchReport:
@@ -207,8 +250,13 @@ def max_abs_under(
     All graphs within TIE_TOLERANCE of the maximum are collected, so a
     false uniqueness claim would surface as multiple maximizers.
     """
-    graphs = enumerate_connected(constraint.order, workers, allow_order_8)
-    selected = [g for g in graphs if constraint.admits(GraphInvariants.of(g))]
+    _check_order(constraint.order, allow_order_8)
+    table = class_table(constraint.order, workers)
+    if constraint.kind == "none":
+        selected = range(len(table.forms))
+    else:
+        column = getattr(table, constraint.kind)
+        selected = [i for i, v in enumerate(column) if v == constraint.value]
     if not selected:
         return SearchReport(
             constraint=constraint,
@@ -218,16 +266,17 @@ def max_abs_under(
             maximizer_graph6=(),
             unique=False,
         )
-    values = [(abs_index(g), g) for g in selected]
-    best = max(v for v, _ in values)
-    winners = sorted(
-        (canonical_form(g) for v, g in values if best - v <= TIE_TOLERANCE)
+    values = table.abs_value
+    best = max(values[i] for i in selected)
+    # rows ascend and the forms are sorted, so the winners come out sorted
+    winners = tuple(
+        table.forms[i] for i in selected if best - values[i] <= TIE_TOLERANCE
     )
     return SearchReport(
         constraint=constraint,
         graph_count=len(selected),
         max_value=best,
-        maximizer_forms=tuple(winners),
+        maximizer_forms=winners,
         maximizer_graph6=tuple(
             encode_graph6(graph_from_canonical_form(f)) for f in winners
         ),
@@ -259,15 +308,9 @@ def verify_theorem(
     expected, in_range = _expected_maximizer(theorem, n, k)
     constraint = Constraint(order=n, kind=_CONSTRAINT_OF_THEOREM[theorem], value=k)
     report = max_abs_under(constraint, workers, allow_order_8)
-    match = report.maximizer_forms == (canonical_form(expected),)
-    return SearchReport(
-        constraint=report.constraint,
-        graph_count=report.graph_count,
-        max_value=report.max_value,
-        maximizer_forms=report.maximizer_forms,
-        maximizer_graph6=report.maximizer_graph6,
-        unique=report.unique,
-        construction_match=match,
+    return replace(
+        report,
+        construction_match=report.maximizer_forms == (canonical_form(expected),),
         in_hypothesis=in_range,
         expected_graph6=encode_graph6(expected),
     )

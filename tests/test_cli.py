@@ -167,3 +167,44 @@ class TestUsage:
     def test_unknown_theorem(self, capsys):
         code, _, _ = run(capsys, "verify", "--theorems", "T7")
         assert code == 2
+
+    def test_workers_zero(self, capsys):
+        code, out, err = run(capsys, "verify", "--n", "4..4", "--workers", "0")
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "--workers" in err
+
+    def test_workers_negative(self, capsys):
+        code, out, err = run(capsys, "verify", "--n", "4..4", "--workers", "-3")
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "--workers" in err
+
+    def test_workers_env_malformed(self, capsys, monkeypatch):
+        monkeypatch.setenv("ABSINDEX_WORKERS", "two")
+        code, out, err = run(capsys, "verify", "--n", "4..4")
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "ABSINDEX_WORKERS" in err
+
+    def test_workers_env_non_positive(self, capsys, monkeypatch):
+        monkeypatch.setenv("ABSINDEX_WORKERS", "0")
+        code, out, err = run(capsys, "lemmas", "--n", "4..4")
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "ABSINDEX_WORKERS" in err
+
+    def test_workers_flag_wins_over_bad_env(self, capsys, monkeypatch):
+        monkeypatch.setenv("ABSINDEX_WORKERS", "two")
+        code, _, _ = run(capsys, "verify", "--n", "4..4", "--workers", "1")
+        assert code == 0
+
+    def test_unwritable_out(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "rows.csv"
+        code, out, err = run(
+            capsys, "verify", "--n", "4..4", "--out", str(target)
+        )
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "cannot write" in err
+        assert not target.parent.exists()

@@ -20,7 +20,9 @@ from absindex import (
     turan,
     verify_theorem,
 )
+from absindex import search
 from absindex.invariants import GraphInvariants
+from absindex.search import class_table
 
 # connected isomorphism classes by order (see e.g. OEIS A001349)
 KNOWN_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112}
@@ -186,3 +188,83 @@ class TestConstraintAdmits:
         assert Constraint(5, "independence", 2).admits(inv)
         assert not Constraint(5, "independence", 3).admits(inv)
         assert Constraint(5).admits(inv)
+
+
+@pytest.fixture
+def cold_caches():
+    """Empty class and table caches for one test; the warm ones come back after."""
+    saved = dict(search._class_cache), dict(search._table_cache)
+    search._class_cache.clear()
+    search._table_cache.clear()
+    yield
+    for cache, entries in zip((search._class_cache, search._table_cache), saved):
+        cache.clear()
+        cache.update(entries)
+
+
+def brute_force_max(constraint):
+    """Per-graph maximization straight from the decoded classes."""
+    scored = [
+        (abs_index(g), canonical_form(g))
+        for g in enumerate_connected(constraint.order)
+        if constraint.admits(GraphInvariants.of(g))
+    ]
+    if not scored:
+        return 0, None, ()
+    best = max(v for v, _ in scored)
+    tied = (f for v, f in scored if best - v <= search.TIE_TOLERANCE)
+    return len(scored), best, tuple(sorted(tied))
+
+
+class TestClassTable:
+    def test_rows_match_direct_invariants(self, cold_caches):
+        for n in range(1, 7):
+            table = class_table(n)
+            assert table.forms == connected_class_forms(n)
+            for i, g in enumerate(enumerate_connected(n)):
+                inv = GraphInvariants.of(g)
+                assert table.chromatic[i] == inv.chromatic
+                assert table.independence[i] == inv.independence
+                assert table.pendants[i] == inv.pendants
+                assert table.abs_value[i] == abs_index(g)
+
+    def test_max_abs_under_matches_brute_force(self):
+        n = 6
+        constraints = [Constraint(n)] + [
+            Constraint(n, kind, k)
+            for kind in ("chromatic", "independence", "pendants")
+            for k in range(0, n + 1)
+        ]
+        for constraint in constraints:
+            report = max_abs_under(constraint)
+            count, best, winners = brute_force_max(constraint)
+            assert report.graph_count == count
+            assert report.max_value == best
+            assert report.maximizer_forms == winners
+            assert report.unique == (len(winners) == 1)
+            assert report.maximizer_graph6 == tuple(
+                encode_graph6(search.graph_from_canonical_form(f)) for f in winners
+            )
+
+    def test_invariants_once_per_class(self, cold_caches, monkeypatch):
+        of = GraphInvariants.of
+        calls = 0
+
+        def counting(cls, g):
+            nonlocal calls
+            calls += 1
+            return of(g)
+
+        monkeypatch.setattr(GraphInvariants, "of", classmethod(counting))
+        for theorem, first in (("T1", 3), ("T2", 1), ("T3", 1)):
+            for k in range(first, 7):
+                verify_theorem(theorem, 7, k)
+        assert calls == 853
+
+    def test_table_is_cached(self):
+        assert class_table(5) is class_table(5)
+
+    def test_order_8_still_needs_opt_in(self, cold_caches):
+        with pytest.raises(ValueError, match="allow_order_8"):
+            max_abs_under(Constraint(8, "chromatic", 3))
+        assert 8 not in search._class_cache and 8 not in search._table_cache
