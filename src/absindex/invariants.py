@@ -146,19 +146,29 @@ def _refined_cells(g: Graph) -> list[list[int]]:
     Cells are returned in an order determined only by isomorphism-
     invariant signatures, so isomorphic graphs get corresponding cell
     sequences.
+
+    A vertex's signature is its colour followed by the negated counts of
+    its neighbours in each colour, colours ascending.  Every colour
+    class refines the degree partition, so vertices of one colour have
+    equally many neighbours, and for such vertices this signature ranks
+    exactly as the sorted tuple of neighbour colours would: the first
+    colour where two neighbour multisets differ puts the one with more
+    neighbours of that colour first.
     """
     n = g.order
-    colors = [row.bit_count() for row in g.rows]
+    rows = g.rows
+    colors = [row.bit_count() for row in rows]
     while True:
-        sigs = [
-            (colors[v], tuple(sorted(colors[u] for u in g.neighbors(v))))
-            for v in range(n)
+        masks: dict[int, int] = {}
+        for v, c in enumerate(colors):
+            masks[c] = masks.get(c, 0) | 1 << v
+        counts = [
+            [-(row & masks[c]).bit_count() for row in rows] for c in sorted(masks)
         ]
+        sigs = list(zip(colors, *counts))
         rank = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        new = [rank[sigs[v]] for v in range(n)]
-        stable = len(set(new)) == len(set(colors))
-        colors = new
-        if stable:
+        colors = [rank[s] for s in sigs]
+        if len(rank) == len(masks):
             break
     cells: dict[int, list[int]] = {}
     for v in range(n):

@@ -5,9 +5,13 @@ class of connected graphs:
 
 * a vertex-augmentation fast path (default): every connected graph on n
   vertices arises from a connected graph on n - 1 vertices by attaching
-  a new vertex to a nonempty neighbor set, so extending each (n-1)-class
-  by every neighbor subset and deduplicating by canonical form covers
-  all classes;
+  a new vertex to a nonempty neighbor set.  Each (n-1)-class is extended
+  by every neighbor subset, and a child is canonicalized only if its new
+  vertex has the largest key (degree, ascending neighbour degrees) among
+  the vertices whose deletion leaves it connected -- a weak form of
+  McKay's canonical construction path ("Isomorph-free exhaustive
+  generation", J. Algorithms 26, 1998).  Every class keeps at least one
+  accepted child, and a set of canonical forms removes the repeats;
 * a labeled sweep (oracle): iterate all 2^(n(n-1)/2) upper-triangle
   masks, skip masks already known via the permutation orbit of a found
   class, canonicalize the rest.
@@ -22,16 +26,22 @@ in compact columns parallel to the sorted forms, cached beside the class
 forms.  A constrained maximization is then a scan of one column and a
 max over the value column; only the maximizers are decoded again.
 
-Work is optionally spread over a process pool; results are merged by a
-deterministic reduction (sets of canonical forms, sorted), so reports
-are identical for any worker count.
+Work is optionally spread over one process pool per top-level call: an
+enumeration uses it for every order it builds, and ``class_table`` for
+its rows too.  The pool holds at most as many workers as this process
+has usable cores.  Results are merged by a deterministic reduction
+(sets of canonical forms, sorted; table rows in order), so reports are
+identical for any worker count.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import multiprocessing
+import os
 from array import array
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, replace
 
 from .extremal import complete_split, pendant_maximizer, turan
@@ -60,25 +70,160 @@ def _check_order(n: int, allow_order_8: bool) -> None:
         raise ValueError(f"order {n} outside the supported range 1..{cap}{hint}")
 
 
+# -- worker pool ------------------------------------------------------
+
+# Forked workers start in about 0.03 s where spawned ones take 0.4 s, and
+# the search runs no threads of its own for fork to break.
+_POOL_CONTEXT = multiprocessing.get_context("fork")
+_TABLE_CHUNK = 256  # forms per class_table job
+
+
+def _usable_cores() -> int:
+    """The cores this process may run on; all of them where that is unknown."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+class _Workers:
+    """The worker processes of one top-level search call.
+
+    Their number is the requested count clamped to the usable cores.
+    They are forked for the first batch with at least that many jobs and
+    serve it and every later batch; earlier batches, and all batches when
+    one worker is asked for, run in this process, so no worker is forked
+    that its first batch would leave idle.
+    """
+
+    def __init__(self, workers: int) -> None:
+        self.size = min(workers, _usable_cores())
+        self._pool = None
+
+    def map(self, fn, jobs: list) -> Iterator:
+        """``fn(job)`` for each job, in order, as the results come in."""
+        if self._pool is None and 1 < self.size <= len(jobs):
+            self._pool = _POOL_CONTEXT.Pool(self.size)
+        if self._pool is None:
+            return map(fn, jobs)
+        # about eight messages per worker: sent one job at a time, the
+        # pickling round trips cost more than uneven chunks lose
+        chunk = max(1, len(jobs) // (8 * self.size))
+        return self._pool.imap(fn, jobs, chunksize=chunk)
+
+    def close(self) -> None:
+        if self._pool is not None:
+            self._pool.terminate()  # also reaps the workers
+            self._pool = None
+
+
+# The pool of the top-level call in progress; the nested calls for lower
+# orders reuse it, so one sweep forks its workers once.
+_active_workers: _Workers | None = None
+
+
+@contextlib.contextmanager
+def _shared_workers(workers: int):
+    global _active_workers
+    if _active_workers is not None:
+        yield _active_workers
+        return
+    _active_workers = _Workers(workers)
+    try:
+        yield _active_workers
+    finally:
+        _active_workers.close()
+        _active_workers = None
+
+
 # -- augmentation fast path -------------------------------------------
 
 
+def _connected_without(rows: Sequence[int], v: int) -> bool:
+    """Whether deleting vertex v leaves the graph on ``rows`` connected."""
+    full = ((1 << len(rows)) - 1) & ~(1 << v)
+    start = full & -full
+    seen = frontier = start
+    while frontier:
+        reach = 0
+        while frontier:
+            u = (frontier & -frontier).bit_length() - 1
+            reach |= rows[u]
+            frontier &= frontier - 1
+        frontier = reach & full & ~seen
+        seen |= frontier
+    return seen == full
+
+
 def _augment_parent(args: tuple[int, tuple[int, ...]]) -> set[bytes]:
+    """Canonical forms of the accepted one-vertex extensions of a parent.
+
+    A child is accepted only if its new vertex has the largest key
+    (degree, ascending neighbour degrees) among the vertices whose
+    deletion leaves it connected; only accepted children are
+    canonicalized.  No class is lost: take a connected class G and a
+    non-cut vertex w of G with the largest key.  G - w is connected, so
+    its class is a parent, and extending that parent by the neighbours
+    of w gives a child isomorphic to G whose new vertex is w.  The key is
+    isomorphism-invariant, so that child is accepted.  Several children
+    of one class may pass; the set removes the repeats.
+    """
     parent_order, parent_rows = args
     n = parent_order + 1
+    # A non-cut vertex of the parent stays one in the child unless it is
+    # the new vertex's only neighbour, so a new vertex of degree 2 or more
+    # below the degree of such a vertex fails the rule.
+    floor = max(
+        row.bit_count()
+        for v, row in enumerate(parent_rows)
+        if _connected_without(parent_rows, v)
+    )
     forms: set[bytes] = set()
     for nbrs in range(1, 1 << parent_order):
+        if 1 < nbrs.bit_count() < floor:
+            continue
         rows = [
             row | ((nbrs >> v & 1) << parent_order)
             for v, row in enumerate(parent_rows)
         ]
         rows.append(nbrs)
-        forms.add(canonical_form(Graph(n, tuple(rows))))
+        if _new_vertex_has_max_key(rows):
+            forms.add(canonical_form(Graph(n, tuple(rows))))
     return forms
 
 
+def _new_vertex_has_max_key(rows: list[int]) -> bool:
+    """The accept rule of ``_augment_parent``; the new vertex is the last.
+
+    Degrees are compared first; neighbour degrees and the connectivity
+    test are computed only for the vertices that could outrank it.
+    """
+    new = len(rows) - 1
+    degrees = [row.bit_count() for row in rows]
+    d = degrees[new]
+    new_key = None
+    for v in range(new):
+        if degrees[v] < d:
+            continue
+        if degrees[v] == d:
+            if new_key is None:
+                new_key = _neighbour_degrees(rows[new], degrees)
+            if _neighbour_degrees(rows[v], degrees) <= new_key:
+                continue
+        if _connected_without(rows, v):
+            return False
+    return True
+
+
+def _neighbour_degrees(row: int, degrees: list[int]) -> list[int]:
+    return sorted(degrees[u] for u in range(len(degrees)) if row >> u & 1)
+
+
 def connected_class_forms(n: int, workers: int = 1) -> tuple[bytes, ...]:
-    """Sorted canonical forms of all connected isomorphism classes."""
+    """Sorted canonical forms of all connected isomorphism classes.
+
+    All orders built by one call share one pool of at most ``workers``
+    processes.
+    """
     _check_order(n, allow_order_8=True)
     cached = _class_cache.get(n)
     if cached is not None:
@@ -86,18 +231,15 @@ def connected_class_forms(n: int, workers: int = 1) -> tuple[bytes, ...]:
     if n == 1:
         forms = (canonical_form(Graph(1, (0,))),)
     else:
-        parents = [
-            graph_from_canonical_form(f) for f in connected_class_forms(n - 1, workers)
-        ]
-        jobs = [(g.order, g.rows) for g in parents]
-        merged: set[bytes] = set()
-        if workers > 1 and len(jobs) > 1:
-            with multiprocessing.Pool(workers) as pool:
-                for part in pool.imap_unordered(_augment_parent, jobs):
-                    merged |= part
-        else:
-            for job in jobs:
-                merged |= _augment_parent(job)
+        with _shared_workers(workers) as pool:
+            parents = [
+                graph_from_canonical_form(f)
+                for f in connected_class_forms(n - 1, workers)
+            ]
+            jobs = [(g.order, g.rows) for g in parents]
+            merged: set[bytes] = set()
+            for part in pool.map(_augment_parent, jobs):
+                merged |= part
         forms = tuple(sorted(merged))
     _class_cache[n] = forms
     return forms
@@ -154,15 +296,13 @@ def connected_class_forms_labeled(n: int, workers: int = 1) -> tuple[bytes, ...]
     """Oracle enumeration by full labeled sweep; agrees with the fast path."""
     _check_order(n, allow_order_8=False)
     total = 1 << (n * (n - 1) // 2)
-    if workers > 1:
-        bounds = [total * i // workers for i in range(workers + 1)]
-        jobs = [(n, bounds[i], bounds[i + 1]) for i in range(workers)]
+    with _shared_workers(workers) as pool:
+        bounds = [total * i // pool.size for i in range(pool.size + 1)]
+        jobs = [(n, bounds[i], bounds[i + 1]) for i in range(pool.size)]
         merged: set[bytes] = set()
-        with multiprocessing.Pool(workers) as pool:
-            for part in pool.imap_unordered(_labeled_range, jobs):
-                merged |= part
-        return tuple(sorted(merged))
-    return tuple(sorted(_labeled_range((n, 0, total))))
+        for part in pool.map(_labeled_range, jobs):
+            merged |= part
+    return tuple(sorted(merged))
 
 
 # -- constrained maximization -----------------------------------------
@@ -222,12 +362,8 @@ class ClassTable:
     abs_value: array
 
 
-def class_table(n: int, workers: int = 1) -> ClassTable:
-    """The cached invariant table of order n, built on first use."""
-    cached = _table_cache.get(n)
-    if cached is not None:
-        return cached
-    forms = connected_class_forms(n, workers)
+def _table_rows(forms: tuple[bytes, ...]) -> tuple[array, array, array, array]:
+    """χ, α, pendant count and ABS value of each form, as four columns."""
     chromatic, independence, pendants = array("b"), array("b"), array("b")
     abs_value = array("d")
     for form in forms:
@@ -237,7 +373,29 @@ def class_table(n: int, workers: int = 1) -> ClassTable:
         independence.append(inv.independence)
         pendants.append(inv.pendants)
         abs_value.append(abs_index(g))
-    table = ClassTable(forms, chromatic, independence, pendants, abs_value)
+    return chromatic, independence, pendants, abs_value
+
+
+def class_table(n: int, workers: int = 1) -> ClassTable:
+    """The cached invariant table of order n, built on first use.
+
+    The rows are computed in ordered chunks in the pool that also
+    enumerates the classes.
+    """
+    cached = _table_cache.get(n)
+    if cached is not None:
+        return cached
+    with _shared_workers(workers) as pool:
+        forms = connected_class_forms(n, workers)
+        chunks = [
+            forms[i:i + _TABLE_CHUNK] for i in range(0, len(forms), _TABLE_CHUNK)
+        ]
+        parts = pool.map(_table_rows, chunks)
+        columns = next(parts)  # every order has a class, so a first chunk
+        for part in parts:
+            for column, piece in zip(columns, part):
+                column.extend(piece)
+    table = ClassTable(forms, *columns)
     _table_cache[n] = table
     return table
 

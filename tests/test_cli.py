@@ -1,5 +1,6 @@
 import io
 
+from absindex import search
 from absindex.cli import main
 
 
@@ -193,6 +194,18 @@ class TestUsage:
         assert code == 2
         assert out == ""
         assert err.count("\n") == 1 and "ABSINDEX_WORKERS" in err
+
+    def test_workers_above_core_count_are_clamped(
+        self, capsys, cold_caches, fake_pool
+    ):
+        seen = fake_pool(cores=2)
+        code, many, _ = run(capsys, "verify", "--n", "6..6", "--workers", "64")
+        assert code == 0
+        assert seen.sizes == [2]
+        search._class_cache.clear()
+        search._table_cache.clear()
+        _, one, _ = run(capsys, "verify", "--n", "6..6", "--workers", "1")
+        assert many == one
 
     def test_workers_flag_wins_over_bad_env(self, capsys, monkeypatch):
         monkeypatch.setenv("ABSINDEX_WORKERS", "two")

@@ -12,7 +12,9 @@ from absindex import (
     pendant_count,
     turan,
     GraphInvariants,
+    enumerate_connected,
 )
+from absindex.invariants import _refined_cells
 
 
 def cycle(n):
@@ -162,6 +164,44 @@ class TestCanonicalForm:
             if g.is_connected():
                 forms.add(canonical_form(g))
         assert len(forms) == 21
+
+
+def reference_refined_cells(g):
+    """Colour refinement with sorted neighbour-colour tuples as signatures."""
+    n = g.order
+    colors = [row.bit_count() for row in g.rows]
+    while True:
+        sigs = [
+            (colors[v], tuple(sorted(colors[u] for u in g.neighbors(v))))
+            for v in range(n)
+        ]
+        rank = {s: i for i, s in enumerate(sorted(set(sigs)))}
+        new = [rank[sigs[v]] for v in range(n)]
+        stable = len(set(new)) == len(set(colors))
+        colors = new
+        if stable:
+            break
+    cells = {}
+    for v in range(n):
+        cells.setdefault(colors[v], []).append(v)
+    return [cells[c] for c in sorted(cells)]
+
+
+class TestRefinement:
+    def test_matches_reference_on_every_class_relabeled(self):
+        rng = random.Random(17)
+        for n in range(1, 8):
+            for g in enumerate_connected(n):
+                perm = list(range(n))
+                rng.shuffle(perm)
+                for h in (g, permuted(g, perm)):
+                    assert _refined_cells(h) == reference_refined_cells(h)
+
+    def test_matches_reference_on_random_graphs_up_to_12(self):
+        rng = random.Random(19)
+        for _ in range(300):
+            g = random_graph(rng.randint(1, 12), rng)
+            assert _refined_cells(g) == reference_refined_cells(g)
 
 
 class TestIsomorphism:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -15,6 +16,7 @@ from absindex import (
     decode_graph6,
     encode_graph6,
     enumerate_connected,
+    from_edges,
     kite,
     max_abs_under,
     turan,
@@ -25,13 +27,18 @@ from absindex.invariants import GraphInvariants
 from absindex.search import class_table
 
 # connected isomorphism classes by order (see e.g. OEIS A001349)
-KNOWN_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112}
+KNOWN_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}
+ORDER_8_DIGEST = "13f308b1b8a6a9e97ae1d07a761b9dbf65d2b6b8a5b6f1868202e5d239d05e39"
 
 
 class TestEnumeration:
     def test_known_counts(self):
         for n, count in KNOWN_COUNTS.items():
             assert len(connected_class_forms(n)) == count
+
+    def test_order_8_forms_digest(self):
+        forms = connected_class_forms(8)
+        assert hashlib.sha256(b"".join(sorted(forms))).hexdigest() == ORDER_8_DIGEST
 
     def test_labeled_sweep_agrees(self):
         for n in range(1, 7):
@@ -190,18 +197,6 @@ class TestConstraintAdmits:
         assert Constraint(5).admits(inv)
 
 
-@pytest.fixture
-def cold_caches():
-    """Empty class and table caches for one test; the warm ones come back after."""
-    saved = dict(search._class_cache), dict(search._table_cache)
-    search._class_cache.clear()
-    search._table_cache.clear()
-    yield
-    for cache, entries in zip((search._class_cache, search._table_cache), saved):
-        cache.clear()
-        cache.update(entries)
-
-
 def brute_force_max(constraint):
     """Per-graph maximization straight from the decoded classes."""
     scored = [
@@ -268,3 +263,94 @@ class TestClassTable:
         with pytest.raises(ValueError, match="allow_order_8"):
             max_abs_under(Constraint(8, "chromatic", 3))
         assert 8 not in search._class_cache and 8 not in search._table_cache
+
+
+def _key(g, v):
+    """The accept rule's vertex key, from the Graph API."""
+    return g.degree(v), sorted(g.degree(u) for u in g.neighbors(v))
+
+
+def _delete(g, w):
+    """g - w, its vertices renumbered in order."""
+    keep = [v for v in range(g.order) if v != w]
+    at = {v: i for i, v in enumerate(keep)}
+    edges = [(at[u], at[v]) for u, v in g.edges() if w not in (u, v)]
+    return from_edges(len(keep), edges)
+
+
+def _with_last(g, w):
+    """The rows of g with vertex w moved to the last position."""
+    order = [v for v in range(g.order) if v != w] + [w]
+    at = {v: i for i, v in enumerate(order)}
+    return [sum(1 << at[u] for u in g.neighbors(v)) for v in order]
+
+
+class TestAcceptRule:
+    def test_every_class_has_an_accepted_parent(self):
+        accepted = {}
+        for n in range(2, 8):
+            parents = set(connected_class_forms(n - 1))
+            for g in enumerate_connected(n):
+                noncut = [w for w in range(n) if _delete(g, w).is_connected()]
+                w = max(noncut, key=lambda v: _key(g, v))
+                parent = canonical_form(_delete(g, w))
+                assert parent in parents
+                assert search._new_vertex_has_max_key(_with_last(g, w))
+                if parent not in accepted:
+                    rep = search.graph_from_canonical_form(parent)
+                    accepted[parent] = search._augment_parent((rep.order, rep.rows))
+                assert canonical_form(g) in accepted[parent]
+
+    def test_order_8_canonicalizes_accepted_children_only(self, monkeypatch):
+        calls = 0
+
+        def counting(g):
+            nonlocal calls
+            calls += 1
+            return g.rows  # distinct stand-in; only the count is read
+
+        forms = connected_class_forms(7)
+        parents = [search.graph_from_canonical_form(f) for f in forms]
+        monkeypatch.setattr(search, "canonical_form", counting)
+        for g in parents:
+            search._augment_parent((g.order, g.rows))
+        assert calls == 17598  # of 853 * 127 = 108,331 children
+
+
+class TestWorkerPool:
+    def test_clamped_to_usable_cores(self, cold_caches, fake_pool):
+        seen = fake_pool(cores=3)
+        forms = connected_class_forms(6, workers=64)
+        assert seen.sizes == [3]
+        assert seen.batches == [6, 21]  # orders 5 and 6; order 4 has 2 parents
+        assert len(forms) == 112
+
+    def test_no_pool_for_batches_below_its_size(self, cold_caches, fake_pool):
+        seen = fake_pool(cores=64)
+        assert len(connected_class_forms(6, workers=64)) == 112
+        assert seen.sizes == []
+
+    def test_one_pool_for_every_order_and_the_table(self, cold_caches, fake_pool):
+        seen = fake_pool(cores=2)
+        table = class_table(7, workers=2)
+        assert seen.sizes == [2]
+        assert seen.batches == [2, 6, 21, 112, 4]  # orders 4..7, then 853 rows
+        assert len(table.forms) == len(table.abs_value) == 853
+
+    def test_labeled_sweep_splits_over_the_clamped_pool(self, fake_pool):
+        seen = fake_pool(cores=2)
+        assert connected_class_forms_labeled(5, workers=8) == connected_class_forms(5)
+        assert seen.sizes == [2] and seen.batches == [2]
+
+    def test_one_worker_forks_nothing(self, cold_caches, fake_pool):
+        seen = fake_pool(cores=8)
+        class_table(7)
+        connected_class_forms_labeled(4)
+        assert seen.sizes == []
+
+    def test_pooled_table_matches_serial(self, cold_caches, fake_pool):
+        fake_pool(cores=2)
+        pooled = class_table(7, workers=2)
+        search._class_cache.clear()
+        search._table_cache.clear()
+        assert class_table(7) == pooled
