@@ -7,7 +7,9 @@ values are immutable: every "mutating" operation returns a new graph,
 so they are safe to share between worker processes.
 
 The module also implements the standard graph6 text encoding (short
-form, n <= 62) used for input and output of graphs.
+form, n <= 62) used for input and output of graphs.  The graph6 body and
+a canonical form's body are the same packed pair string, and
+``from_packed_pairs`` decodes both.
 """
 
 from __future__ import annotations
@@ -161,16 +163,31 @@ def from_edges(order: int, edges) -> Graph:
     return Graph(order, tuple(rows))
 
 
-def from_triangle_mask(order: int, mask: int) -> Graph:
-    """Inverse of :meth:`Graph.triangle_mask`."""
+# Pair k = j(j-1)/2 + i of the column-major order, i < j, for every k
+# an order up to MAX_ORDER can have.
+_PAIRS = tuple((i, j) for j in range(1, MAX_ORDER) for i in range(j))
+
+
+def from_packed_pairs(order: int, packed: int) -> Graph:
+    """The graph whose pair k, in graph6 column order, is bit nbits-1-k of
+    ``packed`` (nbits = order(order-1)/2): earlier pairs are more significant.
+
+    This is both the graph6 body with its padding dropped and the integer
+    ``invariants.minimal_triangle`` returns.
+    """
+    nbits = order * (order - 1) // 2
+    if not 1 <= order <= MAX_ORDER:
+        raise GraphError(f"order must be in 1..{MAX_ORDER}, got {order}")
+    if not 0 <= packed < 1 << nbits:
+        raise GraphError(f"packed pairs {packed:#x} do not fit the {nbits} pairs of order {order}")
     rows = [0] * order
-    k = 0
-    for j in range(1, order):
-        for i in range(j):
-            if mask >> k & 1:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-            k += 1
+    top = nbits - 1
+    while packed:
+        low = packed & -packed
+        i, j = _PAIRS[top - low.bit_length() + 1]
+        rows[i] |= 1 << j
+        rows[j] |= 1 << i
+        packed ^= low
     return Graph(order, tuple(rows))
 
 
@@ -219,18 +236,13 @@ def decode_graph6(text: str) -> Graph:
             f"byte {min(len(s), expected)}: expected {expected} bytes for order {n}, "
             f"got {len(s)}"
         )
-    mask = 0
+    packed = 0
     for pos, ch in enumerate(s[1:], start=1):
         group = ord(ch) - 63
         if not 0 <= group < 64:
             raise Graph6Error(f"byte {pos}: character {ch!r} outside graph6 alphabet")
-        for off in range(6):
-            k = (pos - 1) * 6 + off
-            bit = group >> (5 - off) & 1
-            if k >= nbits:
-                if bit:
-                    raise Graph6Error(f"byte {pos}: nonzero padding bit")
-                continue
-            if bit:
-                mask |= 1 << k
-    return from_triangle_mask(n, mask)
+        packed = packed << 6 | group
+    padding = 6 * (expected - 1) - nbits
+    if packed & ((1 << padding) - 1):
+        raise Graph6Error(f"byte {expected - 1}: nonzero padding bit")
+    return from_packed_pairs(n, packed >> padding)

@@ -5,6 +5,8 @@ The per-edge summand sqrt((x + y - 2)/(x + y)) is exposed as
 scalar functions that drive the extremal arguments: the gain of the
 weight under a shift of one argument, and the contrast of that gain
 between two second arguments.  All arithmetic is double precision.
+The graph-level sums walk the upper-triangle bits of the adjacency rows
+and read each edge's weight from a table indexed by its edge degree.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .graphs import Graph
+from .graphs import MAX_ORDER, Graph
 
 
 def edge_weight(x: float, y: float) -> float:
@@ -36,6 +38,12 @@ def gain_contrast(s: float, lo: float, hi: float, x: float) -> float:
     return shift_gain(s, x, lo) - shift_gain(s, x, hi)
 
 
+# edge_weight(d_u, d_v) depends only on the edge degree d_u + d_v - 2,
+# which is at most 2 * (MAX_ORDER - 1) - 2; built by edge_weight itself,
+# so every table entry is the float edge_weight returns.
+_WEIGHT_BY_EDGE_DEGREE = tuple(edge_weight(1, d + 1) for d in range(2 * MAX_ORDER - 3))
+
+
 @dataclass(frozen=True)
 class EdgeContribution:
     """One edge's summand in the ABS index."""
@@ -48,11 +56,23 @@ class EdgeContribution:
 
 def edge_contributions(g: Graph) -> list[EdgeContribution]:
     """Per-edge summands, in lexicographic edge order; they sum to abs_index."""
-    degs = g.degrees()
-    return [
-        EdgeContribution((u, v), degs[u], degs[v], edge_weight(degs[u], degs[v]))
-        for u, v in g.edges()
-    ]
+    rows = g.rows
+    degs = [row.bit_count() for row in rows]
+    terms = []
+    append = terms.append
+    for u, row in enumerate(rows):
+        du = degs[u]
+        base = du - 2
+        # upper holds the neighbours above v, shifted down so bit 0 is v + 1
+        upper = row >> u + 1
+        v = u
+        while upper:
+            step = (upper & -upper).bit_length()
+            v += step
+            upper >>= step
+            dv = degs[v]
+            append(EdgeContribution((u, v), du, dv, _WEIGHT_BY_EDGE_DEGREE[base + dv]))
+    return terms
 
 
 def abs_index(g: Graph) -> float:
@@ -61,5 +81,16 @@ def abs_index(g: Graph) -> float:
     fsum makes the result independent of edge order, so isomorphic
     graphs get bit-identical values.
     """
-    degs = g.degrees()
-    return math.fsum(edge_weight(degs[u], degs[v]) for u, v in g.edges())
+    rows = g.rows
+    degs = [row.bit_count() for row in rows]
+    weights = []
+    for u, row in enumerate(rows):
+        base = degs[u] - 2
+        upper = row >> u + 1
+        v = u
+        while upper:
+            step = (upper & -upper).bit_length()
+            v += step
+            upper >>= step
+            weights.append(_WEIGHT_BY_EDGE_DEGREE[base + degs[v]])
+    return math.fsum(weights)

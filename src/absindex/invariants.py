@@ -1,19 +1,22 @@
 """Exact graph invariants and isomorphism machinery.
 
 Chromatic number and independence number are computed by exact
-exponential algorithms (backtracking / branch-and-bound); both are
-comfortably fast at the orders (n <= 12) the library supports.
-Isomorphism is decided through a canonical form: the lexicographically
-minimal upper-triangle bit-string over all vertex relabelings, with the
-permutation search restricted by an iterated degree-partition
-refinement.
+exponential algorithms on the bit rows: chi by backtracking over colour
+classes held as vertex bitmasks, between a greedy clique lower bound
+and a greedy colouring upper bound; alpha by branch-and-bound on the
+candidate bitmask.  Both are comfortably fast at the orders (n <= 12)
+the library supports.  Isomorphism is decided through a canonical form:
+the lexicographically minimal upper-triangle bit-string over all vertex
+relabelings, with the permutation search restricted by an iterated
+degree-partition refinement.  A form decodes through the same packed
+pair decoder as graph6 (``graphs.from_packed_pairs``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, GraphError, from_triangle_mask
+from .graphs import Graph, from_packed_pairs
 
 
 @dataclass(frozen=True)
@@ -41,64 +44,66 @@ def pendant_count(g: Graph) -> int:
 
 
 # -- chromatic number -------------------------------------------------
+#
+# A colouring is a list of colour classes, each a bitmask of vertices;
+# v may join class c iff classes[c] & rows[v] == 0.
 
 
 def chromatic_number(g: Graph) -> int:
     """Least k admitting a proper k-coloring (exact)."""
-    n = g.order
-    if g.edge_count == 0:
+    rows = g.rows
+    if not any(rows):
         return 1
-    lower = _greedy_clique_size(g)
-    upper = _greedy_coloring_size(g)
+    degs = [row.bit_count() for row in rows]
+    order = sorted(range(g.order), key=degs.__getitem__, reverse=True)
+    lower = _greedy_clique_size(rows, order)
+    upper = _greedy_coloring_size(rows, order)
     for k in range(lower, upper):
-        if _colorable(g, k):
+        if _colorable(rows, order, k):
             return k
     return upper
 
 
-def _greedy_clique_size(g: Graph) -> int:
-    order = sorted(range(g.order), key=g.degree, reverse=True)
+def _greedy_clique_size(rows: tuple[int, ...], order: list[int]) -> int:
     clique_mask = 0
-    size = 0
     for v in order:
-        if clique_mask & ~g.rows[v] == 0:
+        if clique_mask & ~rows[v] == 0:
             clique_mask |= 1 << v
-            size += 1
-    return size
+    return clique_mask.bit_count()
 
 
-def _greedy_coloring_size(g: Graph) -> int:
-    order = sorted(range(g.order), key=g.degree, reverse=True)
-    color_of: dict[int, int] = {}
-    used = 0
+def _greedy_coloring_size(rows: tuple[int, ...], order: list[int]) -> int:
+    """Colours used when each vertex, in ``order``, takes its least free colour."""
+    classes: list[int] = []
     for v in order:
-        taken = {color_of[u] for u in g.neighbors(v) if u in color_of}
-        c = 0
-        while c in taken:
-            c += 1
-        color_of[v] = c
-        used = max(used, c + 1)
-    return used
+        row = rows[v]
+        for c, members in enumerate(classes):
+            if not members & row:
+                classes[c] = members | 1 << v
+                break
+        else:
+            classes.append(1 << v)
+    return len(classes)
 
 
-def _colorable(g: Graph, k: int) -> bool:
-    order = sorted(range(g.order), key=g.degree, reverse=True)
-    colors = [-1] * g.order
+def _colorable(rows: tuple[int, ...], order: list[int], k: int) -> bool:
+    n = len(order)
+    classes = [0] * k
 
-    def assign(idx: int, max_used: int) -> bool:
-        if idx == g.order:
+    def assign(idx: int, used: int) -> bool:
+        if idx == n:
             return True
         v = order[idx]
-        forbidden = {colors[u] for u in g.neighbors(v) if colors[u] >= 0}
+        row = rows[v]
+        bit = 1 << v
         # first use of a fresh color: trying one is enough (symmetry)
-        limit = min(k, max_used + 1)
-        for c in range(limit):
-            if c in forbidden:
+        for c in range(min(k, used + 1)):
+            if classes[c] & row:
                 continue
-            colors[v] = c
-            if assign(idx + 1, max(max_used, c + 1)):
+            classes[c] |= bit
+            if assign(idx + 1, used + (c == used)):
                 return True
-            colors[v] = -1
+            classes[c] ^= bit
         return False
 
     return assign(0, 0)
@@ -117,24 +122,24 @@ def independence_number(g: Graph) -> int:
         if size + candidates.bit_count() <= best:
             return
         if candidates == 0:
-            best = max(best, size)
+            best = size
             return
-        # branch on the candidate with most candidate-neighbors
-        v = max(
-            _bits(candidates), key=lambda u: (rows[u] & candidates).bit_count()
-        )
-        expand(candidates & ~(rows[v] | 1 << v), size + 1)
-        expand(candidates & ~(1 << v), size)
+        # branch on the candidate with most candidate-neighbors (lowest
+        # index among ties)
+        most = -1
+        rest = candidates
+        while rest:
+            low = rest & -rest
+            u = low.bit_length() - 1
+            count = (rows[u] & candidates).bit_count()
+            if count > most:
+                most, v, bit = count, u, low
+            rest ^= low
+        expand(candidates & ~(rows[v] | bit), size + 1)
+        expand(candidates ^ bit, size)
 
     expand((1 << g.order) - 1, 0)
     return best
-
-
-def _bits(mask: int):
-    while mask:
-        v = (mask & -mask).bit_length() - 1
-        yield v
-        mask &= mask - 1
 
 
 # -- canonical form ---------------------------------------------------
@@ -147,33 +152,39 @@ def _refined_cells(g: Graph) -> list[list[int]]:
     invariant signatures, so isomorphic graphs get corresponding cell
     sequences.
 
-    A vertex's signature is its colour followed by the negated counts of
-    its neighbours in each colour, colours ascending.  Every colour
-    class refines the degree partition, so vertices of one colour have
-    equally many neighbours, and for such vertices this signature ranks
-    exactly as the sorted tuple of neighbour colours would: the first
-    colour where two neighbour multisets differ puts the one with more
-    neighbours of that colour first.
+    Cells start as the degree classes, degrees ascending.  Each round
+    replaces every cell, in place, by its parts under the vector of its
+    vertices' negated neighbour counts in each cell, parts ordered by
+    that vector; a cell's vertices stay in ascending order.  All
+    vertices of a cell have equally many neighbours, so this ranks them
+    exactly as the sorted tuple of neighbour cells would: the first cell
+    where two neighbour multisets differ puts the one with more
+    neighbours there first.  Singleton cells cannot split and get no
+    vector; the rounds stop once the partition is discrete or a round
+    splits nothing (McKay's equitable refinement).
     """
-    n = g.order
     rows = g.rows
-    colors = [row.bit_count() for row in rows]
-    while True:
-        masks: dict[int, int] = {}
-        for v, c in enumerate(colors):
-            masks[c] = masks.get(c, 0) | 1 << v
-        counts = [
-            [-(row & masks[c]).bit_count() for row in rows] for c in sorted(masks)
-        ]
-        sigs = list(zip(colors, *counts))
-        rank = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        colors = [rank[s] for s in sigs]
-        if len(rank) == len(masks):
+    by_degree: dict[int, list[int]] = {}
+    for v, row in enumerate(rows):
+        by_degree.setdefault(row.bit_count(), []).append(v)
+    cells = [by_degree[d] for d in sorted(by_degree)]
+    while len(cells) < g.order:
+        masks = [sum(1 << v for v in cell) for cell in cells]
+        refined: list[list[int]] = []
+        for cell in cells:
+            if len(cell) == 1:
+                refined.append(cell)
+                continue
+            parts: dict[tuple[int, ...], list[int]] = {}
+            for v in cell:
+                row = rows[v]
+                key = tuple([-(row & m).bit_count() for m in masks])
+                parts.setdefault(key, []).append(v)
+            refined.extend(parts[key] for key in sorted(parts))
+        if len(refined) == len(cells):
             break
-    cells: dict[int, list[int]] = {}
-    for v in range(n):
-        cells.setdefault(colors[v], []).append(v)
-    return [cells[c] for c in sorted(cells)]
+        cells = refined
+    return cells
 
 
 def minimal_triangle(g: Graph) -> int:
@@ -239,14 +250,7 @@ def canonical_graph(g: Graph) -> Graph:
 
 def graph_from_canonical_form(form: bytes) -> Graph:
     n = form[0]
-    tri = int.from_bytes(form[1:], "big")
-    total_bits = n * (n - 1) // 2
-    # minimal_triangle packs pair k at significance total_bits-1-k
-    mask = 0
-    for k in range(total_bits):
-        if tri >> (total_bits - 1 - k) & 1:
-            mask |= 1 << k
-    return from_triangle_mask(n, mask)
+    return from_packed_pairs(n, int.from_bytes(form[1:], "big"))
 
 
 def are_isomorphic(g: Graph, h: Graph) -> bool:

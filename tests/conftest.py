@@ -1,8 +1,28 @@
+import random
 import types
 
 import pytest
 
-from absindex import search
+from absindex import from_edges, search
+
+
+@pytest.fixture(scope="session")
+def small_classes():
+    """One graph per connected class of order 1..7 (996 graphs)."""
+    return [g for n in range(1, 8) for g in search.enumerate_connected(n)]
+
+
+@pytest.fixture(scope="session")
+def gnp_graphs():
+    """400 seeded G(n, p) graphs, n = 9..12, p = 0.2..0.7, not all connected."""
+    rng = random.Random(23)
+    graphs = []
+    for _ in range(400):
+        n = rng.randint(9, 12)
+        p = rng.choice((0.2, 0.3, 0.4, 0.5, 0.6, 0.7))
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+        graphs.append(from_edges(n, edges))
+    return graphs
 
 
 @pytest.fixture

@@ -1,0 +1,179 @@
+"""The per-graph kernels as they were before they moved to bit rows.
+
+Each function here is the old body of the library function with the same
+name, kept unchanged as the reference the rewritten kernels must match
+exactly: same integers, same floats (``==``), same graphs and the same
+``Graph6Error`` messages.
+"""
+
+import math
+
+from absindex import EdgeContribution, Graph, Graph6Error, edge_weight
+from absindex.graphs import _G6_HEADER, MAX_ORDER
+
+
+# -- graphs -----------------------------------------------------------
+
+
+def from_triangle_mask(order, mask):
+    """Bit k of ``mask`` is the pair (i, j), i < j, k = j(j-1)/2 + i."""
+    rows = [0] * order
+    k = 0
+    for j in range(1, order):
+        for i in range(j):
+            if mask >> k & 1:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+            k += 1
+    return Graph(order, tuple(rows))
+
+
+def decode_graph6(text):
+    s = text.strip()
+    if s.startswith(_G6_HEADER):
+        s = s[len(_G6_HEADER):]
+    if not s:
+        raise Graph6Error("empty graph6 input")
+    n = ord(s[0]) - 63
+    if not 1 <= n <= MAX_ORDER:
+        raise Graph6Error(
+            f"byte 0: order {n} outside the supported range 1..{MAX_ORDER}"
+        )
+    nbits = n * (n - 1) // 2
+    expected = 1 + (nbits + 5) // 6
+    if len(s) != expected:
+        raise Graph6Error(
+            f"byte {min(len(s), expected)}: expected {expected} bytes for order {n}, "
+            f"got {len(s)}"
+        )
+    mask = 0
+    for pos, ch in enumerate(s[1:], start=1):
+        group = ord(ch) - 63
+        if not 0 <= group < 64:
+            raise Graph6Error(f"byte {pos}: character {ch!r} outside graph6 alphabet")
+        for off in range(6):
+            k = (pos - 1) * 6 + off
+            bit = group >> (5 - off) & 1
+            if k >= nbits:
+                if bit:
+                    raise Graph6Error(f"byte {pos}: nonzero padding bit")
+                continue
+            if bit:
+                mask |= 1 << k
+    return from_triangle_mask(n, mask)
+
+
+# -- index ------------------------------------------------------------
+
+
+def edge_contributions(g):
+    degs = g.degrees()
+    return [
+        EdgeContribution((u, v), degs[u], degs[v], edge_weight(degs[u], degs[v]))
+        for u, v in g.edges()
+    ]
+
+
+def abs_index(g):
+    degs = g.degrees()
+    return math.fsum(edge_weight(degs[u], degs[v]) for u, v in g.edges())
+
+
+# -- invariants -------------------------------------------------------
+
+
+def chromatic_number(g):
+    if g.edge_count == 0:
+        return 1
+    lower = _greedy_clique_size(g)
+    upper = _greedy_coloring_size(g)
+    for k in range(lower, upper):
+        if _colorable(g, k):
+            return k
+    return upper
+
+
+def _greedy_clique_size(g):
+    order = sorted(range(g.order), key=g.degree, reverse=True)
+    clique_mask = 0
+    size = 0
+    for v in order:
+        if clique_mask & ~g.rows[v] == 0:
+            clique_mask |= 1 << v
+            size += 1
+    return size
+
+
+def _greedy_coloring_size(g):
+    order = sorted(range(g.order), key=g.degree, reverse=True)
+    color_of = {}
+    used = 0
+    for v in order:
+        taken = {color_of[u] for u in g.neighbors(v) if u in color_of}
+        c = 0
+        while c in taken:
+            c += 1
+        color_of[v] = c
+        used = max(used, c + 1)
+    return used
+
+
+def _colorable(g, k):
+    order = sorted(range(g.order), key=g.degree, reverse=True)
+    colors = [-1] * g.order
+
+    def assign(idx, max_used):
+        if idx == g.order:
+            return True
+        v = order[idx]
+        forbidden = {colors[u] for u in g.neighbors(v) if colors[u] >= 0}
+        limit = min(k, max_used + 1)
+        for c in range(limit):
+            if c in forbidden:
+                continue
+            colors[v] = c
+            if assign(idx + 1, max(max_used, c + 1)):
+                return True
+            colors[v] = -1
+        return False
+
+    return assign(0, 0)
+
+
+def independence_number(g):
+    rows = g.rows
+    best = 0
+
+    def expand(candidates, size):
+        nonlocal best
+        if size + candidates.bit_count() <= best:
+            return
+        if candidates == 0:
+            best = max(best, size)
+            return
+        v = max(
+            _bits(candidates), key=lambda u: (rows[u] & candidates).bit_count()
+        )
+        expand(candidates & ~(rows[v] | 1 << v), size + 1)
+        expand(candidates & ~(1 << v), size)
+
+    expand((1 << g.order) - 1, 0)
+    return best
+
+
+def _bits(mask):
+    while mask:
+        v = (mask & -mask).bit_length() - 1
+        yield v
+        mask &= mask - 1
+
+
+def graph_from_canonical_form(form):
+    n = form[0]
+    tri = int.from_bytes(form[1:], "big")
+    total_bits = n * (n - 1) // 2
+    mask = 0
+    for k in range(total_bits):
+        if tri >> (total_bits - 1 - k) & 1:
+            mask |= 1 << k
+    return from_triangle_mask(n, mask)

@@ -11,6 +11,9 @@ from absindex import (
     encode_graph6,
     from_edges,
 )
+from absindex.graphs import from_packed_pairs
+
+import references
 
 
 def path(n):
@@ -165,3 +168,58 @@ class TestGraph6:
     def test_header_out_of_range(self):
         with pytest.raises(Graph6Error, match="order"):
             decode_graph6("~~~")
+
+    def test_nonzero_padding_bit(self):
+        # K3 has 3 pair bits; "x" = 0b111001 sets a padding bit
+        with pytest.raises(Graph6Error, match=r"^byte 1: nonzero padding bit$"):
+            decode_graph6("Bx")
+        with pytest.raises(Graph6Error, match=r"^byte 2: nonzero padding bit$"):
+            decode_graph6("Dw~")
+
+    def test_character_outside_alphabet(self):
+        with pytest.raises(Graph6Error, match=r"^byte 1: character '!' outside graph6 alphabet$"):
+            decode_graph6("D!w")
+        with pytest.raises(Graph6Error, match=r"^byte 2: character '\\x7f' outside graph6 alphabet$"):
+            decode_graph6(">>graph6<<Dw\x7f")
+
+    def test_errors_match_reference(self):
+        bad = ["", "  ", ">>graph6<<", "~~~", "?", "B", "Bwww", "Bx", "B!",
+               "D!w", "Dw!", "Dw~", "Dwé", "K" + "~" * 10, "K" + "~" * 12, "M" + "~" * 11]
+        for text in bad:
+            with pytest.raises(Graph6Error) as got:
+                decode_graph6(text)
+            with pytest.raises(Graph6Error) as want:
+                references.decode_graph6(text)
+            assert str(got.value) == str(want.value), text
+
+
+class TestPackedPairs:
+    def test_first_pair_is_most_significant(self):
+        # order 3: pairs (0, 1), (0, 2), (1, 2) at significance 2, 1, 0
+        assert from_packed_pairs(3, 0b100) == from_edges(3, [(0, 1)])
+        assert from_packed_pairs(3, 0b001) == from_edges(3, [(1, 2)])
+
+    def test_rejects_bits_beyond_the_pairs(self):
+        with pytest.raises(GraphError, match="do not fit the 3 pairs"):
+            from_packed_pairs(3, 0b1000)
+        with pytest.raises(GraphError, match="do not fit"):
+            from_packed_pairs(3, -1)
+
+    def test_rejects_order_out_of_range(self):
+        for order in (0, 13):
+            with pytest.raises(GraphError, match="order must be in 1..12"):
+                from_packed_pairs(order, 1)
+
+
+class TestDecoderReference:
+    """decode_graph6 returns exactly what the old body did."""
+
+    def test_every_class_up_to_7(self, small_classes):
+        for g in small_classes:
+            text = encode_graph6(g)
+            assert decode_graph6(text) == references.decode_graph6(text) == g
+
+    def test_gnp_graphs_9_to_12(self, gnp_graphs):
+        for g in gnp_graphs:
+            text = encode_graph6(g)
+            assert decode_graph6(text) == references.decode_graph6(text) == g

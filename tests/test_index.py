@@ -14,6 +14,9 @@ from absindex import (
     shift_gain,
     turan,
 )
+from absindex.index import _WEIGHT_BY_EDGE_DEGREE
+
+import references
 
 EXACT = 1e-12
 
@@ -161,3 +164,22 @@ class TestEdgeContributions:
         for g in enumerate_connected(5):
             total = sum(c.value for c in edge_contributions(g))
             assert total == pytest.approx(abs_index(g), abs=EXACT)
+
+
+class TestKernelReferences:
+    """abs_index and edge_contributions return exactly what the old bodies did."""
+
+    def test_weight_table_is_edge_weight(self):
+        for du in range(1, 12):
+            for dv in range(1, 12):
+                assert _WEIGHT_BY_EDGE_DEGREE[du + dv - 2] == edge_weight(du, dv)
+
+    def test_every_class_up_to_7(self, small_classes):
+        for g in small_classes:
+            assert abs_index(g) == references.abs_index(g)
+            assert edge_contributions(g) == references.edge_contributions(g)
+
+    def test_gnp_graphs_9_to_12(self, gnp_graphs):
+        for g in gnp_graphs:
+            assert abs_index(g) == references.abs_index(g)
+            assert edge_contributions(g) == references.edge_contributions(g)

@@ -14,7 +14,9 @@ from absindex import (
     GraphInvariants,
     enumerate_connected,
 )
-from absindex.invariants import _refined_cells
+from absindex.invariants import _refined_cells, graph_from_canonical_form
+
+import references
 
 
 def cycle(n):
@@ -202,6 +204,37 @@ class TestRefinement:
         for _ in range(300):
             g = random_graph(rng.randint(1, 12), rng)
             assert _refined_cells(g) == reference_refined_cells(g)
+
+    def test_matches_reference_on_gnp_graphs_9_to_12(self, gnp_graphs):
+        for g in gnp_graphs:
+            assert _refined_cells(g) == reference_refined_cells(g)
+
+
+class TestKernelReferences:
+    """chi, alpha and the form decoder return exactly what the old bodies did."""
+
+    def test_every_class_up_to_7(self, small_classes):
+        for g in small_classes:
+            assert chromatic_number(g) == references.chromatic_number(g)
+            assert independence_number(g) == references.independence_number(g)
+            form = canonical_form(g)
+            assert graph_from_canonical_form(form) == references.graph_from_canonical_form(form)
+
+    def test_gnp_graphs_9_to_12(self, gnp_graphs):
+        for g in gnp_graphs:
+            assert chromatic_number(g) == references.chromatic_number(g)
+            assert independence_number(g) == references.independence_number(g)
+
+    def test_form_decoder_on_random_pair_strings(self):
+        # any packed pair string is a form's body, so no canonical_form
+        # (whose search explodes on some n >= 9 graphs) is needed
+        rng = random.Random(29)
+        for n in range(1, 13):
+            nbits = n * (n - 1) // 2
+            for _ in range(40):
+                tri = rng.getrandbits(nbits)
+                form = bytes([n]) + tri.to_bytes(max(1, (nbits + 7) // 8), "big")
+                assert graph_from_canonical_form(form) == references.graph_from_canonical_form(form)
 
 
 class TestIsomorphism:
