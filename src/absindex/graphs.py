@@ -172,8 +172,8 @@ def from_packed_pairs(order: int, packed: int) -> Graph:
     """The graph whose pair k, in graph6 column order, is bit nbits-1-k of
     ``packed`` (nbits = order(order-1)/2): earlier pairs are more significant.
 
-    This is both the graph6 body with its padding dropped and the integer
-    ``invariants.minimal_triangle`` returns.
+    This is both the graph6 body with its padding dropped and the minimal
+    triangle that ``invariants.canonical_labeling`` returns.
     """
     nbits = order * (order - 1) // 2
     if not 1 <= order <= MAX_ORDER:

@@ -5,11 +5,13 @@ exponential algorithms on the bit rows: chi by backtracking over colour
 classes held as vertex bitmasks, between a greedy clique lower bound
 and a greedy colouring upper bound; alpha by branch-and-bound on the
 candidate bitmask.  Both are comfortably fast at the orders (n <= 12)
-the library supports.  Isomorphism is decided through a canonical form:
-the lexicographically minimal upper-triangle bit-string over all vertex
-relabelings, with the permutation search restricted by an iterated
-degree-partition refinement.  A form decodes through the same packed
-pair decoder as graph6 (``graphs.from_packed_pairs``).
+the library supports.  A canonical form is the lexicographically
+minimal upper-triangle bit-string over all vertex relabelings, with the
+permutation search restricted by an iterated degree-partition
+refinement; it decodes through the same packed pair decoder as graph6
+(``graphs.from_packed_pairs``).  Two given graphs are compared by a
+direct search for an isomorphism between their refined cells, which is
+much cheaper than two canonical forms on symmetric graphs.
 """
 
 from __future__ import annotations
@@ -187,14 +189,20 @@ def _refined_cells(g: Graph) -> list[list[int]]:
     return cells
 
 
-def minimal_triangle(g: Graph) -> int:
-    """Lexicographically minimal upper-triangle bit-string over relabelings.
+def canonical_labeling(g: Graph) -> tuple[int, list[int]]:
+    """The minimal upper-triangle bit-string over relabelings, and the
+    first vertex order that reaches it.
 
     The string is read pair-by-pair in the graph6 column order and
     packed so that earlier pairs land in more significant bits; the
     minimum is therefore the numeric minimum.  Only permutations that
     respect the refined-cell order are considered, which is sound
     because the cell sequence itself is isomorphism-invariant.
+
+    Vertex ``order[i]`` gets label i in the canonical graph.  Every order
+    that reaches the minimum is this one composed with an automorphism,
+    so a vertex chosen by its canonical position is defined up to its
+    orbit.
     """
     n = g.order
     rows = g.rows
@@ -204,14 +212,16 @@ def minimal_triangle(g: Graph) -> int:
         cell_at.extend([cell] * len(cell))
     total_bits = n * (n - 1) // 2
     best: int | None = None
+    best_perm: list[int] = []
     perm: list[int] = []
     used = [False] * n
 
     def place(pos: int, prefix: int, nbits: int) -> None:
-        nonlocal best
+        nonlocal best, best_perm
         if pos == n:
             if best is None or prefix < best:
                 best = prefix
+                best_perm = perm[:]
             return
         for v in cell_at[pos]:
             if used[v]:
@@ -232,15 +242,122 @@ def minimal_triangle(g: Graph) -> int:
 
     place(0, 0, 0)
     assert best is not None
-    return best
+    return best, best_perm
+
+
+def find_isomorphism(
+    g: Graph, h: Graph, pin: tuple[int, int] | None = None
+) -> list[int] | None:
+    """A map m with h.has_edge(m[u], m[v]) == g.has_edge(u, v), or None.
+
+    The map sends refined cell i of g onto cell i of h, which every
+    isomorphism does, and with ``pin = (u, w)`` it also sends u to w.
+    The search backtracks over vertex images and stops at the first map
+    that fits.  Vertices are mapped in an order where each next one has
+    the most neighbours already mapped (then the smallest cell), so the
+    adjacency test prunes early; with g = h it finds automorphisms.
+    """
+    if h.order != g.order:
+        return None
+    g_cells = _refined_cells(g)
+    h_cells = g_cells if h is g else _refined_cells(h)
+    return _map_cells(g, g_cells, h, h_cells, pin)
+
+
+def cell_automorphisms(g: Graph) -> list[list[int]]:
+    """For each refined cell, the automorphisms that map its first vertex
+    onto each other vertex of the cell, where one exists.
+
+    Under the group they generate, each cell's first vertex has the same
+    orbit as under Aut(g); the group itself may be a proper subgroup.
+    """
+    cells = _refined_cells(g)
+    found = []
+    for cell in cells:
+        for x in cell[1:]:
+            sigma = _map_cells(g, cells, g, cells, (cell[0], x))
+            if sigma is not None:
+                found.append(sigma)
+    return found
+
+
+def _map_cells(
+    g: Graph,
+    g_cells: list[list[int]],
+    h: Graph,
+    h_cells: list[list[int]],
+    pin: tuple[int, int] | None,
+) -> list[int] | None:
+    """``find_isomorphism`` given the refined cells of both graphs."""
+    n = g.order
+    if [len(c) for c in g_cells] != [len(c) for c in h_cells]:
+        return None
+    targets: list[list[int]] = [[]] * n
+    for g_cell, h_cell in zip(g_cells, h_cells):
+        for v in g_cell:
+            targets[v] = h_cell
+    g_rows, h_rows = g.rows, h.rows
+    order: list[int] = []
+    if pin is not None:
+        u, w = pin
+        if w not in targets[u]:
+            return None
+        targets[u] = [w]
+        order.append(u)
+    placed = sum(1 << v for v in order)
+    while len(order) < n:
+        v = min(
+            (v for v in range(n) if not placed >> v & 1),
+            key=lambda v: (-(g_rows[v] & placed).bit_count(), len(targets[v])),
+        )
+        order.append(v)
+        placed |= 1 << v
+    pos = [0] * n
+    for k, v in enumerate(order):
+        pos[v] = k
+    # back[k]: the positions before k that hold neighbours of order[k]
+    back = [0] * n
+    for k, v in enumerate(order):
+        for i in range(k):
+            if g_rows[v] >> order[i] & 1:
+                back[k] |= 1 << i
+    image = [0] * n  # h vertex at each position
+    h_pos = [-1] * n  # position of each mapped h vertex
+
+    def extend(k: int, mapped: int) -> bool:
+        if k == n:
+            return True
+        for x in targets[order[k]]:
+            if h_pos[x] >= 0:
+                continue
+            seen = 0
+            rest = h_rows[x] & mapped
+            while rest:
+                low = rest & -rest
+                seen |= 1 << h_pos[low.bit_length() - 1]
+                rest ^= low
+            if seen != back[k]:
+                continue
+            image[k] = x
+            h_pos[x] = k
+            if extend(k + 1, mapped | 1 << x):
+                return True
+            h_pos[x] = -1
+        return False
+
+    if not extend(0, 0):
+        return None
+    return [image[pos[v]] for v in range(n)]
 
 
 def canonical_form(g: Graph) -> bytes:
     """Byte string equal for two graphs iff they are isomorphic."""
-    n = g.order
-    total_bits = n * (n - 1) // 2
-    tri = minimal_triangle(g)
-    return bytes([n]) + tri.to_bytes(max(1, (total_bits + 7) // 8), "big")
+    return form_from_triangle(g.order, canonical_labeling(g)[0])
+
+
+def form_from_triangle(n: int, tri: int) -> bytes:
+    """The canonical form of order n whose minimal triangle is ``tri``."""
+    return bytes([n]) + tri.to_bytes(max(1, (n * (n - 1) // 2 + 7) // 8), "big")
 
 
 def canonical_graph(g: Graph) -> Graph:
@@ -258,4 +375,4 @@ def are_isomorphic(g: Graph, h: Graph) -> bool:
         return False
     if sorted(g.degrees()) != sorted(h.degrees()):
         return False
-    return canonical_form(g) == canonical_form(h)
+    return find_isomorphism(g, h) is not None

@@ -5,13 +5,14 @@ class of connected graphs:
 
 * a vertex-augmentation fast path (default): every connected graph on n
   vertices arises from a connected graph on n - 1 vertices by attaching
-  a new vertex to a nonempty neighbor set.  Each (n-1)-class is extended
-  by every neighbor subset, and a child is canonicalized only if its new
-  vertex has the largest key (degree, ascending neighbour degrees) among
-  the vertices whose deletion leaves it connected -- a weak form of
-  McKay's canonical construction path ("Isomorph-free exhaustive
-  generation", J. Algorithms 26, 1998).  Every class keeps at least one
-  accepted child, and a set of canonical forms removes the repeats;
+  a new vertex to a nonempty neighbor set.  This is McKay's canonical
+  construction path ("Isomorph-free exhaustive generation", J.
+  Algorithms 26, 1998): each (n-1)-class is extended by one neighbour
+  set per orbit of a group of its automorphisms, and a child is kept
+  only if its new vertex lies in the orbit of a canonically chosen
+  non-cut vertex.  Each class then comes from exactly one parent class,
+  so the parents' outputs are disjoint (``_augment_parent`` has the
+  argument);
 * a labeled sweep (oracle): iterate all 2^(n(n-1)/2) upper-triangle
   masks, skip masks already known via the permutation orbit of a found
   class, canonicalize the rest.
@@ -20,18 +21,19 @@ Both must agree exactly; the test suite pins the class counts.  On top
 of the enumeration sit the constrained ABS maximizer, the extremal-
 characterization verifier, and the exhaustive monotonicity checks.
 
-Per-class facts are computed once per order: ``class_table(n)`` decodes
-each canonical form once and keeps χ, α, pendant count and the ABS value
-in compact columns parallel to the sorted forms, cached beside the class
-forms.  A constrained maximization is then a scan of one column and a
-max over the value column; only the maximizers are decoded again.
+Per-class facts are computed once per order: ``class_table(n)`` has
+each order-n augmentation job compute χ, α, pendant count and the ABS
+value of every class it finds, on the child graph it already holds, and
+keeps them in compact columns parallel to the sorted forms, cached
+beside the class forms.  A constrained maximization is then a scan of
+one column and a max over the value column; only the maximizers are
+decoded again.
 
 Work is optionally spread over one process pool per top-level call: an
-enumeration uses it for every order it builds, and ``class_table`` for
-its rows too.  The pool holds at most as many workers as this process
-has usable cores.  Results are merged by a deterministic reduction
-(sets of canonical forms, sorted; table rows in order), so reports are
-identical for any worker count.
+enumeration uses it for every order it builds.  The pool holds at most
+as many workers as this process has usable cores.  The jobs' outputs
+are concatenated and sorted once, the table columns along with the
+forms, so reports are identical for any worker count.
 """
 
 from __future__ import annotations
@@ -49,7 +51,12 @@ from .graphs import Graph, encode_graph6
 from .index import abs_index, edge_weight, gain_contrast, shift_gain
 from .invariants import (
     GraphInvariants,
+    are_isomorphic,
     canonical_form,
+    canonical_labeling,
+    cell_automorphisms,
+    find_isomorphism,
+    form_from_triangle,
     graph_from_canonical_form,
 )
 
@@ -75,7 +82,6 @@ def _check_order(n: int, allow_order_8: bool) -> None:
 # Forked workers start in about 0.03 s where spawned ones take 0.4 s, and
 # the search runs no threads of its own for fork to break.
 _POOL_CONTEXT = multiprocessing.get_context("fork")
-_TABLE_CHUNK = 256  # forms per class_table job
 
 
 def _usable_cores() -> int:
@@ -154,21 +160,43 @@ def _connected_without(rows: Sequence[int], v: int) -> bool:
     return seen == full
 
 
-def _augment_parent(args: tuple[int, tuple[int, ...]]) -> set[bytes]:
-    """Canonical forms of the accepted one-vertex extensions of a parent.
+def _augment_parent(
+    args: tuple[int, tuple[int, ...], bool],
+) -> tuple[list[bytes], tuple[array, ...] | None]:
+    """The new classes one parent generates, with their table rows if asked.
 
-    A child is accepted only if its new vertex has the largest key
-    (degree, ascending neighbour degrees) among the vertices whose
-    deletion leaves it connected; only accepted children are
-    canonicalized.  No class is lost: take a connected class G and a
-    non-cut vertex w of G with the largest key.  G - w is connected, so
-    its class is a parent, and extending that parent by the neighbours
-    of w gives a child isomorphic to G whose new vertex is w.  The key is
-    isomorphism-invariant, so that child is accepted.  Several children
-    of one class may pass; the set removes the repeats.
+    Returns the canonical forms of the accepted one-vertex extensions of
+    the parent, each once, and, when ``with_rows`` is set, the χ, α,
+    pendant and ABS columns of those classes in the same order (else
+    None).  The rules follow McKay's canonical construction path
+    ("Isomorph-free exhaustive generation", J. Algorithms 26, 1998).
+
+    Child side.  Let m(G) be, among the non-cut vertices of G with the
+    largest key (degree, ascending neighbour degrees), the one that the
+    canonical labeling of G places last.  Canonical labelings differ by
+    automorphisms, so m(G) is defined up to its orbit.  A child is
+    accepted only if its new vertex lies in the orbit of m(child).  Then
+    every class G is accepted from exactly one parent class, that of
+    G - m(G): G - m(G) is connected, extending it by the neighbours of
+    m(G) gives G back with m(G) as the new vertex, and any other
+    accepted parent is G - v for a v in the orbit of m(G), which is
+    isomorphic to G - m(G).  So the outputs of different parents are
+    disjoint.  Two accepted children of one parent that are isomorphic
+    have neighbour sets related by a parent automorphism (an isomorphism
+    between them can be chosen to fix the new vertex, and then restricts
+    to one); a set of forms removes these repeats.
+
+    Parent side.  A parent automorphism s extends, fixing the new vertex,
+    to an isomorphism from the child on S onto the child on s(S), so the
+    two are one class and the rule accepts both or neither.  Only the
+    least neighbour set of each orbit of a group of parent automorphisms
+    is therefore tried (``_orbit_leaders``).  Any subgroup of Aut(parent)
+    is sound; a smaller one only leaves more repeats for the set.
     """
-    parent_order, parent_rows = args
+    parent_order, parent_rows, with_rows = args
     n = parent_order + 1
+    new = parent_order
+    parent = Graph(parent_order, parent_rows)
     # A non-cut vertex of the parent stays one in the child unless it is
     # the new vertex's only neighbour, so a new vertex of degree 2 or more
     # below the degree of such a vertex fails the rule.
@@ -177,8 +205,10 @@ def _augment_parent(args: tuple[int, tuple[int, ...]]) -> set[bytes]:
         for v, row in enumerate(parent_rows)
         if _connected_without(parent_rows, v)
     )
-    forms: set[bytes] = set()
-    for nbrs in range(1, 1 << parent_order):
+    seen: set[bytes] = set()
+    forms: list[bytes] = []
+    columns = _new_columns() if with_rows else None
+    for nbrs in _orbit_leaders(parent):
         if 1 < nbrs.bit_count() < floor:
             continue
         rows = [
@@ -186,62 +216,149 @@ def _augment_parent(args: tuple[int, tuple[int, ...]]) -> set[bytes]:
             for v, row in enumerate(parent_rows)
         ]
         rows.append(nbrs)
-        if _new_vertex_has_max_key(rows):
-            forms.add(canonical_form(Graph(n, tuple(rows))))
-    return forms
+        tied = _max_key_ties(rows)
+        if tied is None:
+            continue
+        child = Graph(n, tuple(rows))
+        tri, order = canonical_labeling(child)
+        last = max(tied, key=order.index)  # m(child)
+        if last != new and find_isomorphism(child, child, (new, last)) is None:
+            continue
+        form = form_from_triangle(n, tri)
+        if form in seen:
+            continue
+        seen.add(form)
+        forms.append(form)
+        if columns is not None:
+            _append_row(columns, child)
+    return forms, columns
 
 
-def _new_vertex_has_max_key(rows: list[int]) -> bool:
-    """The accept rule of ``_augment_parent``; the new vertex is the last.
+def _new_columns() -> tuple[array, array, array, array]:
+    """Empty χ, α, pendant and ABS columns, in ``ClassTable`` order."""
+    return array("b"), array("b"), array("b"), array("d")
+
+
+def _append_row(columns: tuple[array, array, array, array], g: Graph) -> None:
+    inv = GraphInvariants.of(g)
+    chromatic, independence, pendants, abs_value = columns
+    chromatic.append(inv.chromatic)
+    independence.append(inv.independence)
+    pendants.append(inv.pendants)
+    abs_value.append(abs_index(g))
+
+
+def _orbit_leaders(g: Graph) -> list[int]:
+    """The least neighbour set in each orbit of the group that
+    ``cell_automorphisms(g)`` generates.
+
+    Sets are nonempty vertex bitmasks, listed in ascending order.
+    """
+    size = 1 << g.order
+    images = []
+    for sigma in cell_automorphisms(g):
+        # each mask's image, built from that of the mask without its lowest bit
+        image = [0] * size
+        for mask in range(1, size):
+            low = mask & -mask
+            image[mask] = image[mask ^ low] | 1 << sigma[low.bit_length() - 1]
+        images.append(image)
+    if not images:
+        return list(range(1, size))
+    reached = bytearray(size)
+    leaders = []
+    for mask in range(1, size):
+        if reached[mask]:
+            continue
+        leaders.append(mask)
+        reached[mask] = 1
+        stack = [mask]
+        while stack:
+            s = stack.pop()
+            for image in images:
+                t = image[s]
+                if not reached[t]:
+                    reached[t] = 1
+                    stack.append(t)
+    return leaders
+
+
+def _max_key_ties(rows: list[int]) -> list[int] | None:
+    """The non-cut vertices with the largest key, if the new vertex (the
+    last) is one of them, else None; the new vertex is listed last.
 
     Degrees are compared first; neighbour degrees and the connectivity
-    test are computed only for the vertices that could outrank it.
+    test are computed only for the vertices that could tie or outrank it.
     """
     new = len(rows) - 1
     degrees = [row.bit_count() for row in rows]
     d = degrees[new]
     new_key = None
+    equal = []
     for v in range(new):
         if degrees[v] < d:
             continue
         if degrees[v] == d:
             if new_key is None:
                 new_key = _neighbour_degrees(rows[new], degrees)
-            if _neighbour_degrees(rows[v], degrees) <= new_key:
+            key = _neighbour_degrees(rows[v], degrees)
+            if key < new_key:
+                continue
+            if key == new_key:
+                equal.append(v)
                 continue
         if _connected_without(rows, v):
-            return False
-    return True
+            return None
+    tied = [v for v in equal if _connected_without(rows, v)]
+    tied.append(new)
+    return tied
 
 
 def _neighbour_degrees(row: int, degrees: list[int]) -> list[int]:
     return sorted(degrees[u] for u in range(len(degrees)) if row >> u & 1)
 
 
-def connected_class_forms(n: int, workers: int = 1) -> tuple[bytes, ...]:
+def connected_class_forms(
+    n: int, workers: int = 1, with_table: bool = False
+) -> tuple[bytes, ...]:
     """Sorted canonical forms of all connected isomorphism classes.
 
     All orders built by one call share one pool of at most ``workers``
-    processes.
+    processes.  Each parent class of order n - 1 is one job; the jobs'
+    outputs are disjoint, so they are concatenated and sorted once.  With
+    ``with_table`` the order-n jobs also compute the rows of
+    ``class_table(n)``, which are permuted along with the forms and
+    cached; lower orders get no rows.
     """
     _check_order(n, allow_order_8=True)
     cached = _class_cache.get(n)
-    if cached is not None:
+    if cached is not None and (not with_table or n in _table_cache):
         return cached
+    columns = _new_columns() if with_table else None
     if n == 1:
-        forms = (canonical_form(Graph(1, (0,))),)
+        k1 = Graph(1, (0,))
+        found = [canonical_form(k1)]
+        if columns is not None:
+            _append_row(columns, k1)
     else:
         with _shared_workers(workers) as pool:
             parents = [
                 graph_from_canonical_form(f)
                 for f in connected_class_forms(n - 1, workers)
             ]
-            jobs = [(g.order, g.rows) for g in parents]
-            merged: set[bytes] = set()
-            for part in pool.map(_augment_parent, jobs):
-                merged |= part
-        forms = tuple(sorted(merged))
-    _class_cache[n] = forms
+            jobs = [(g.order, g.rows, with_table) for g in parents]
+            found = []
+            for part, part_columns in pool.map(_augment_parent, jobs):
+                found += part
+                if columns is not None:
+                    for column, piece in zip(columns, part_columns):
+                        column.extend(piece)
+    rank = sorted(range(len(found)), key=found.__getitem__)
+    forms = _class_cache.setdefault(n, tuple(map(found.__getitem__, rank)))
+    if columns is not None:
+        _table_cache[n] = ClassTable(
+            forms, *(array(c.typecode, map(c.__getitem__, rank)) for c in columns)
+        )
     return forms
 
 
@@ -362,42 +479,15 @@ class ClassTable:
     abs_value: array
 
 
-def _table_rows(forms: tuple[bytes, ...]) -> tuple[array, array, array, array]:
-    """χ, α, pendant count and ABS value of each form, as four columns."""
-    chromatic, independence, pendants = array("b"), array("b"), array("b")
-    abs_value = array("d")
-    for form in forms:
-        g = graph_from_canonical_form(form)
-        inv = GraphInvariants.of(g)
-        chromatic.append(inv.chromatic)
-        independence.append(inv.independence)
-        pendants.append(inv.pendants)
-        abs_value.append(abs_index(g))
-    return chromatic, independence, pendants, abs_value
-
-
 def class_table(n: int, workers: int = 1) -> ClassTable:
     """The cached invariant table of order n, built on first use.
 
-    The rows are computed in ordered chunks in the pool that also
-    enumerates the classes.
+    Each row is computed in the augmentation job that finds its class,
+    on the child graph that job already holds.
     """
-    cached = _table_cache.get(n)
-    if cached is not None:
-        return cached
-    with _shared_workers(workers) as pool:
-        forms = connected_class_forms(n, workers)
-        chunks = [
-            forms[i:i + _TABLE_CHUNK] for i in range(0, len(forms), _TABLE_CHUNK)
-        ]
-        parts = pool.map(_table_rows, chunks)
-        columns = next(parts)  # every order has a class, so a first chunk
-        for part in parts:
-            for column, piece in zip(columns, part):
-                column.extend(piece)
-    table = ClassTable(forms, *columns)
-    _table_cache[n] = table
-    return table
+    if n not in _table_cache:
+        connected_class_forms(n, workers, with_table=True)
+    return _table_cache[n]
 
 
 def max_abs_under(
@@ -468,7 +558,10 @@ def verify_theorem(
     report = max_abs_under(constraint, workers, allow_order_8)
     return replace(
         report,
-        construction_match=report.maximizer_forms == (canonical_form(expected),),
+        construction_match=report.unique
+        and are_isomorphic(
+            graph_from_canonical_form(report.maximizer_forms[0]), expected
+        ),
         in_hypothesis=in_range,
         expected_graph6=encode_graph6(expected),
     )

@@ -1,7 +1,13 @@
+import hashlib
 import io
+
+import pytest
 
 from absindex import search
 from absindex.cli import main
+
+# stdout of `absindex verify --n 8 --enable-n8` (T1-T3, 19 rows)
+N8_STDOUT_SHA256 = "efc3635c47aec7c21c3d23dcea937936699af0ea131e6878a876fc8cdcf7a1f2"
 
 
 def run(capsys, *argv):
@@ -112,6 +118,14 @@ class TestVerify:
     def test_bad_range(self, capsys):
         code, _, _ = run(capsys, "verify", "--n", "7..5")
         assert code == 2
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_n8_sweep_stdout(self, capsys, cold_caches, workers):
+        code, out, _ = run(
+            capsys, "verify", "--n", "8", "--enable-n8", "--workers", workers
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == N8_STDOUT_SHA256
 
 
 class TestAudit:

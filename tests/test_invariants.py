@@ -9,12 +9,17 @@ from absindex import (
     complete_split,
     from_edges,
     independence_number,
+    kite,
     pendant_count,
     turan,
     GraphInvariants,
     enumerate_connected,
 )
-from absindex.invariants import _refined_cells, graph_from_canonical_form
+from absindex.invariants import (
+    _refined_cells,
+    find_isomorphism,
+    graph_from_canonical_form,
+)
 
 import references
 
@@ -262,3 +267,42 @@ class TestIsomorphism:
 
     def test_order_mismatch(self):
         assert not are_isomorphic(cycle(4), cycle(5))
+
+    def test_pinned_search_finds_exactly_the_orbit_pairs(self):
+        # u and w share an orbit iff some automorphism, found by brute
+        # force over all permutations, maps u onto w
+        for n in range(1, 7):
+            for g in enumerate_connected(n):
+                edges = g.edges()
+                orbit_pairs = {
+                    (u, p[u])
+                    for p in itertools.permutations(range(n))
+                    if all(g.has_edge(p[u], p[v]) for u, v in edges)
+                    for u in range(n)
+                }
+                for u in range(n):
+                    for w in range(n):
+                        sigma = find_isomorphism(g, g, (u, w))
+                        assert (sigma is not None) == ((u, w) in orbit_pairs)
+                        if sigma is not None:
+                            assert sigma[u] == w
+                            assert permuted(g, sigma) == g
+
+    def test_relabelings_of_symmetric_families_at_12(self):
+        # each of these takes seconds to minutes as two canonical forms
+        rng = random.Random(31)
+        for g in (star(12), turan(12, 2), complete_split(12, 3), kite(12, 2)):
+            perm = list(range(12))
+            rng.shuffle(perm)
+            h = permuted(g, perm)
+            assert are_isomorphic(g, h)
+            assert permuted(g, find_isomorphism(g, h)) == h
+
+    def test_found_map_is_an_isomorphism(self):
+        rng = random.Random(37)
+        for _ in range(200):
+            g = random_graph(rng.randint(1, 12), rng)
+            perm = list(range(g.order))
+            rng.shuffle(perm)
+            h = permuted(g, perm)
+            assert permuted(g, find_isomorphism(g, h)) == h

@@ -1,4 +1,5 @@
-"""Property-based tests of the graph6 decoder and the canonical form."""
+"""Property-based tests of the graph6 decoder, the canonical form and
+the isomorphism search."""
 
 import pytest
 
@@ -8,6 +9,7 @@ from hypothesis import given, strategies as st  # noqa: E402
 from absindex import (  # noqa: E402
     Graph,
     Graph6Error,
+    are_isomorphic,
     canonical_form,
     decode_graph6,
     encode_graph6,
@@ -20,7 +22,11 @@ import references  # noqa: E402
 
 @st.composite
 def graphs(draw, max_order):
-    n = draw(st.integers(1, max_order))
+    return draw(graphs_of_order(draw(st.integers(1, max_order))))
+
+
+@st.composite
+def graphs_of_order(draw, n):
     pairs = [(i, j) for j in range(1, n) for i in range(j)]
     mask = draw(st.integers(0, (1 << len(pairs)) - 1))
     return from_edges(n, [p for k, p in enumerate(pairs) if mask >> k & 1])
@@ -91,3 +97,16 @@ def test_canonical_form_is_invariant_under_relabeling(g, data):
 def test_canonical_graph_is_isomorphic(g):
     h = graph_from_canonical_form(canonical_form(g))
     assert find_isomorphism(g, h) is not None
+
+
+@given(graphs(12), st.data())
+def test_a_relabeling_is_isomorphic(g, data):
+    perm = data.draw(st.permutations(range(g.order)))
+    relabeled = from_edges(g.order, [(perm[u], perm[v]) for u, v in g.edges()])
+    assert are_isomorphic(g, relabeled)
+
+
+@given(st.integers(1, 7).flatmap(lambda n: st.tuples(graphs_of_order(n), graphs_of_order(n))))
+def test_isomorphism_agrees_with_the_backtracking_oracle(pair):
+    g, h = pair
+    assert are_isomorphic(g, h) == (find_isomorphism(g, h) is not None)

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 
 import pytest
@@ -16,7 +17,6 @@ from absindex import (
     decode_graph6,
     encode_graph6,
     enumerate_connected,
-    from_edges,
     kite,
     max_abs_under,
     turan,
@@ -265,56 +265,60 @@ class TestClassTable:
         assert 8 not in search._class_cache and 8 not in search._table_cache
 
 
-def _key(g, v):
-    """The accept rule's vertex key, from the Graph API."""
-    return g.degree(v), sorted(g.degree(u) for u in g.neighbors(v))
+def _subset_image(mask, perm):
+    return sum(1 << perm[v] for v in range(len(perm)) if mask >> v & 1)
 
 
-def _delete(g, w):
-    """g - w, its vertices renumbered in order."""
-    keep = [v for v in range(g.order) if v != w]
-    at = {v: i for i, v in enumerate(keep)}
-    edges = [(at[u], at[v]) for u, v in g.edges() if w not in (u, v)]
-    return from_edges(len(keep), edges)
-
-
-def _with_last(g, w):
-    """The rows of g with vertex w moved to the last position."""
-    order = [v for v in range(g.order) if v != w] + [w]
-    at = {v: i for i, v in enumerate(order)}
-    return [sum(1 << at[u] for u in g.neighbors(v)) for v in order]
+def _automorphisms(g):
+    """All automorphisms of g, by brute force over the permutations."""
+    edges = g.edges()
+    return [
+        p
+        for p in itertools.permutations(range(g.order))
+        if all(g.has_edge(p[u], p[v]) for u, v in edges)
+    ]
 
 
 class TestAcceptRule:
     def test_every_class_has_an_accepted_parent(self):
-        accepted = {}
-        for n in range(2, 8):
-            parents = set(connected_class_forms(n - 1))
-            for g in enumerate_connected(n):
-                noncut = [w for w in range(n) if _delete(g, w).is_connected()]
-                w = max(noncut, key=lambda v: _key(g, v))
-                parent = canonical_form(_delete(g, w))
-                assert parent in parents
-                assert search._new_vertex_has_max_key(_with_last(g, w))
-                if parent not in accepted:
-                    rep = search.graph_from_canonical_form(parent)
-                    accepted[parent] = search._augment_parent((rep.order, rep.rows))
-                assert canonical_form(g) in accepted[parent]
+        # one parent class per class: the jobs' outputs are disjoint,
+        # hold no repeats, and together give every class of the order
+        for n in range(2, 9):
+            found = []
+            for g in enumerate_connected(n - 1):
+                forms, columns = search._augment_parent((g.order, g.rows, False))
+                assert columns is None
+                found += forms
+            assert len(found) == len(set(found))
+            assert sorted(found) == list(connected_class_forms(n))
 
     def test_order_8_canonicalizes_accepted_children_only(self, monkeypatch):
+        labeling = search.canonical_labeling
         calls = 0
 
         def counting(g):
             nonlocal calls
             calls += 1
-            return g.rows  # distinct stand-in; only the count is read
+            return labeling(g)
 
         forms = connected_class_forms(7)
         parents = [search.graph_from_canonical_form(f) for f in forms]
-        monkeypatch.setattr(search, "canonical_form", counting)
+        monkeypatch.setattr(search, "canonical_labeling", counting)
         for g in parents:
-            search._augment_parent((g.order, g.rows))
-        assert calls == 17598  # of 853 * 127 = 108,331 children
+            search._augment_parent((g.order, g.rows, False))
+        assert calls == 11997  # of 853 * 127 = 108,331 children
+
+    def test_orbit_leaders_meet_every_orbit_of_neighbour_sets(self):
+        # the leaders are ascending, and every orbit of Aut(g) on the
+        # nonempty vertex sets holds at least one of them
+        for n in range(1, 6):
+            for g in enumerate_connected(n):
+                leaders = search._orbit_leaders(g)
+                assert leaders == sorted(set(leaders))
+                autos = _automorphisms(g)
+                for mask in range(1, 1 << n):
+                    orbit = {_subset_image(mask, p) for p in autos}
+                    assert orbit & set(leaders)
 
 
 class TestWorkerPool:
@@ -334,7 +338,7 @@ class TestWorkerPool:
         seen = fake_pool(cores=2)
         table = class_table(7, workers=2)
         assert seen.sizes == [2]
-        assert seen.batches == [2, 6, 21, 112, 4]  # orders 4..7, then 853 rows
+        assert seen.batches == [2, 6, 21, 112]  # orders 4..7; order 7 with its rows
         assert len(table.forms) == len(table.abs_value) == 853
 
     def test_labeled_sweep_splits_over_the_clamped_pool(self, fake_pool):
