@@ -71,6 +71,8 @@ def _parse_range(text: str, what: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError(f"bad {what} range {text!r}; use N or A..B")
     if lo > hi:
         raise argparse.ArgumentTypeError(f"empty {what} range {text!r}")
+    if lo < 1:
+        raise argparse.ArgumentTypeError(f"{what} range {text!r} starts below 1")
     return lo, hi
 
 

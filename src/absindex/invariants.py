@@ -16,6 +16,7 @@ much cheaper than two canonical forms on symmetric graphs.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .graphs import Graph, from_packed_pairs
@@ -56,14 +57,30 @@ def chromatic_number(g: Graph) -> int:
     rows = g.rows
     if not any(rows):
         return 1
-    degs = [row.bit_count() for row in rows]
-    order = sorted(range(g.order), key=degs.__getitem__, reverse=True)
+    order = _by_degree(rows)
     lower = _greedy_clique_size(rows, order)
     upper = _greedy_coloring_size(rows, order)
     for k in range(lower, upper):
         if _colorable(rows, order, k):
             return k
     return upper
+
+
+def is_colorable(g: Graph, k: int) -> bool:
+    """Whether g has a proper k-coloring (exact), for k >= 1.
+
+    The decision ``chromatic_number`` makes for each k, in the same vertex
+    order, after the same greedy clique bound.
+    """
+    rows = g.rows
+    order = _by_degree(rows)
+    return _greedy_clique_size(rows, order) <= k and _colorable(rows, order, k)
+
+
+def _by_degree(rows: tuple[int, ...]) -> list[int]:
+    """The vertices by descending degree, lowest index first among ties."""
+    degs = [row.bit_count() for row in rows]
+    return sorted(range(len(rows)), key=degs.__getitem__, reverse=True)
 
 
 def _greedy_clique_size(rows: tuple[int, ...], order: list[int]) -> int:
@@ -116,8 +133,18 @@ def _colorable(rows: tuple[int, ...], order: list[int], k: int) -> bool:
 
 def independence_number(g: Graph) -> int:
     """Maximum size of a pairwise non-adjacent vertex set (exact)."""
-    rows = g.rows
-    best = 0
+    return independence_within(g.rows, (1 << g.order) - 1)
+
+
+def independence_within(rows: Sequence[int], candidates: int, floor: int = 0) -> int:
+    """The largest size of a pairwise non-adjacent subset of ``candidates``
+    (a vertex bitmask), or ``floor`` if that is larger.
+
+    Branch-and-bound: a branch is searched only while its set plus all its
+    candidates could beat the best size so far, which starts at ``floor``,
+    so a known lower bound prunes from the start.
+    """
+    best = floor
 
     def expand(candidates: int, size: int) -> None:
         nonlocal best
@@ -140,7 +167,7 @@ def independence_number(g: Graph) -> int:
         expand(candidates & ~(rows[v] | bit), size + 1)
         expand(candidates ^ bit, size)
 
-    expand((1 << g.order) - 1, 0)
+    expand(candidates, 0)
     return best
 
 

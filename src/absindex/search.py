@@ -21,13 +21,17 @@ Both must agree exactly; the test suite pins the class counts.  On top
 of the enumeration sit the constrained ABS maximizer, the extremal-
 characterization verifier, and the exhaustive monotonicity checks.
 
-Per-class facts are computed once per order: ``class_table(n)`` has
-each order-n augmentation job compute χ, α, pendant count and the ABS
-value of every class it finds, on the child graph it already holds, and
-keeps them in compact columns parallel to the sorted forms, cached
-beside the class forms.  A constrained maximization is then a scan of
-one column and a max over the value column; only the maximizers are
-decoded again.
+Per-class facts are computed once per order: every augmentation job
+also computes χ, α, pendant count and the ABS value of each class it
+finds, and ``class_table(n)`` keeps them in compact columns parallel to
+the sorted forms, cached beside the class forms.  A job works out its
+parent's degrees, cut vertices, χ and α once, and answers each child
+from them: its max-key test, whether it is χ(parent)-colourable, and
+whether the vertices outside its new vertex's neighbours hold an
+independent set of size α(parent), which decides between the parent's
+value and one more; only the children that pass the key test are built
+as graphs.  A constrained maximization is then a scan of one column and
+a max over the value column; only the maximizers are decoded again.
 
 Work is optionally spread over one process pool per top-level call: an
 enumeration uses it for every order it builds.  The pool holds at most
@@ -47,7 +51,7 @@ from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, replace
 
 from .extremal import complete_split, pendant_maximizer, turan
-from .graphs import Graph, encode_graph6
+from .graphs import MAX_ORDER, Graph, GraphError, encode_graph6
 from .index import abs_index, edge_weight, gain_contrast, shift_gain
 from .invariants import (
     GraphInvariants,
@@ -55,9 +59,14 @@ from .invariants import (
     canonical_form,
     canonical_labeling,
     cell_automorphisms,
+    chromatic_number,
     find_isomorphism,
     form_from_triangle,
     graph_from_canonical_form,
+    independence_number,
+    independence_within,
+    is_colorable,
+    pendant_count,
 )
 
 DEFAULT_MAX_ORDER = 7
@@ -143,33 +152,150 @@ def _shared_workers(workers: int):
 
 # -- augmentation fast path -------------------------------------------
 
+# Among vertices of one degree, the sorted lists of neighbour degrees are
+# ranked by per-degree counts packed into one int: the count of
+# neighbours of degree k sits at bit 4 * (MAX_ORDER - k).  The least
+# degree at which two such vertices' counts differ is where their sorted
+# lists first differ, and the one with more neighbours of that degree has
+# the smaller list.  So a larger packing is a smaller list and equal
+# packings are equal lists; no count exceeds MAX_ORDER - 1 < 16, so no
+# field carries into the next.
+_DEGREE_WEIGHT = tuple(1 << 4 * (MAX_ORDER - k) for k in range(MAX_ORDER + 1))
 
-def _connected_without(rows: Sequence[int], v: int) -> bool:
-    """Whether deleting vertex v leaves the graph on ``rows`` connected."""
-    full = ((1 << len(rows)) - 1) & ~(1 << v)
-    start = full & -full
-    seen = frontier = start
-    while frontier:
-        reach = 0
+
+def _components_without(rows: Sequence[int], v: int) -> list[int]:
+    """The vertex masks of the components that deleting v leaves."""
+    rest = ((1 << len(rows)) - 1) & ~(1 << v)
+    components = []
+    while rest:
+        seen = frontier = rest & -rest
         while frontier:
-            u = (frontier & -frontier).bit_length() - 1
-            reach |= rows[u]
-            frontier &= frontier - 1
-        frontier = reach & full & ~seen
-        seen |= frontier
-    return seen == full
+            reach = 0
+            while frontier:
+                u = (frontier & -frontier).bit_length() - 1
+                reach |= rows[u]
+                frontier &= frontier - 1
+            frontier = reach & rest & ~seen
+            seen |= frontier
+        components.append(seen)
+        rest &= ~seen
+    return components
+
+
+class _Parent:
+    """What every one-vertex extension of one parent is answered from.
+
+    A child adds the new vertex ``order`` on a neighbour mask ``nbrs``;
+    its degrees are the parent's plus ``nbrs`` and ``|nbrs|`` for the new
+    vertex.  ``_augment_parent`` has the argument for each rule.
+    """
+
+    def __init__(self, order: int, rows: tuple[int, ...]) -> None:
+        self.graph = Graph(order, rows)
+        self.rows = rows
+        degrees = [row.bit_count() for row in rows]
+        # by_degree[k]: the vertices of degree k; above[k]: those above k
+        self.by_degree = [0] * (order + 1)
+        for v, k in enumerate(degrees):
+            self.by_degree[k] |= 1 << v
+        self.above = [0] * (order + 1)
+        for k in range(order - 1, -1, -1):
+            self.above[k] = self.above[k + 1] | self.by_degree[k + 1]
+        # the components of P - v, and the vertices that leave just one
+        self.components = [_components_without(rows, v) for v in range(order)]
+        self.whole = sum(
+            1 << v for v, parts in enumerate(self.components) if len(parts) == 1
+        )
+        # packed neighbour degrees (``_DEGREE_WEIGHT``) of each vertex set
+        # at the parent's degrees, and with each degree one higher, as the
+        # new vertex's neighbours have in the child
+        self.packed = _subset_sums([_DEGREE_WEIGHT[k] for k in degrees])
+        self.raised = _subset_sums([_DEGREE_WEIGHT[k + 1] for k in degrees])
+        self.chromatic = chromatic_number(self.graph)
+        self.independence = independence_number(self.graph)
+
+    def max_key_ties(self, nbrs: int) -> list[int] | None:
+        """The child's non-cut vertices with the largest key (degree,
+        ascending neighbour degrees), if its new vertex is one of them,
+        else None; the new vertex is listed last, the others ascend.
+        """
+        d = nbrs.bit_count()
+        whole = self.whole
+        components = self.components
+        # child degree above d: a parent vertex whose deletion leaves one
+        # component stays non-cut unless it is the only neighbour
+        higher = self.above[d] | nbrs & self.by_degree[d]
+        if higher & (whole & ~nbrs if d == 1 else whole):
+            return None
+        higher &= ~whole
+        while higher:
+            low = higher & -higher
+            if all(nbrs & part for part in components[low.bit_length() - 1]):
+                return None
+            higher ^= low
+        tied = []
+        equal = self.by_degree[d] & ~nbrs | nbrs & self.by_degree[d - 1]
+        if equal:
+            rows, packed, raised = self.rows, self.packed, self.raised
+            key = raised[nbrs]
+            while equal:
+                low = equal & -equal
+                equal ^= low
+                v = low.bit_length() - 1
+                row = rows[v]
+                own = packed[row & ~nbrs] + raised[row & nbrs]
+                if nbrs & low:
+                    own += _DEGREE_WEIGHT[d]
+                if own > key:
+                    continue
+                if nbrs & ~low if whole & low else all(
+                    nbrs & part for part in components[v]
+                ):
+                    if own < key:
+                        return None
+                    tied.append(v)
+        tied.append(len(self.rows))
+        return tied
+
+
+def _subset_sums(values: list[int]) -> list[int]:
+    """``sums[mask]``: the sum of ``values[v]`` over the vertices v in mask."""
+    sums = [0]
+    for value in values:  # the sets with vertex v follow those below 2^v
+        sums += [s + value for s in sums]
+    return sums
+
+
+def _child_row(parent: _Parent, child: Graph, nbrs: int) -> tuple[int, int, int, float]:
+    """χ, α, pendant count and ABS of the child on neighbour mask ``nbrs``."""
+    chromatic = parent.chromatic
+    if not is_colorable(child, chromatic):
+        chromatic += 1
+    rest = ((1 << len(parent.rows)) - 1) & ~nbrs
+    independence = 1 + independence_within(
+        parent.rows, rest, parent.independence - 1
+    )
+    by_degree = parent.by_degree
+    # parent pendants off N stay pendants, an isolated parent vertex (K1)
+    # on N becomes one, and so does a new vertex with one neighbour
+    pendants = (
+        (by_degree[1] & ~nbrs).bit_count()
+        + (by_degree[0] & nbrs).bit_count()
+        + (nbrs.bit_count() == 1)
+    )
+    return chromatic, independence, pendants, abs_index(child)
 
 
 def _augment_parent(
-    args: tuple[int, tuple[int, ...], bool],
-) -> tuple[list[bytes], tuple[array, ...] | None]:
-    """The new classes one parent generates, with their table rows if asked.
+    args: tuple[int, tuple[int, ...]],
+) -> tuple[list[bytes], tuple[array, ...]]:
+    """The new classes one parent generates, with their table rows.
 
     Returns the canonical forms of the accepted one-vertex extensions of
-    the parent, each once, and, when ``with_rows`` is set, the χ, α,
-    pendant and ABS columns of those classes in the same order (else
-    None).  The rules follow McKay's canonical construction path
-    ("Isomorph-free exhaustive generation", J. Algorithms 26, 1998).
+    the parent, each once, and the χ, α, pendant and ABS columns of those
+    classes in the same order.  The rules follow McKay's canonical
+    construction path ("Isomorph-free exhaustive generation", J.
+    Algorithms 26, 1998).
 
     Child side.  Let m(G) be, among the non-cut vertices of G with the
     largest key (degree, ascending neighbour degrees), the one that the
@@ -192,33 +318,41 @@ def _augment_parent(
     least neighbour set of each orbit of a group of parent automorphisms
     is therefore tried (``_orbit_leaders``).  Any subgroup of Aut(parent)
     is sound; a smaller one only leaves more repeats for the set.
+
+    From the parent.  The key test and the row of the child C on a
+    neighbour set N are answered from facts computed once per parent P
+    (``_Parent``), and C is built only if it passes the test.
+    - Cut vertices.  C - new = P is connected, so the new vertex is never
+      a cut vertex.  For a parent vertex v, C - v is P - v with the new
+      vertex joined to N - {v}, so it is connected iff N - {v} meets
+      every component of P - v.  When P - v is connected, that fails
+      only for N = {v}.
+    - Keys.  C's degrees are P's plus one on N, and |N| for the new
+      vertex.  Only the vertices of child degree |N| need neighbour
+      degrees; each is packed (``_DEGREE_WEIGHT``) from the parent's
+      degrees, one higher on N, plus the new vertex if it is a neighbour.
+    - α.  An independent set of C without the new vertex lies in P; one
+      with it is the new vertex plus an independent set of P - N.  So
+      α(C) = max(α(P), 1 + α(P - N)), and as α(P - N) <= α(P) the
+      branch-and-bound on P - N starts from the floor α(P) - 1.
+    - χ.  P is an induced subgraph of C, and the new vertex can take a
+      colour of its own, so χ(C) is χ(P) if C is χ(P)-colourable and
+      χ(P) + 1 otherwise.
+    - Pendants are counted from C's degrees; ABS is ``abs_index(C)``.
     """
-    parent_order, parent_rows, with_rows = args
+    parent_order, parent_rows = args
+    parent = _Parent(parent_order, parent_rows)
     n = parent_order + 1
     new = parent_order
-    parent = Graph(parent_order, parent_rows)
-    # A non-cut vertex of the parent stays one in the child unless it is
-    # the new vertex's only neighbour, so a new vertex of degree 2 or more
-    # below the degree of such a vertex fails the rule.
-    floor = max(
-        row.bit_count()
-        for v, row in enumerate(parent_rows)
-        if _connected_without(parent_rows, v)
-    )
     seen: set[bytes] = set()
     forms: list[bytes] = []
-    columns = _new_columns() if with_rows else None
-    for nbrs in _orbit_leaders(parent):
-        if 1 < nbrs.bit_count() < floor:
-            continue
-        rows = [
-            row | ((nbrs >> v & 1) << parent_order)
-            for v, row in enumerate(parent_rows)
-        ]
-        rows.append(nbrs)
-        tied = _max_key_ties(rows)
+    columns = _new_columns()
+    for nbrs in _orbit_leaders(parent.graph):
+        tied = parent.max_key_ties(nbrs)
         if tied is None:
             continue
+        rows = [row | (nbrs >> v & 1) << new for v, row in enumerate(parent_rows)]
+        rows.append(nbrs)
         child = Graph(n, tuple(rows))
         tri, order = canonical_labeling(child)
         last = max(tied, key=order.index)  # m(child)
@@ -229,8 +363,7 @@ def _augment_parent(
             continue
         seen.add(form)
         forms.append(form)
-        if columns is not None:
-            _append_row(columns, child)
+        _append_row(columns, _child_row(parent, child, nbrs))
     return forms, columns
 
 
@@ -239,13 +372,11 @@ def _new_columns() -> tuple[array, array, array, array]:
     return array("b"), array("b"), array("b"), array("d")
 
 
-def _append_row(columns: tuple[array, array, array, array], g: Graph) -> None:
-    inv = GraphInvariants.of(g)
-    chromatic, independence, pendants, abs_value = columns
-    chromatic.append(inv.chromatic)
-    independence.append(inv.independence)
-    pendants.append(inv.pendants)
-    abs_value.append(abs_index(g))
+def _append_row(
+    columns: tuple[array, array, array, array], row: tuple[int, int, int, float]
+) -> None:
+    for column, value in zip(columns, row):
+        column.append(value)
 
 
 def _orbit_leaders(g: Graph) -> list[int]:
@@ -255,14 +386,8 @@ def _orbit_leaders(g: Graph) -> list[int]:
     Sets are nonempty vertex bitmasks, listed in ascending order.
     """
     size = 1 << g.order
-    images = []
-    for sigma in cell_automorphisms(g):
-        # each mask's image, built from that of the mask without its lowest bit
-        image = [0] * size
-        for mask in range(1, size):
-            low = mask & -mask
-            image[mask] = image[mask ^ low] | 1 << sigma[low.bit_length() - 1]
-        images.append(image)
+    # each mask's image: the sum of its vertices' image bits
+    images = [_subset_sums([1 << w for w in sigma]) for sigma in cell_automorphisms(g)]
     if not images:
         return list(range(1, size))
     reached = bytearray(size)
@@ -283,82 +408,43 @@ def _orbit_leaders(g: Graph) -> list[int]:
     return leaders
 
 
-def _max_key_ties(rows: list[int]) -> list[int] | None:
-    """The non-cut vertices with the largest key, if the new vertex (the
-    last) is one of them, else None; the new vertex is listed last.
-
-    Degrees are compared first; neighbour degrees and the connectivity
-    test are computed only for the vertices that could tie or outrank it.
-    """
-    new = len(rows) - 1
-    degrees = [row.bit_count() for row in rows]
-    d = degrees[new]
-    new_key = None
-    equal = []
-    for v in range(new):
-        if degrees[v] < d:
-            continue
-        if degrees[v] == d:
-            if new_key is None:
-                new_key = _neighbour_degrees(rows[new], degrees)
-            key = _neighbour_degrees(rows[v], degrees)
-            if key < new_key:
-                continue
-            if key == new_key:
-                equal.append(v)
-                continue
-        if _connected_without(rows, v):
-            return None
-    tied = [v for v in equal if _connected_without(rows, v)]
-    tied.append(new)
-    return tied
-
-
-def _neighbour_degrees(row: int, degrees: list[int]) -> list[int]:
-    return sorted(degrees[u] for u in range(len(degrees)) if row >> u & 1)
-
-
-def connected_class_forms(
-    n: int, workers: int = 1, with_table: bool = False
-) -> tuple[bytes, ...]:
+def connected_class_forms(n: int, workers: int = 1) -> tuple[bytes, ...]:
     """Sorted canonical forms of all connected isomorphism classes.
 
     All orders built by one call share one pool of at most ``workers``
     processes.  Each parent class of order n - 1 is one job; the jobs'
-    outputs are disjoint, so they are concatenated and sorted once.  With
-    ``with_table`` the order-n jobs also compute the rows of
-    ``class_table(n)``, which are permuted along with the forms and
-    cached; lower orders get no rows.
+    outputs are disjoint, so they are concatenated and sorted once.  The
+    jobs also compute the rows of ``class_table(n)``, which are permuted
+    along with the forms and cached beside them.
     """
     _check_order(n, allow_order_8=True)
     cached = _class_cache.get(n)
-    if cached is not None and (not with_table or n in _table_cache):
+    if cached is not None:
         return cached
-    columns = _new_columns() if with_table else None
+    columns = _new_columns()
     if n == 1:
-        k1 = Graph(1, (0,))
-        found = [canonical_form(k1)]
-        if columns is not None:
-            _append_row(columns, k1)
+        found = [canonical_form(Graph(1, (0,)))]
+        _append_row(columns, (1, 1, 0, 0.0))  # K1: χ = α = 1, no edges
     else:
         with _shared_workers(workers) as pool:
-            parents = [
-                graph_from_canonical_form(f)
-                for f in connected_class_forms(n - 1, workers)
-            ]
-            jobs = [(g.order, g.rows, with_table) for g in parents]
+            # greatest form first: K_(n-1), whose child K_n has the
+            # costliest canonical search, then starts the batch instead of
+            # ending it alone in the pool's last chunk
+            parents = map(
+                graph_from_canonical_form,
+                reversed(connected_class_forms(n - 1, workers)),
+            )
+            jobs = [(g.order, g.rows) for g in parents]
             found = []
             for part, part_columns in pool.map(_augment_parent, jobs):
                 found += part
-                if columns is not None:
-                    for column, piece in zip(columns, part_columns):
-                        column.extend(piece)
+                for column, piece in zip(columns, part_columns):
+                    column.extend(piece)
     rank = sorted(range(len(found)), key=found.__getitem__)
-    forms = _class_cache.setdefault(n, tuple(map(found.__getitem__, rank)))
-    if columns is not None:
-        _table_cache[n] = ClassTable(
-            forms, *(array(c.typecode, map(c.__getitem__, rank)) for c in columns)
-        )
+    forms = _class_cache[n] = tuple(map(found.__getitem__, rank))
+    _table_cache[n] = ClassTable(
+        forms, *(array(c.typecode, map(c.__getitem__, rank)) for c in columns)
+    )
     return forms
 
 
@@ -480,13 +566,12 @@ class ClassTable:
 
 
 def class_table(n: int, workers: int = 1) -> ClassTable:
-    """The cached invariant table of order n, built on first use.
+    """The cached invariant table of order n, built with its classes.
 
     Each row is computed in the augmentation job that finds its class,
-    on the child graph that job already holds.
+    from that job's parent (``_augment_parent``).
     """
-    if n not in _table_cache:
-        connected_class_forms(n, workers, with_table=True)
+    connected_class_forms(n, workers)
     return _table_cache[n]
 
 
@@ -535,14 +620,23 @@ def max_abs_under(
 THEOREM_IDS = ("T1", "T2", "T3")
 
 
-def _expected_maximizer(theorem: str, n: int, k: int) -> tuple[Graph, bool]:
-    """The claimed extremal graph and whether (n, k) is in hypothesis range."""
+def _expected_maximizer(theorem: str, n: int, k: int) -> tuple[Graph | None, bool]:
+    """The claimed extremal graph and whether (n, k) is in hypothesis range.
+
+    At fixed pendant count p the claim covers only the orders where its
+    construction exists and has exactly p pendants: not n = 3, p = 1
+    (no double star) and not n = 2, p = 1 (star(2) has two pendants).
+    """
     if theorem == "T1":
         return turan(n, k), n >= 5 and 3 <= k <= n - 1
     if theorem == "T2":
         return complete_split(n, k), 1 <= k <= n - 1
     if theorem == "T3":
-        return pendant_maximizer(n, k), 1 <= k <= n - 1
+        try:
+            expected = pendant_maximizer(n, k)
+        except GraphError:
+            return None, False
+        return expected, pendant_count(expected) == k
     raise ValueError(f"unknown theorem id {theorem!r}; expected one of {THEOREM_IDS}")
 
 
@@ -556,6 +650,8 @@ def verify_theorem(
     expected, in_range = _expected_maximizer(theorem, n, k)
     constraint = Constraint(order=n, kind=_CONSTRAINT_OF_THEOREM[theorem], value=k)
     report = max_abs_under(constraint, workers, allow_order_8)
+    if expected is None:
+        return replace(report, construction_match=False, in_hypothesis=False)
     return replace(
         report,
         construction_match=report.unique

@@ -1,9 +1,11 @@
-"""The per-graph kernels as they were before they moved to bit rows.
+"""The per-graph kernels as they were before they moved to bit rows, and
+the augmentation's max-key test as it was before it was answered from
+the parent.
 
 Each function here is the old body of the library function with the same
 name, kept unchanged as the reference the rewritten kernels must match
-exactly: same integers, same floats (``==``), same graphs and the same
-``Graph6Error`` messages.
+exactly: same integers, same floats (``==``), same graphs, the same
+``Graph6Error`` messages and the same tied vertices.
 """
 
 import math
@@ -177,3 +179,52 @@ def graph_from_canonical_form(form):
         if tri >> (total_bits - 1 - k) & 1:
             mask |= 1 << k
     return from_triangle_mask(n, mask)
+
+
+# -- search -----------------------------------------------------------
+
+
+def _max_key_ties(rows):
+    """The non-cut vertices with the largest key, if the new vertex (the
+    last) is one of them, else None; the new vertex is listed last."""
+    new = len(rows) - 1
+    degrees = [row.bit_count() for row in rows]
+    d = degrees[new]
+    new_key = None
+    equal = []
+    for v in range(new):
+        if degrees[v] < d:
+            continue
+        if degrees[v] == d:
+            if new_key is None:
+                new_key = _neighbour_degrees(rows[new], degrees)
+            key = _neighbour_degrees(rows[v], degrees)
+            if key < new_key:
+                continue
+            if key == new_key:
+                equal.append(v)
+                continue
+        if _connected_without(rows, v):
+            return None
+    tied = [v for v in equal if _connected_without(rows, v)]
+    tied.append(new)
+    return tied
+
+
+def _neighbour_degrees(row, degrees):
+    return sorted(degrees[u] for u in range(len(degrees)) if row >> u & 1)
+
+
+def _connected_without(rows, v):
+    full = ((1 << len(rows)) - 1) & ~(1 << v)
+    start = full & -full
+    seen = frontier = start
+    while frontier:
+        reach = 0
+        while frontier:
+            u = (frontier & -frontier).bit_length() - 1
+            reach |= rows[u]
+            frontier &= frontier - 1
+        frontier = reach & full & ~seen
+        seen |= frontier
+    return seen == full

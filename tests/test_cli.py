@@ -119,6 +119,16 @@ class TestVerify:
         code, _, _ = run(capsys, "verify", "--n", "7..5")
         assert code == 2
 
+    def test_smallest_orders(self, capsys):
+        code, out, _ = run(capsys, "verify", "--n", "1..4")
+        assert code == 0
+        rows = out.strip().splitlines()[1:]
+        assert len(rows) == 13  # T1 at n = 4; T2 and T3 at n = 2, 3, 4: 1 + 2 + 3 each
+        # no double star at n = 3, and star(2) has two pendants, not one
+        assert "T3,2,1,0,,,false,false,false" in rows
+        assert "T3,3,1,0,,,false,false,false" in rows
+        assert "T3,3,2,1,1.1547005384,BW,true,true,true" in rows
+
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_n8_sweep_stdout(self, capsys, cold_caches, workers):
         code, out, _ = run(
@@ -182,6 +192,18 @@ class TestUsage:
     def test_unknown_theorem(self, capsys):
         code, _, _ = run(capsys, "verify", "--theorems", "T7")
         assert code == 2
+
+    def test_verify_order_zero(self, capsys):
+        code, out, err = run(capsys, "verify", "--n", "0")
+        assert code == 2
+        assert out == ""
+        assert "below 1" in err
+
+    def test_audit_order_range_from_zero(self, capsys):
+        code, out, err = run(capsys, "audit", "T1", "--n", "0..3")
+        assert code == 2
+        assert out == ""
+        assert "below 1" in err
 
     def test_workers_zero(self, capsys):
         code, out, err = run(capsys, "verify", "--n", "4..4", "--workers", "0")

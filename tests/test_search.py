@@ -23,8 +23,15 @@ from absindex import (
     verify_theorem,
 )
 from absindex import search
-from absindex.invariants import GraphInvariants
+from absindex.invariants import (
+    GraphInvariants,
+    chromatic_number,
+    independence_number,
+    pendant_count,
+)
 from absindex.search import class_table
+
+import references
 
 # connected isomorphism classes by order (see e.g. OEIS A001349)
 KNOWN_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}
@@ -242,19 +249,59 @@ class TestClassTable:
             )
 
     def test_invariants_once_per_class(self, cold_caches, monkeypatch):
-        of = GraphInvariants.of
-        calls = 0
+        # one row per order-7 class, and chi and alpha once per order-6
+        # parent; the lower orders are built first, so only order 7 counts
+        connected_class_forms(6)
+        calls = dict.fromkeys(
+            ("_child_row", "chromatic_number", "independence_number"), 0
+        )
 
-        def counting(cls, g):
-            nonlocal calls
-            calls += 1
-            return of(g)
+        def counting(name):
+            fn = getattr(search, name)
 
-        monkeypatch.setattr(GraphInvariants, "of", classmethod(counting))
+            def counted(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return counted
+
+        for name in calls:
+            monkeypatch.setattr(search, name, counting(name))
+        # nor does the scan compute invariants per class
+        monkeypatch.setattr(
+            GraphInvariants, "of", classmethod(lambda cls, g: pytest.fail("of"))
+        )
         for theorem, first in (("T1", 3), ("T2", 1), ("T3", 1)):
             for k in range(first, 7):
                 verify_theorem(theorem, 7, k)
-        assert calls == 853
+        assert calls == {
+            "_child_row": 853,
+            "chromatic_number": 112,
+            "independence_number": 112,
+        }
+
+    def test_parent_derived_rows_match_direct_invariants_to_8(self):
+        # every row is exactly what the direct kernels give on the class
+        wrong = []
+        for n in range(1, 9):
+            table = class_table(n)
+            for i, form in enumerate(table.forms):
+                g = search.graph_from_canonical_form(form)
+                row = (
+                    table.chromatic[i],
+                    table.independence[i],
+                    table.pendants[i],
+                    table.abs_value[i],
+                )
+                direct = (
+                    chromatic_number(g),
+                    independence_number(g),
+                    pendant_count(g),
+                    abs_index(g),
+                )
+                if row != direct:
+                    wrong.append((form, row, direct))
+        assert wrong == []
 
     def test_table_is_cached(self):
         assert class_table(5) is class_table(5)
@@ -286,8 +333,8 @@ class TestAcceptRule:
         for n in range(2, 9):
             found = []
             for g in enumerate_connected(n - 1):
-                forms, columns = search._augment_parent((g.order, g.rows, False))
-                assert columns is None
+                forms, columns = search._augment_parent((g.order, g.rows))
+                assert [len(column) for column in columns] == [len(forms)] * 4
                 found += forms
             assert len(found) == len(set(found))
             assert sorted(found) == list(connected_class_forms(n))
@@ -305,8 +352,19 @@ class TestAcceptRule:
         parents = [search.graph_from_canonical_form(f) for f in forms]
         monkeypatch.setattr(search, "canonical_labeling", counting)
         for g in parents:
-            search._augment_parent((g.order, g.rows, False))
+            search._augment_parent((g.order, g.rows))
         assert calls == 11997  # of 853 * 127 = 108,331 children
+
+    def test_max_key_ties_match_the_reference(self):
+        # the key test answered from the parent ties exactly the vertices
+        # the old test on the built child ties, for every child at n <= 7
+        for n in range(1, 7):
+            for g in enumerate_connected(n):
+                parent = search._Parent(g.order, g.rows)
+                for nbrs in range(1, 1 << n):
+                    rows = [row | (nbrs >> v & 1) << n for v, row in enumerate(g.rows)]
+                    rows.append(nbrs)
+                    assert parent.max_key_ties(nbrs) == references._max_key_ties(rows)
 
     def test_orbit_leaders_meet_every_orbit_of_neighbour_sets(self):
         # the leaders are ascending, and every orbit of Aut(g) on the
