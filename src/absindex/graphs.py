@@ -6,6 +6,12 @@ queries cheap for the orders (n <= 12) this library targets.  Graph
 values are immutable: every "mutating" operation returns a new graph,
 so they are safe to share between worker processes.
 
+Every graph is validated when it is built.  A fast test takes the whole
+matrix at once: it checks each row's range, packs the rows into one int
+of 16-bit fields, rejects any bit on the diagonal and compares the int
+with its transpose, made by four delta swaps.  Only rows that fail it
+go through the per-row and per-pair checks, which name the first fault.
+
 The module also implements the standard graph6 text encoding (short
 form, n <= 62) used for input and output of graphs.  The graph6 body and
 a canonical form's body are the same packed pair string, and
@@ -29,6 +35,42 @@ class Graph6Error(ValueError):
     """Malformed graph6 text."""
 
 
+# Graph validation packs the adjacency matrix into one int, row v in
+# bits _FIELD*v .. _FIELD*v + _FIELD - 1, so entry (v, u) is bit
+# _FIELD*v + u.
+_FIELD = 16
+assert MAX_ORDER <= _FIELD
+_DIAGONAL = sum(1 << (_FIELD + 1) * v for v in range(_FIELD))
+
+
+def _swap_masks(size: int) -> tuple[tuple[int, int], ...]:
+    """(shift, mask) of each delta swap that transposes the matrix: the
+    step for block size b swaps entry (r, c) with (r + b, c - b) wherever
+    bit b of r is 0 and bit b of c is 1."""
+    steps = []
+    b = size // 2
+    while b:
+        mask = 0
+        for r in range(size):
+            for c in range(size):
+                if not r & b and c & b:
+                    mask |= 1 << size * r + c
+        steps.append(((size - 1) * b, mask))
+        b //= 2
+    return tuple(steps)
+
+
+_TRANSPOSE_STEPS = _swap_masks(_FIELD)
+
+
+def _transpose(matrix: int) -> int:
+    """The packed matrix with entry (v, u) moved to (u, v)."""
+    for shift, mask in _TRANSPOSE_STEPS:
+        t = (matrix >> shift ^ matrix) & mask
+        matrix ^= t ^ t << shift
+    return matrix
+
+
 @dataclass(frozen=True)
 class Graph:
     """Immutable simple graph; ``rows[v]`` is the neighbor bitmask of v."""
@@ -40,8 +82,16 @@ class Graph:
         n = self.order
         if not 1 <= n <= MAX_ORDER:
             raise GraphError(f"order must be in 1..{MAX_ORDER}, got {n}")
-        if len(self.rows) != n:
+        rows = self.rows
+        if len(rows) != n:
             raise GraphError("number of adjacency rows does not match order")
+        if min(rows) >= 0 and not max(rows) >> n:
+            matrix = 0
+            for row in reversed(rows):
+                matrix = matrix << _FIELD | row
+            if not matrix & _DIAGONAL and matrix == _transpose(matrix):
+                return
+        # the fast test failed: find and name the first fault
         for v, row in enumerate(self.rows):
             if row < 0 or row >> n:
                 raise GraphError(f"row {v} has bits outside the vertex range")

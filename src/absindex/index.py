@@ -12,7 +12,7 @@ and read each edge's weight from a table indexed by its edge degree.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graphs import MAX_ORDER, Graph
 
@@ -44,9 +44,9 @@ def gain_contrast(s: float, lo: float, hi: float, x: float) -> float:
 _WEIGHT_BY_EDGE_DEGREE = tuple(edge_weight(1, d + 1) for d in range(2 * MAX_ORDER - 3))
 
 
-@dataclass(frozen=True)
-class EdgeContribution:
-    """One edge's summand in the ABS index."""
+class EdgeContribution(NamedTuple):
+    """One edge's summand in the ABS index; a tuple, so it is immutable
+    and compares equal to ``(edge, du, dv, value)``."""
 
     edge: tuple[int, int]
     du: int

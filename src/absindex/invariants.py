@@ -8,7 +8,9 @@ candidate bitmask.  Both are comfortably fast at the orders (n <= 12)
 the library supports.  A canonical form is the lexicographically
 minimal upper-triangle bit-string over all vertex relabelings, with the
 permutation search restricted by an iterated degree-partition
-refinement; it decodes through the same packed pair decoder as graph6
+refinement, whose rounds count each vertex's neighbours only in the
+cells that the round before split off; it decodes through the same
+packed pair decoder as graph6
 (``graphs.from_packed_pairs``).  Two given graphs are compared by a
 direct search for an isomorphism between their refined cells, which is
 much cheaper than two canonical forms on symmetric graphs.
@@ -183,34 +185,64 @@ def _refined_cells(g: Graph) -> list[list[int]]:
 
     Cells start as the degree classes, degrees ascending.  Each round
     replaces every cell, in place, by its parts under the vector of its
-    vertices' negated neighbour counts in each cell, parts ordered by
-    that vector; a cell's vertices stay in ascending order.  All
-    vertices of a cell have equally many neighbours, so this ranks them
-    exactly as the sorted tuple of neighbour cells would: the first cell
-    where two neighbour multisets differ puts the one with more
-    neighbours there first.  Singleton cells cannot split and get no
-    vector; the rounds stop once the partition is discrete or a round
-    splits nothing (McKay's equitable refinement).
+    vertices' neighbour counts in the round's splitter cells, parts
+    ordered by descending vector; a cell's vertices stay in ascending
+    order.  The first round's splitters are all degree classes, and each
+    later round's are the parts the round before split off, in cell
+    order.  The vector is packed into one int, 4 bits per count (a count
+    is at most MAX_ORDER - 1 = 11), first splitter most significant, so
+    descending ints are descending vectors.  All vertices of a cell have
+    equally many neighbours, so this ranks them exactly as the sorted
+    tuple of neighbour cells would: the first cell where two neighbour
+    multisets differ puts the one with more neighbours there first.
+    Singleton cells cannot split and get no vector; the rounds stop once
+    the partition is discrete or a round splits nothing (McKay's
+    equitable refinement, keyed only on the cells that just split as in
+    McKay and Piperno, "Practical graph isomorphism, II", 2014).
+
+    Keying each round on every cell gives the same cells in the same
+    order.  Take two cells C and D after a round, where D did not split
+    in that round.  The vertices of C all have the same count into D: if
+    D was a splitter of the round, C's parent cell was split (or left
+    whole) by exactly those counts; if not, D did not split in the round
+    before either, and the same holds for C's parent cell by induction
+    (every degree class is a first-round splitter).  So D's coordinate
+    is constant within every cell the next round keys, and it can
+    neither separate that cell's parts nor order them.
     """
     rows = g.rows
     by_degree: dict[int, list[int]] = {}
     for v, row in enumerate(rows):
         by_degree.setdefault(row.bit_count(), []).append(v)
     cells = [by_degree[d] for d in sorted(by_degree)]
+    splitters = cells
     while len(cells) < g.order:
-        masks = [sum(1 << v for v in cell) for cell in cells]
+        masks = []
+        for cell in splitters:
+            mask = 0
+            for v in cell:
+                mask |= 1 << v
+            masks.append(mask)
         refined: list[list[int]] = []
+        splitters = []
         for cell in cells:
             if len(cell) == 1:
                 refined.append(cell)
                 continue
-            parts: dict[tuple[int, ...], list[int]] = {}
+            parts: dict[int, list[int]] = {}
             for v in cell:
                 row = rows[v]
-                key = tuple([-(row & m).bit_count() for m in masks])
+                key = 0
+                for m in masks:
+                    key = key << 4 | (row & m).bit_count()
                 parts.setdefault(key, []).append(v)
-            refined.extend(parts[key] for key in sorted(parts))
-        if len(refined) == len(cells):
+            if len(parts) == 1:
+                refined.append(cell)
+                continue
+            split = [parts[key] for key in sorted(parts, reverse=True)]
+            refined.extend(split)
+            splitters.extend(split)
+        if not splitters:
             break
         cells = refined
     return cells
@@ -385,11 +417,6 @@ def canonical_form(g: Graph) -> bytes:
 def form_from_triangle(n: int, tri: int) -> bytes:
     """The canonical form of order n whose minimal triangle is ``tri``."""
     return bytes([n]) + tri.to_bytes(max(1, (n * (n - 1) // 2 + 7) // 8), "big")
-
-
-def canonical_graph(g: Graph) -> Graph:
-    """A canonically relabeled copy of g (same for all isomorphic inputs)."""
-    return graph_from_canonical_form(canonical_form(g))
 
 
 def graph_from_canonical_form(form: bytes) -> Graph:

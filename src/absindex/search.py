@@ -54,7 +54,6 @@ from .extremal import complete_split, pendant_maximizer, turan
 from .graphs import MAX_ORDER, Graph, GraphError, encode_graph6
 from .index import abs_index, edge_weight, gain_contrast, shift_gain
 from .invariants import (
-    GraphInvariants,
     are_isomorphic,
     canonical_form,
     canonical_labeling,
@@ -524,15 +523,6 @@ class Constraint:
             raise ValueError(f"unknown constraint kind {self.kind!r}")
         if self.kind != "none" and self.value is None:
             raise ValueError(f"constraint kind {self.kind!r} needs a value")
-
-    def admits(self, inv: GraphInvariants) -> bool:
-        if self.kind == "chromatic":
-            return inv.chromatic == self.value
-        if self.kind == "independence":
-            return inv.independence == self.value
-        if self.kind == "pendants":
-            return inv.pendants == self.value
-        return True
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
-"""The per-graph kernels as they were before they moved to bit rows, and
-the augmentation's max-key test as it was before it was answered from
-the parent.
+"""The per-graph kernels as they were before they moved to bit rows, the
+graph validation as it was before its bit-matrix fast test, and the
+augmentation's max-key test as it was before it was answered from the
+parent.
 
 Each function here is the old body of the library function with the same
 name, kept unchanged as the reference the rewritten kernels must match
@@ -10,11 +11,29 @@ exactly: same integers, same floats (``==``), same graphs, the same
 
 import math
 
-from absindex import EdgeContribution, Graph, Graph6Error, edge_weight
+from absindex import EdgeContribution, Graph, Graph6Error, GraphError, edge_weight
 from absindex.graphs import _G6_HEADER, MAX_ORDER
 
 
 # -- graphs -----------------------------------------------------------
+
+
+def validate_rows(order, rows):
+    """The checks of ``Graph.__post_init__``; raises the first fault found."""
+    n = order
+    if not 1 <= n <= MAX_ORDER:
+        raise GraphError(f"order must be in 1..{MAX_ORDER}, got {n}")
+    if len(rows) != n:
+        raise GraphError("number of adjacency rows does not match order")
+    for v, row in enumerate(rows):
+        if row < 0 or row >> n:
+            raise GraphError(f"row {v} has bits outside the vertex range")
+        if row >> v & 1:
+            raise GraphError(f"loop at vertex {v}")
+    for u in range(n):
+        for v in range(u + 1, n):
+            if (rows[u] >> v & 1) != (rows[v] >> u & 1):
+                raise GraphError(f"adjacency not symmetric at ({u}, {v})")
 
 
 def from_triangle_mask(order, mask):

@@ -3,7 +3,7 @@ import io
 
 import pytest
 
-from absindex import search
+from absindex import complete_graph, encode_graph6, search, star, turan
 from absindex.cli import main
 
 # stdout of `absindex verify --n 8 --enable-n8` (T1-T3, 19 rows)
@@ -39,6 +39,67 @@ class TestCompute:
         code, out, _ = run(capsys, "compute")
         assert code == 0
         assert "2.1213203436" in out
+
+
+# `absindex compute` stdout for K3, star(6) and turan(7, 3), byte for
+# byte, so that a change to the edge records or the tables shows
+COMPUTE_STDOUT = {
+    "Bw": (
+        "graph6,Bw\n\n"
+        "order,edges,connected,chromatic,independence,pendants,abs_index\n"
+        "3,3,true,3,1,0,2.1213203436\n\n"
+        "u,v,deg_u,deg_v,value\n"
+        "0,1,2,2,0.7071067812\n"
+        "0,2,2,2,0.7071067812\n"
+        "1,2,2,2,0.7071067812\n"
+    ),
+    "Esa?": (
+        "graph6,Esa?\n\n"
+        "order,edges,connected,chromatic,independence,pendants,abs_index\n"
+        "6,5,true,2,5,5,4.0824829046\n\n"
+        "u,v,deg_u,deg_v,value\n"
+        "0,1,5,1,0.8164965809\n"
+        "0,2,5,1,0.8164965809\n"
+        "0,3,5,1,0.8164965809\n"
+        "0,4,5,1,0.8164965809\n"
+        "0,5,5,1,0.8164965809\n"
+    ),
+    "FFz~o": (
+        "graph6,FFz~o\n\n"
+        "order,edges,connected,chromatic,independence,pendants,abs_index\n"
+        "7,16,true,3,3,0,14.1607140083\n\n"
+        "u,v,deg_u,deg_v,value\n"
+        "0,3,4,5,0.8819171037\n"
+        "0,4,4,5,0.8819171037\n"
+        "0,5,4,5,0.8819171037\n"
+        "0,6,4,5,0.8819171037\n"
+        "1,3,4,5,0.8819171037\n"
+        "1,4,4,5,0.8819171037\n"
+        "1,5,4,5,0.8819171037\n"
+        "1,6,4,5,0.8819171037\n"
+        "2,3,4,5,0.8819171037\n"
+        "2,4,4,5,0.8819171037\n"
+        "2,5,4,5,0.8819171037\n"
+        "2,6,4,5,0.8819171037\n"
+        "3,5,5,5,0.8944271910\n"
+        "3,6,5,5,0.8944271910\n"
+        "4,5,5,5,0.8944271910\n"
+        "4,6,5,5,0.8944271910\n"
+    ),
+}
+
+
+class TestComputeGolden:
+    @pytest.mark.parametrize("graph6", sorted(COMPUTE_STDOUT))
+    def test_stdout(self, capsys, graph6):
+        code, out, _ = run(capsys, "compute", graph6)
+        assert code == 0
+        assert out == COMPUTE_STDOUT[graph6]
+
+    def test_families_encode_to_the_golden_inputs(self):
+        assert encode_graph6(complete_graph(3)) == "Bw"
+        assert encode_graph6(star(6)) == "Esa?"
+        assert encode_graph6(turan(7, 3)) == "FFz~o"
 
 
 class TestConstruct:

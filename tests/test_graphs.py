@@ -65,6 +65,88 @@ class TestConstruction:
             Graph(2, (0b01, 0b10))
 
 
+def _verdict(check, order, rows):
+    """None if ``check(order, rows)`` accepts the rows, else its message."""
+    try:
+        check(order, rows)
+    except GraphError as exc:
+        return str(exc)
+    return None
+
+
+def _inject(rows, n, fault, rng):
+    """``rows`` with one fault of the named kind."""
+    rows = list(rows)
+    if fault == "asymmetric":
+        u, v = rng.sample(range(n), 2)
+        rows[u] ^= 1 << v
+    elif fault == "loop":
+        v = rng.randrange(n)
+        rows[v] |= 1 << v
+    elif fault == "high bit":
+        # bits 16 and up spill into the next row's field of the packed matrix
+        rows[rng.randrange(n)] |= 1 << rng.choice((n, n + 1, 15, 16, 17, 16 + n, 40))
+    elif fault == "negative":
+        v = rng.randrange(n)
+        rows[v] = rng.choice((~rows[v], -1, -(1 << n), -rows[v]))
+    elif fault == "row count":
+        if rng.random() < 0.5:
+            rows.pop(rng.randrange(len(rows)))
+        else:
+            rows.insert(rng.randrange(len(rows) + 1), rng.getrandbits(n))
+    return rows
+
+
+FAULTS = ("asymmetric", "loop", "high bit", "negative", "row count")
+
+
+class TestValidationReference:
+    """Graph accepts exactly the rows the old checks accept, and otherwise
+    raises the same first message."""
+
+    def test_random_row_tuples(self):
+        rng = random.Random(43)
+        seen = {}
+        for n in range(1, 13):
+            kinds = FAULTS if n > 1 else tuple(f for f in FAULTS if f != "asymmetric")
+            for _ in range(120):
+                rows = random_graph(n, rng).rows
+                # in FAULTS order, so that the row count changes last
+                faults = sorted(
+                    rng.sample(kinds, rng.choice((0, 0, 1, 1, 1, 2, 3))), key=FAULTS.index
+                )
+                for fault in faults:
+                    rows = _inject(rows, n, fault, rng)
+                rows = tuple(rows)
+                want = _verdict(references.validate_rows, n, rows)
+                assert _verdict(Graph, n, rows) == want, (n, rows)
+                if not faults:
+                    assert want is None
+                kind = want.split(" ")[0] if want else "valid"
+                seen[kind] = seen.get(kind, 0) + 1
+        # every message of the old checks, and valid rows, came up
+        assert set(seen) == {"valid", "number", "row", "loop", "adjacency"}, seen
+
+    def test_hand_cases(self):
+        cases = [
+            (0, ()),
+            (13, (0,) * 13),
+            (2, (0b10,)),
+            (2, (0b10 | 1 << 16, 0)),  # spills onto row 1's field: packs as K2
+            (2, (0b10 | 1 << 16, 0b01)),
+            (2, (0b10 | 1 << 17, 0b01)),
+            (3, (0b110, 0b101, 0b011 | 1 << 32)),
+            (2, (-0b10, 0b01)),
+            (3, (0b111, 0b101, 0b010)),  # loop and asymmetry
+            (12, (0,) * 11 + (1 << 12,)),
+            (12, tuple((1 << 12) - 1 ^ 1 << v for v in range(12))),
+        ]
+        for order, rows in cases:
+            assert _verdict(Graph, order, rows) == _verdict(
+                references.validate_rows, order, rows
+            ), (order, rows)
+
+
 class TestAddEdge:
     def test_closes_triangle(self):
         g = path(3).add_edge(0, 2)

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from absindex import (
+    EdgeContribution,
     abs_index,
     complete_graph,
     edge_contributions,
@@ -164,6 +165,28 @@ class TestEdgeContributions:
         for g in enumerate_connected(5):
             total = sum(c.value for c in edge_contributions(g))
             assert total == pytest.approx(abs_index(g), abs=EXACT)
+
+
+class TestEdgeContributionRecord:
+    def test_fields_in_order(self):
+        assert EdgeContribution._fields == ("edge", "du", "dv", "value")
+
+    def test_repr(self):
+        c = edge_contributions(from_edges(2, [(0, 1)]))[0]
+        assert repr(c) == "EdgeContribution(edge=(0, 1), du=1, dv=1, value=0.0)"
+
+    def test_attributes_and_tuple_equality(self):
+        c = edge_contributions(star(3))[1]
+        assert (c.edge, c.du, c.dv, c.value) == ((0, 2), 2, 1, edge_weight(2, 1))
+        assert c == ((0, 2), 2, 1, edge_weight(2, 1))
+
+    def test_immutable(self):
+        c = edge_contributions(star(3))[0]
+        for field in EdgeContribution._fields:
+            with pytest.raises(AttributeError):
+                setattr(c, field, 0)
+        with pytest.raises(AttributeError):
+            c.weight = 1.0
 
 
 class TestKernelReferences:

@@ -7,6 +7,8 @@ from absindex import (
     chromatic_number,
     complete_graph,
     complete_split,
+    connected_class_forms,
+    double_star,
     from_edges,
     independence_number,
     kite,
@@ -213,6 +215,42 @@ class TestRefinement:
     def test_matches_reference_on_gnp_graphs_9_to_12(self, gnp_graphs):
         for g in gnp_graphs:
             assert _refined_cells(g) == reference_refined_cells(g)
+
+    def test_matches_reference_on_every_order_8_class_relabeled(self):
+        rng = random.Random(47)
+        perm = list(range(8))
+        for form in connected_class_forms(8):
+            rng.shuffle(perm)
+            g = permuted(graph_from_canonical_form(form), perm)
+            assert _refined_cells(g) == reference_refined_cells(g)
+
+    def test_single_cell_graphs(self):
+        # vertex-transitive, so no round splits the one degree class
+        petersen = from_edges(
+            10,
+            [(i, (i + 1) % 5) for i in range(5)]
+            + [(i, i + 5) for i in range(5)]
+            + [(5 + i, 5 + (i + 2) % 5) for i in range(5)],
+        )
+        rng = random.Random(53)
+        for g in (cycle(12), turan(12, 2), petersen):
+            perm = list(range(g.order))
+            rng.shuffle(perm)
+            for h in (g, permuted(g, perm)):
+                assert _refined_cells(h) == reference_refined_cells(h) == [list(range(g.order))]
+
+    def test_matches_reference_on_extremal_families(self):
+        rng = random.Random(59)
+        for n in range(2, 13):
+            family = [star(n), *(turan(n, chi) for chi in range(2, n + 1))]
+            family += [complete_split(n, a) for a in range(1, n)]
+            family += [double_star(n, m) for m in range(2, n - 1)]
+            family += [kite(n, p) for p in range(0, n - 1)]
+            for g in family:
+                perm = list(range(n))
+                rng.shuffle(perm)
+                for h in (g, permuted(g, perm)):
+                    assert _refined_cells(h) == reference_refined_cells(h)
 
 
 class TestKernelReferences:

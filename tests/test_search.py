@@ -195,21 +195,14 @@ class TestScalarProperties:
                 assert prop.min_margin > 0
 
 
-class TestConstraintAdmits:
-    def test_admits_dispatch(self):
-        g = complete_split(5, 2)
-        inv = GraphInvariants.of(g)
-        assert Constraint(5, "independence", 2).admits(inv)
-        assert not Constraint(5, "independence", 3).admits(inv)
-        assert Constraint(5).admits(inv)
-
-
 def brute_force_max(constraint):
-    """Per-graph maximization straight from the decoded classes."""
+    """Per-graph maximization straight from the decoded classes; a
+    constraint's kind names the GraphInvariants field it fixes."""
+    kind = constraint.kind
     scored = [
         (abs_index(g), canonical_form(g))
         for g in enumerate_connected(constraint.order)
-        if constraint.admits(GraphInvariants.of(g))
+        if kind == "none" or getattr(GraphInvariants.of(g), kind) == constraint.value
     ]
     if not scored:
         return 0, None, ()
