@@ -43,24 +43,21 @@ assert MAX_ORDER <= _FIELD
 _DIAGONAL = sum(1 << (_FIELD + 1) * v for v in range(_FIELD))
 
 
-def _swap_masks(size: int) -> tuple[tuple[int, int], ...]:
-    """(shift, mask) of each delta swap that transposes the matrix: the
-    step for block size b swaps entry (r, c) with (r + b, c - b) wherever
-    bit b of r is 0 and bit b of c is 1."""
-    steps = []
-    b = size // 2
-    while b:
-        mask = 0
-        for r in range(size):
-            for c in range(size):
-                if not r & b and c & b:
-                    mask |= 1 << size * r + c
-        steps.append(((size - 1) * b, mask))
-        b //= 2
-    return tuple(steps)
-
-
-_TRANSPOSE_STEPS = _swap_masks(_FIELD)
+# (shift, mask) of the four delta swaps that transpose the packed
+# matrix: the swap for block size b exchanges entry (r, c) with
+# (r + b, c - b) wherever bit b of r is 0 and bit b of c is 1.
+_TRANSPOSE_STEPS = tuple(
+    (
+        (_FIELD - 1) * b,
+        sum(
+            1 << _FIELD * r + c
+            for r in range(_FIELD)
+            for c in range(_FIELD)
+            if not r & b and c & b
+        ),
+    )
+    for b in (8, 4, 2, 1)
+)
 
 
 def _transpose(matrix: int) -> int:
