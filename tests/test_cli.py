@@ -220,6 +220,59 @@ class TestAudit:
         assert len(out.strip().splitlines()) == 1  # header only
 
 
+# sha256 over "exit code, newline, stdout" of `audit <case> --n N` for
+# N = 1..12 (T3 without N = 3), and of `construct <family> --audit` for
+# n = 1..9 and every parameter 0..n + 1, in that order; they pin which
+# inputs print an audit row and what it says
+AUDIT_SHA256 = {
+    "T1": "98fc813885ace6d754fdd742462fba26a8d75b845506dc7ed076aa990b787a01",
+    "T2": "6d113f882d272cb59dee7dba4e0903de28a71b0e0494fd214752e3be124456ec",
+    "T3": "eda259f0f8f7d1a9364d79ebaeedd8481c6a277f5aa830360196d09b2a775e8d",
+    "T3-clique-term": "ef55148418b5f80072366ef0226e06df69823d80cc7cf57060d99c79bb33a3b7",
+}
+CONSTRUCT_AUDIT_SHA256 = {
+    "turan": "95a75556cb88ce3f68180123bace7949246a4d39886f81bfc88c4d061fe1c16a",
+    "split": "410244065ec293561e2efd1b59f7010ebf59136e37cddb964a4d012dca8d9ffd",
+    "star": "a75a8514ad90da344494aceb08fcd7d0e6c35b4d924eee7198becbbb54c1375c",
+    "dstar": "4aba8b84c68489f8a93474c825e89615af870254205a0743f571ebc54baae808",
+    "kite": "e6a80faef4f4d917c43b27df5fefe02435c1455e675ce6014be288038456422c",
+}
+FAMILY_OPTION = {"turan": "--chi", "split": "--alpha", "dstar": "--m", "kite": "--p"}
+
+
+def stdout_digest(capsys, invocations) -> str:
+    h = hashlib.sha256()
+    for argv in invocations:
+        code, out, _ = run(capsys, *argv)
+        h.update(f"{code}\n{out}".encode())
+    return h.hexdigest()
+
+
+class TestOutputPins:
+    @pytest.mark.parametrize("case", sorted(AUDIT_SHA256))
+    def test_audit(self, capsys, case):
+        invocations = [
+            ("audit", case, "--n", str(n))
+            for n in range(1, 13)
+            if (case, n) != ("T3", 3)
+        ]
+        assert stdout_digest(capsys, invocations) == AUDIT_SHA256[case]
+
+    @pytest.mark.parametrize("family", sorted(CONSTRUCT_AUDIT_SHA256))
+    def test_construct_audit(self, capsys, family):
+        option = FAMILY_OPTION.get(family)
+        invocations = []
+        for n in range(1, 10):
+            if option is None:
+                invocations.append(("construct", family, "--n", str(n), "--audit"))
+                continue
+            invocations += [
+                ("construct", family, "--n", str(n), option, str(x), "--audit")
+                for x in range(n + 2)
+            ]
+        assert stdout_digest(capsys, invocations) == CONSTRUCT_AUDIT_SHA256[family]
+
+
 class TestLemmas:
     def test_passes(self, capsys):
         code, out, _ = run(capsys, "lemmas", "--n", "4..5")
