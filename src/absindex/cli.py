@@ -17,7 +17,9 @@ import sys
 
 from . import __version__
 from .extremal import (
-    AUDIT_CASES,
+    CASES,
+    THEOREMS,
+    FormulaAudit,
     complete_split,
     double_star,
     formula_audit,
@@ -25,13 +27,12 @@ from .extremal import (
     star,
     turan,
 )
-from .graphs import Graph, Graph6Error, GraphError, decode_graph6, encode_graph6
+from .graphs import Graph, Graph6Error, decode_graph6, encode_graph6
 from .index import abs_index, edge_contributions
 from .invariants import GraphInvariants
 from .search import (
     DEFAULT_MAX_ORDER,
     HARD_MAX_ORDER,
-    THEOREM_IDS,
     check_edge_additions,
     check_scalar_properties,
     verify_theorem,
@@ -106,6 +107,15 @@ def _open_out(path: str | None):
         raise ValueError(f"cannot write {path}: {exc.strerror}") from None
 
 
+def _audit_cells(a: FormulaAudit) -> list[str]:
+    return [
+        _fmt(a.printed_value),
+        _fmt(a.direct_value),
+        _fmt(a.abs_difference),
+        str(a.agrees).lower(),
+    ]
+
+
 def _summary_rows(g: Graph) -> tuple[list[str], list[str]]:
     inv = GraphInvariants.of(g)
     header = [
@@ -160,58 +170,37 @@ def _cmd_compute(args, out) -> int:
     return EXIT_OK
 
 
+# family: (its option x, the claim it may be the maximizer of, the graph
+# and that claim's k at (n, x)).  The audit row is printed only where the
+# claim's maximizer at (n, k) is the built graph: dstar only at m = 2, kite
+# only at 1 <= p <= n - 3.
+_FAMILIES = {
+    "turan": ("chi", "T1", lambda n, x: (turan(n, x), x)),
+    "split": ("alpha", "T2", lambda n, x: (complete_split(n, x), x)),
+    "star": (None, "T3", lambda n, x: (star(n), n - 1)),
+    "dstar": ("m", "T3", lambda n, x: (double_star(n, x), n - 2)),
+    "kite": ("p", "T3", lambda n, x: (kite(n, x), x)),
+}
+
+
 def _cmd_construct(args, out) -> int:
-    try:
-        if args.family == "turan":
-            _need(args, "chi")
-            g = turan(args.n, args.chi)
-            audit = ("T1", args.n, args.chi)
-        elif args.family == "split":
-            _need(args, "alpha")
-            g = complete_split(args.n, args.alpha)
-            audit = ("T2", args.n, args.alpha)
-        elif args.family == "star":
-            g = star(args.n)
-            audit = ("T3", args.n, args.n - 1)
-        elif args.family == "dstar":
-            g = double_star(args.n, args.m)
-            audit = ("T3", args.n, args.n - 2) if args.m == 2 else None
-        else:  # kite
-            _need(args, "p")
-            g = kite(args.n, args.p)
-            audit = ("T3", args.n, args.p) if 1 <= args.p <= args.n - 3 else None
-    except (GraphError, ValueError) as exc:
-        print(f"construct: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    option, case, build = _FAMILIES[args.family]
+    x = getattr(args, option) if option else None
+    if option and x is None:
+        raise ValueError(f"family {args.family!r} needs --{option}")
+    g, k = build(args.n, x)
     out.write(f"graph6,{encode_graph6(g)}\n\n")
     _emit_graph_report(g, args.format, out)
-    if args.audit and audit is not None:
-        a = formula_audit(*audit)
+    if args.audit and CASES[case].maximizer(args.n, k) == g:
+        a = formula_audit(case, args.n, k)
         out.write("\n")
         _write_table(
             ["case", "printed", "direct", "difference", "agrees"],
-            [[
-                a.case_label,
-                _fmt(a.printed_value),
-                _fmt(a.direct_value),
-                _fmt(a.abs_difference),
-                str(a.agrees).lower(),
-            ]],
+            [[a.case_label, *_audit_cells(a)]],
             args.format,
             out,
         )
     return EXIT_OK
-
-
-def _need(args, name: str) -> None:
-    if getattr(args, name) is None:
-        raise ValueError(f"family {args.family!r} needs --{name}")
-
-
-def _theorem_params(theorem: str, n: int) -> list[int]:
-    if theorem == "T1":
-        return list(range(3, n))
-    return list(range(1, n))
 
 
 def _cmd_verify(args, out) -> int:
@@ -240,7 +229,7 @@ def _cmd_verify(args, out) -> int:
     all_ok = True
     for theorem in theorems:
         for n in range(n_lo, n_hi + 1):
-            for k in _theorem_params(theorem, n):
+            for k in CASES[theorem].params(n):
                 rep = verify_theorem(
                     theorem, n, k, workers=args.workers, allow_order_8=args.enable_n8
                 )
@@ -261,30 +250,17 @@ def _cmd_verify(args, out) -> int:
     return EXIT_OK if all_ok else EXIT_FAILED
 
 
-def _audit_params(case: str, n: int) -> list[int]:
-    if case == "T1":
-        return list(range(3, n))
-    if case == "T3-clique-term":
-        return list(range(1, n - 2))
-    return list(range(1, n))
-
-
 def _cmd_audit(args, out) -> int:
     n_lo, n_hi = args.n
     header = ["case", "n", "param", "printed", "direct", "difference", "agrees"]
+    case = CASES[args.case]
     rows = []
     for n in range(n_lo, n_hi + 1):
-        for k in _audit_params(args.case, n):
+        for k in case.params(n):
+            if case.construct and case.maximizer(n, k) is None:
+                continue  # no maximizer at (n, k), so no claim to audit
             a = formula_audit(args.case, n, k)
-            rows.append([
-                args.case,
-                str(n),
-                str(k),
-                _fmt(a.printed_value),
-                _fmt(a.direct_value),
-                _fmt(a.abs_difference),
-                str(a.agrees).lower(),
-            ])
+            rows.append([args.case, str(n), str(k), *_audit_cells(a)])
     _write_table(header, rows, args.format, out)
     return EXIT_OK
 
@@ -320,9 +296,9 @@ def _cmd_lemmas(args, out) -> int:
 def _theorem_list(text: str) -> list[str]:
     items = [t.strip() for t in text.split(",") if t.strip()]
     for t in items:
-        if t not in THEOREM_IDS:
+        if t not in THEOREMS:
             raise argparse.ArgumentTypeError(
-                f"unknown theorem {t!r}; choose from {','.join(THEOREM_IDS)}"
+                f"unknown theorem {t!r}; choose from {','.join(THEOREMS)}"
             )
     if not items:
         raise argparse.ArgumentTypeError("empty theorem list")
@@ -371,8 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="exhaustive extremal verification sweep")
     p.add_argument(
-        "--theorems", type=_theorem_list, default=list(THEOREM_IDS),
-        help="comma-separated subset of T1,T2,T3 (default all)",
+        "--theorems", type=_theorem_list, default=list(THEOREMS),
+        help=f"comma-separated subset of {','.join(THEOREMS)} (default all)",
     )
     p.add_argument(
         "--n", type=lambda s: _parse_range(s, "order"), default=(5, 7),
@@ -381,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = sub.add_parser("audit", help="printed bound vs direct evaluation table")
-    p.add_argument("case", choices=AUDIT_CASES)
+    p.add_argument("case", choices=CASES)
     p.add_argument(
         "--n", type=lambda s: _parse_range(s, "order"), default=(5, 7),
         help="order range, N or A..B (default 5..7)",

@@ -1,22 +1,27 @@
-"""Extremal graph families and their published closed-form bounds.
+"""Extremal graph families, their published closed-form bounds, and the claims.
 
 Each family that maximizes the ABS index under one constraint
 (chromatic number, independence number, pendant count) gets a
-deterministic constructor.  The published closed-form bound for each
-case is evaluated *verbatim* by the ``*_bound_printed`` functions; the
-printed expressions are known not to match direct evaluation of the
-named graphs, so :func:`formula_audit` reports printed-vs-direct
-discrepancies as data instead of correcting them.  All verification
-elsewhere in the library binds to direct evaluation.
+deterministic constructor; ``*_bound_printed`` evaluate the published
+bounds *verbatim*.  The claims live in one table, ``CASES``, that the
+search, the audit and the command line read: per case its parameter
+range, printed bound and direct value, and for the theorems T1-T3 the
+constraint kind, claimed maximizer and hypothesis.  The printed bounds
+are known not to match direct evaluation of the named graphs, so
+:func:`formula_audit` reports the discrepancies as data; all
+verification binds to direct evaluation.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
+from types import MappingProxyType
 
-from .graphs import Graph, GraphError, complete_graph, from_edges
+from .graphs import Graph, GraphError, from_edges
 from .index import abs_index, edge_weight
+from .invariants import pendant_count
 
 AUDIT_TOLERANCE = 1e-9
 
@@ -201,8 +206,6 @@ def double_star_split_value(p: int, t: int) -> float:
 
 # -- printed-vs-direct audit ------------------------------------------
 
-AUDIT_CASES = ("T1", "T2", "T3", "T3-clique-term")
-
 
 @dataclass(frozen=True)
 class FormulaAudit:
@@ -215,44 +218,21 @@ class FormulaAudit:
     agrees: bool
 
 
-def _audit(label: str, printed: float, direct: float) -> FormulaAudit:
+def formula_audit(case: str, n: int, k: int) -> FormulaAudit:
+    """Audit one bound case; k is chi, alpha, or p depending on the case."""
+    spec = CASES.get(case)
+    if spec is None:
+        raise ValueError(f"unknown audit case {case!r}; expected one of {tuple(CASES)}")
+    printed = spec.printed(n, k)
+    direct = spec.direct(n, k) if spec.direct else abs_index(spec.construct(n, k))
     diff = abs(printed - direct)
     return FormulaAudit(
-        case_label=label,
+        case_label=f"{case} n={n} {spec.param}={k}",
         printed_value=printed,
         direct_value=direct,
         abs_difference=diff,
         agrees=diff <= AUDIT_TOLERANCE,
     )
-
-
-def formula_audit(case: str, n: int, k: int) -> FormulaAudit:
-    """Audit one bound case; k is chi, alpha, or p depending on the case."""
-    if case == "T1":
-        return _audit(
-            f"T1 n={n} chi={k}",
-            chromatic_bound_printed(n, k),
-            abs_index(turan(n, k)),
-        )
-    if case == "T2":
-        return _audit(
-            f"T2 n={n} alpha={k}",
-            independence_bound_printed(n, k),
-            abs_index(complete_split(n, k)),
-        )
-    if case == "T3":
-        return _audit(
-            f"T3 n={n} p={k}",
-            pendant_bound_printed(n, k),
-            abs_index(pendant_maximizer(n, k)),
-        )
-    if case == "T3-clique-term":
-        return _audit(
-            f"T3-clique-term n={n} p={k}",
-            pendant_bound_clique_term_printed(n, k),
-            kite_clique_contribution(n, k),
-        )
-    raise ValueError(f"unknown audit case {case!r}; expected one of {AUDIT_CASES}")
 
 
 def pendant_maximizer(n: int, p: int) -> Graph:
@@ -264,3 +244,64 @@ def pendant_maximizer(n: int, p: int) -> Graph:
     if p == n - 2:
         return double_star(n, 2)
     return kite(n, p)
+
+
+# -- the claims -------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Case:
+    """One theorem, or one term of a printed bound audited on its own.
+
+    At order n, k (named ``param``) runs from ``first`` to n - 1 - ``short``.
+    A theorem's direct value is its maximizer's ABS index; a term has its
+    own ``direct`` evaluation.
+    """
+
+    param: str
+    first: int
+    short: int
+    printed: Callable[[int, int], float]
+    kind: str | None = None
+    construct: Callable[[int, int], Graph] | None = None
+    hypothesis: Callable[[int, int, Graph], bool] | None = None
+    direct: Callable[[int, int], float] | None = None
+
+    def params(self, n: int) -> range:
+        return range(self.first, n - self.short)
+
+    def maximizer(self, n: int, k: int) -> Graph | None:
+        """The claimed maximizer at (n, k); None where it does not exist."""
+        try:
+            return self.construct(n, k)
+        except GraphError:
+            return None
+
+
+# The constructors are called through this module's globals, so a wrapper
+# bound over ``turan`` and the others here also sees the table's calls.
+CASES = MappingProxyType({
+    "T1": Case(
+        "chi", 3, 0, chromatic_bound_printed, "chromatic",
+        lambda n, k: turan(n, k),
+        lambda n, k, g: n >= 5 and 3 <= k <= n - 1,
+    ),
+    # claimed wherever the complete split graph exists
+    "T2": Case(
+        "alpha", 1, 0, independence_bound_printed, "independence",
+        lambda n, k: complete_split(n, k),
+        lambda n, k, g: True,
+    ),
+    # claimed only where the construction has p pendants: not at n = 2
+    "T3": Case(
+        "p", 1, 0, pendant_bound_printed, "pendants",
+        lambda n, k: pendant_maximizer(n, k),
+        lambda n, k, g: pendant_count(g) == k,
+    ),
+    "T3-clique-term": Case(
+        "p", 1, 2, pendant_bound_clique_term_printed,
+        direct=kite_clique_contribution,
+    ),
+})
+
+THEOREMS = tuple(name for name, case in CASES.items() if case.kind)

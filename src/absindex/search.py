@@ -18,8 +18,10 @@ class of connected graphs:
   class, canonicalize the rest.
 
 Both must agree exactly; the test suite pins the class counts.  On top
-of the enumeration sit the constrained ABS maximizer, the extremal-
-characterization verifier, and the exhaustive monotonicity checks.
+of the enumeration sit the constrained ABS maximizer, the verifier of
+the theorems, which reads each one's constraint kind, maximizer and
+hypothesis from the claim table ``extremal.CASES``, and the exhaustive
+monotonicity checks.
 
 Per-class facts are computed once per order: every augmentation job
 also computes χ, α, pendant count and the ABS value of each class it
@@ -50,8 +52,8 @@ from array import array
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, replace
 
-from .extremal import complete_split, pendant_maximizer, turan
-from .graphs import MAX_ORDER, Graph, GraphError, encode_graph6
+from .extremal import CASES, THEOREMS
+from .graphs import MAX_ORDER, Graph, encode_graph6
 from .index import abs_index, edge_weight, gain_contrast, shift_gain
 from .invariants import (
     are_isomorphic,
@@ -65,7 +67,6 @@ from .invariants import (
     independence_number,
     independence_within,
     is_colorable,
-    pendant_count,
 )
 
 DEFAULT_MAX_ORDER = 7
@@ -607,39 +608,19 @@ def max_abs_under(
     )
 
 
-THEOREM_IDS = ("T1", "T2", "T3")
-
-
-def _expected_maximizer(theorem: str, n: int, k: int) -> tuple[Graph | None, bool]:
-    """The claimed extremal graph and whether (n, k) is in hypothesis range.
-
-    At fixed pendant count p the claim covers only the orders where its
-    construction exists and has exactly p pendants: not n = 3, p = 1
-    (no double star) and not n = 2, p = 1 (star(2) has two pendants).
-    """
-    if theorem == "T1":
-        return turan(n, k), n >= 5 and 3 <= k <= n - 1
-    if theorem == "T2":
-        return complete_split(n, k), 1 <= k <= n - 1
-    if theorem == "T3":
-        try:
-            expected = pendant_maximizer(n, k)
-        except GraphError:
-            return None, False
-        return expected, pendant_count(expected) == k
-    raise ValueError(f"unknown theorem id {theorem!r}; expected one of {THEOREM_IDS}")
-
-
-_CONSTRAINT_OF_THEOREM = {"T1": "chromatic", "T2": "independence", "T3": "pendants"}
-
-
 def verify_theorem(
     theorem: str, n: int, k: int, workers: int = 1, allow_order_8: bool = False
 ) -> SearchReport:
-    """Exhaustively test one extremal characterization at one (n, k)."""
-    expected, in_range = _expected_maximizer(theorem, n, k)
-    constraint = Constraint(order=n, kind=_CONSTRAINT_OF_THEOREM[theorem], value=k)
-    report = max_abs_under(constraint, workers, allow_order_8)
+    """Exhaustively test one extremal characterization at one (n, k).
+
+    Where the claimed maximizer does not exist there is no claim: the
+    report says ``construction_match=False`` and ``in_hypothesis=False``.
+    """
+    if theorem not in THEOREMS:
+        raise ValueError(f"unknown theorem id {theorem!r}; expected one of {THEOREMS}")
+    case = CASES[theorem]
+    expected = case.maximizer(n, k)
+    report = max_abs_under(Constraint(n, case.kind, k), workers, allow_order_8)
     if expected is None:
         return replace(report, construction_match=False, in_hypothesis=False)
     return replace(
@@ -648,7 +629,7 @@ def verify_theorem(
         and are_isomorphic(
             graph_from_canonical_form(report.maximizer_forms[0]), expected
         ),
-        in_hypothesis=in_range,
+        in_hypothesis=case.hypothesis(n, k, expected),
         expected_graph6=encode_graph6(expected),
     )
 

@@ -1,7 +1,8 @@
 """The per-graph kernels as they were before they moved to bit rows, the
-graph validation as it was before its bit-matrix fast test, and the
+graph validation as it was before its bit-matrix fast test, the
 augmentation's max-key test as it was before it was answered from the
-parent.
+parent, and the theorem verifier as it was before it read the claim
+table.
 
 Each function here is the old body of the library function with the same
 name, kept unchanged as the reference the rewritten kernels must match
@@ -10,8 +11,23 @@ exactly: same integers, same floats (``==``), same graphs, the same
 """
 
 import math
+from dataclasses import replace
 
-from absindex import EdgeContribution, Graph, Graph6Error, GraphError, edge_weight
+from absindex import (
+    Constraint,
+    EdgeContribution,
+    Graph,
+    Graph6Error,
+    GraphError,
+    are_isomorphic,
+    complete_split,
+    edge_weight,
+    encode_graph6,
+    max_abs_under,
+    pendant_count,
+    pendant_maximizer,
+    turan,
+)
 from absindex.graphs import _G6_HEADER, MAX_ORDER
 
 
@@ -247,3 +263,35 @@ def _connected_without(rows, v):
         frontier = reach & full & ~seen
         seen |= frontier
     return seen == full
+
+
+# -- theorem verification ---------------------------------------------
+
+
+def verify_theorem(theorem, n, k):
+    """``verify_theorem`` with its own if-chain; raises ``GraphError``
+    where the Turán or complete split graph does not exist."""
+    if theorem == "T1":
+        expected, in_range = turan(n, k), n >= 5 and 3 <= k <= n - 1
+    elif theorem == "T2":
+        expected, in_range = complete_split(n, k), 1 <= k <= n - 1
+    else:
+        try:
+            expected = pendant_maximizer(n, k)
+        except GraphError:
+            expected, in_range = None, False
+        else:
+            in_range = pendant_count(expected) == k
+    kind = {"T1": "chromatic", "T2": "independence", "T3": "pendants"}[theorem]
+    report = max_abs_under(Constraint(order=n, kind=kind, value=k))
+    if expected is None:
+        return replace(report, construction_match=False, in_hypothesis=False)
+    return replace(
+        report,
+        construction_match=report.unique
+        and are_isomorphic(
+            graph_from_canonical_form(report.maximizer_forms[0]), expected
+        ),
+        in_hypothesis=in_range,
+        expected_graph6=encode_graph6(expected),
+    )

@@ -214,6 +214,18 @@ class TestAudit:
         assert rows
         assert all(row.endswith("true") for row in rows)
 
+    def test_t3_range_through_order_3(self, capsys):
+        code, out, err = run(capsys, "audit", "T3", "--n", "2..5")
+        assert code == 0 and err == ""
+        rows = out.splitlines()[1:]
+        for n in (2, 4, 5):
+            _, alone, _ = run(capsys, "audit", "T3", "--n", str(n))
+            assert [r for r in rows if r.split(",")[1] == str(n)] == alone.splitlines()[1:]
+        # no double star at n = 3, so p = 1 has no maximizer and no row
+        assert [r for r in rows if r.split(",")[1] == "3"] == [
+            "T3,3,2,0.6666666667,1.1547005384,0.4880338717,false"
+        ]
+
     def test_empty_range(self, capsys):
         code, out, _ = run(capsys, "audit", "T1", "--n", "3..3")
         assert code == 0

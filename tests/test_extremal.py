@@ -21,11 +21,15 @@ from absindex import (
     star,
     turan,
 )
+from absindex import extremal
 from absindex.extremal import (
+    CASES,
+    THEOREMS,
     kite_clique_contribution,
     pendant_bound_clique_term_printed,
 )
 from absindex.graphs import GraphError
+from absindex.search import CONSTRAINT_KINDS
 
 EXACT = 1e-12
 
@@ -250,3 +254,39 @@ class TestDoubleStarSplit:
             double_star_split_value(4, 0)
         with pytest.raises(GraphError):
             double_star_split_value(4, 4)
+
+
+class TestClaimTable:
+    def test_cases(self):
+        assert tuple(CASES) == ("T1", "T2", "T3", "T3-clique-term")
+        assert THEOREMS == ("T1", "T2", "T3")
+        assert [CASES[t].kind for t in THEOREMS] == list(CONSTRAINT_KINDS[:3])
+        assert CASES["T3-clique-term"].construct is None
+
+    def test_parameter_ranges(self):
+        assert [list(CASES[c].params(6)) for c in CASES] == [
+            [3, 4, 5], [1, 2, 3, 4, 5], [1, 2, 3, 4, 5], [1, 2, 3]
+        ]
+        assert [CASES[c].param for c in CASES] == ["chi", "alpha", "p", "p"]
+
+    def test_maximizer_outside_its_domain_is_none(self):
+        assert CASES["T1"].maximizer(5, 1) is None
+        assert CASES["T2"].maximizer(5, 5) is None
+        assert CASES["T3"].maximizer(3, 1) is None  # no double star of order 3
+        assert CASES["T3"].maximizer(6, 3) == kite(6, 3)
+
+    def test_constructors_are_looked_up_in_the_module(self, monkeypatch):
+        """A wrapper bound over a constructor's module name sees the table's
+        calls, as the benchmark's tracer needs."""
+        calls = []
+        for name in ("turan", "complete_split", "pendant_maximizer"):
+            original = getattr(extremal, name)
+
+            def wrapped(*args, _name=name, _original=original):
+                calls.append(_name)
+                return _original(*args)
+
+            monkeypatch.setattr(extremal, name, wrapped)
+        for theorem in THEOREMS:
+            CASES[theorem].maximizer(6, 3)
+        assert calls == ["turan", "complete_split", "pendant_maximizer"]

@@ -22,7 +22,7 @@ from absindex import (
     turan,
     verify_theorem,
 )
-from absindex import search
+from absindex import GraphError, search
 from absindex.invariants import (
     GraphInvariants,
     chromatic_number,
@@ -162,6 +162,25 @@ class TestVerifyTheorem:
     def test_unknown_theorem(self):
         with pytest.raises(ValueError):
             verify_theorem("T9", 5, 2)
+        with pytest.raises(ValueError, match="unknown theorem id"):
+            verify_theorem("T3-clique-term", 7, 2)
+
+    def test_no_construction_means_no_claim(self):
+        """Every (n, k) with n <= 7 and 0 <= k <= n + 1 gets a report; where
+        the if-chain verifier reported, the report is the same, and where
+        its Turán or split construction did not exist, nothing is claimed."""
+        for theorem in ("T1", "T2", "T3"):
+            for n in range(1, 8):
+                for k in range(n + 2):
+                    report = verify_theorem(theorem, n, k)
+                    try:
+                        want = references.verify_theorem(theorem, n, k)
+                    except GraphError:
+                        assert report.construction_match is False
+                        assert report.in_hypothesis is False
+                        assert report.expected_graph6 is None
+                    else:
+                        assert report == want, (theorem, n, k)
 
 
 class TestEdgeAddition:
