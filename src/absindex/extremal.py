@@ -17,9 +17,8 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
-from types import MappingProxyType
 
-from .graphs import Graph, GraphError, from_edges
+from .graphs import MAX_ORDER, Graph, GraphError, from_edges
 from .index import abs_index, edge_weight
 from .invariants import pendant_count
 
@@ -275,12 +274,14 @@ class Case:
         try:
             return self.construct(n, k)
         except GraphError:
+            if not 1 <= n <= MAX_ORDER:  # an input error, not a missing maximizer
+                raise
             return None
 
 
 # The constructors are called through this module's globals, so a wrapper
 # bound over ``turan`` and the others here also sees the table's calls.
-CASES = MappingProxyType({
+CASES = {
     "T1": Case(
         "chi", 3, 0, chromatic_bound_printed, "chromatic",
         lambda n, k: turan(n, k),
@@ -302,6 +303,6 @@ CASES = MappingProxyType({
         "p", 1, 2, pendant_bound_clique_term_printed,
         direct=kite_clique_contribution,
     ),
-})
+}
 
 THEOREMS = tuple(name for name, case in CASES.items() if case.kind)

@@ -18,9 +18,8 @@ class of connected graphs:
   class, canonicalize the rest.
 
 Both must agree exactly; the test suite pins the class counts.  On top
-of the enumeration sit the constrained ABS maximizer, the verifier of
-the theorems, which reads each one's constraint kind, maximizer and
-hypothesis from the claim table ``extremal.CASES``, and the exhaustive
+of the enumeration sit the constrained ABS maximizer, the verifier of the
+theorems in the claim table ``extremal.CASES``, and the exhaustive
 monotonicity checks.
 
 Per-class facts are computed once per order: every augmentation job
@@ -619,8 +618,8 @@ def verify_theorem(
     if theorem not in THEOREMS:
         raise ValueError(f"unknown theorem id {theorem!r}; expected one of {THEOREMS}")
     case = CASES[theorem]
-    expected = case.maximizer(n, k)
     report = max_abs_under(Constraint(n, case.kind, k), workers, allow_order_8)
+    expected = case.maximizer(n, k)
     if expected is None:
         return replace(report, construction_match=False, in_hypothesis=False)
     return replace(

@@ -331,6 +331,13 @@ class TestUsage:
         assert out == ""
         assert "below 1" in err
 
+    def test_audit_order_above_graph_cap(self, capsys):
+        # an order no graph can have is an input error, not a missing maximizer
+        code, out, err = run(capsys, "audit", "T3", "--n", "12..13")
+        assert code == 2
+        assert out == ""
+        assert "order must be in 1..12" in err
+
     def test_workers_zero(self, capsys):
         code, out, err = run(capsys, "verify", "--n", "4..4", "--workers", "0")
         assert code == 2
