@@ -5,13 +5,16 @@ fixed row order) as CSV or Markdown, so identical invocations produce
 byte-identical output regardless of worker count.
 
 Exit codes: 0 all checks passed or informational output, 1 a
-verification or lemma check failed, 2 usage or input error.
+verification or lemma check failed, 2 usage or input error.  Output
+reaches ``--out`` or stdout only on exit 0 or 1, so a usage error
+creates no file and leaves an existing one as it was.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import io
 import os
 import sys
 
@@ -31,14 +34,14 @@ from .graphs import Graph, Graph6Error, decode_graph6, encode_graph6
 from .index import abs_index, edge_contributions
 from .invariants import GraphInvariants
 from .search import (
-    DEFAULT_MAX_ORDER,
-    HARD_MAX_ORDER,
+    MAX_SEARCH_ORDER,
     check_edge_additions,
     check_scalar_properties,
     verify_theorem,
 )
 
 WORKERS_ENV = "ABSINDEX_WORKERS"
+DEFAULT_ORDER_CAP = 7  # verify's order limit unless --enable-n8 lifts it
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -75,10 +78,6 @@ def _parse_range(text: str, what: str) -> tuple[int, int]:
     if lo < 1:
         raise argparse.ArgumentTypeError(f"{what} range {text!r} starts below 1")
     return lo, hi
-
-
-def _order_cap(args) -> int:
-    return HARD_MAX_ORDER if args.enable_n8 else DEFAULT_MAX_ORDER
 
 
 def _resolve_workers(args) -> int:
@@ -205,7 +204,7 @@ def _cmd_construct(args, out) -> int:
 
 def _cmd_verify(args, out) -> int:
     n_lo, n_hi = args.n
-    cap = _order_cap(args)
+    cap = MAX_SEARCH_ORDER if args.enable_n8 else DEFAULT_ORDER_CAP
     if n_hi > cap:
         print(
             f"verify: order cap {cap} exceeded"
@@ -230,9 +229,7 @@ def _cmd_verify(args, out) -> int:
     for theorem in theorems:
         for n in range(n_lo, n_hi + 1):
             for k in CASES[theorem].params(n):
-                rep = verify_theorem(
-                    theorem, n, k, workers=args.workers, allow_order_8=args.enable_n8
-                )
+                rep = verify_theorem(theorem, n, k, workers=args.workers)
                 if rep.in_hypothesis and not (rep.construction_match and rep.unique):
                     all_ok = False
                 rows.append([
@@ -324,10 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
             "--workers", type=int, default=None,
             help=f"worker processes (default 1; env {WORKERS_ENV} overrides)",
         )
-        p.add_argument(
-            "--enable-n8", action="store_true",
-            help="allow order-8 sweeps (slow)",
-        )
 
     p = sub.add_parser("compute", help="ABS report for a graph6 graph")
     p.add_argument("graph6", nargs="?", help="graph6 text (default: stdin)")
@@ -355,6 +348,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="order range, N or A..B (default 5..7)",
     )
     common(p)
+    p.add_argument(
+        "--enable-n8", action="store_true",
+        help="allow order-8 sweeps (slow)",
+    )
 
     p = sub.add_parser("audit", help="printed bound vs direct evaluation table")
     p.add_argument("case", choices=CASES)
@@ -390,10 +387,14 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     handler = _DISPATCH[args.command]
+    buffer = io.StringIO()
     try:
         args.workers = _resolve_workers(args)
-        with _open_out(args.out) as out:
-            return handler(args, out)
+        code = handler(args, buffer)
+        if code in (EXIT_OK, EXIT_FAILED):
+            with _open_out(args.out) as out:
+                out.write(buffer.getvalue())
+        return code
     except ValueError as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -22,10 +22,15 @@ of the enumeration sit the constrained ABS maximizer, the verifier of the
 theorems in the claim table ``extremal.CASES``, and the exhaustive
 monotonicity checks.
 
+The library has one order limit, MAX_SEARCH_ORDER, with no opt-in:
+``connected_class_forms`` checks it, and every search goes through that
+function.  Only the labeled oracle has a lower cap of its own, order 7.
+Which orders a user may sweep by default is the CLI's policy.
+
 Per-class facts are computed once per order: every augmentation job
 also computes χ, α, pendant count and the ABS value of each class it
 finds, and ``class_table(n)`` keeps them in compact columns parallel to
-the sorted forms, cached beside the class forms.  A job works out its
+the sorted forms, in the one cache of each order.  A job works out its
 parent's degrees, cut vertices, χ and α once, and answers each child
 from them: its max-key test, whether it is χ(parent)-colourable, and
 whether the vertices outside its new vertex's neighbours hold an
@@ -68,21 +73,12 @@ from .invariants import (
     is_colorable,
 )
 
-DEFAULT_MAX_ORDER = 7
-HARD_MAX_ORDER = 8
+MAX_SEARCH_ORDER = 8
 TIE_TOLERANCE = 1e-9
 
 CONSTRAINT_KINDS = ("chromatic", "independence", "pendants", "none")
 
-_class_cache: dict[int, tuple[bytes, ...]] = {}
 _table_cache: dict[int, ClassTable] = {}
-
-
-def _check_order(n: int, allow_order_8: bool) -> None:
-    cap = HARD_MAX_ORDER if allow_order_8 else DEFAULT_MAX_ORDER
-    if not 1 <= n <= cap:
-        hint = "" if allow_order_8 else " (n = 8 needs allow_order_8)"
-        raise ValueError(f"order {n} outside the supported range 1..{cap}{hint}")
 
 
 # -- worker pool ------------------------------------------------------
@@ -414,12 +410,14 @@ def connected_class_forms(n: int, workers: int = 1) -> tuple[bytes, ...]:
     processes.  Each parent class of order n - 1 is one job; the jobs'
     outputs are disjoint, so they are concatenated and sorted once.  The
     jobs also compute the rows of ``class_table(n)``, which are permuted
-    along with the forms and cached beside them.
+    along with the forms and cached with them.  An order outside
+    1..MAX_SEARCH_ORDER raises ValueError before any order is built.
     """
-    _check_order(n, allow_order_8=True)
-    cached = _class_cache.get(n)
+    if not 1 <= n <= MAX_SEARCH_ORDER:
+        raise ValueError(f"order {n} outside the supported range 1..{MAX_SEARCH_ORDER}")
+    cached = _table_cache.get(n)
     if cached is not None:
-        return cached
+        return cached.forms
     columns = _new_columns()
     if n == 1:
         found = [canonical_form(Graph(1, (0,)))]
@@ -440,18 +438,15 @@ def connected_class_forms(n: int, workers: int = 1) -> tuple[bytes, ...]:
                 for column, piece in zip(columns, part_columns):
                     column.extend(piece)
     rank = sorted(range(len(found)), key=found.__getitem__)
-    forms = _class_cache[n] = tuple(map(found.__getitem__, rank))
+    forms = tuple(map(found.__getitem__, rank))
     _table_cache[n] = ClassTable(
         forms, *(array(c.typecode, map(c.__getitem__, rank)) for c in columns)
     )
     return forms
 
 
-def enumerate_connected(
-    n: int, workers: int = 1, allow_order_8: bool = False
-) -> list[Graph]:
+def enumerate_connected(n: int, workers: int = 1) -> list[Graph]:
     """One canonically labeled representative per connected class."""
-    _check_order(n, allow_order_8)
     return [graph_from_canonical_form(f) for f in connected_class_forms(n, workers)]
 
 
@@ -496,7 +491,8 @@ def _labeled_range(args: tuple[int, int, int]) -> set[bytes]:
 
 def connected_class_forms_labeled(n: int, workers: int = 1) -> tuple[bytes, ...]:
     """Oracle enumeration by full labeled sweep; agrees with the fast path."""
-    _check_order(n, allow_order_8=False)
+    if not 1 <= n <= 7:  # order 8 would be 2^28 masks
+        raise ValueError(f"order {n} outside the labeled sweep's range 1..7")
     total = 1 << (n * (n - 1) // 2)
     with _shared_workers(workers) as pool:
         bounds = [total * i // pool.size for i in range(pool.size + 1)]
@@ -565,15 +561,12 @@ def class_table(n: int, workers: int = 1) -> ClassTable:
     return _table_cache[n]
 
 
-def max_abs_under(
-    constraint: Constraint, workers: int = 1, allow_order_8: bool = False
-) -> SearchReport:
+def max_abs_under(constraint: Constraint, workers: int = 1) -> SearchReport:
     """Exact maximum of the ABS index over the constrained classes.
 
     All graphs within TIE_TOLERANCE of the maximum are collected, so a
     false uniqueness claim would surface as multiple maximizers.
     """
-    _check_order(constraint.order, allow_order_8)
     table = class_table(constraint.order, workers)
     if constraint.kind == "none":
         selected = range(len(table.forms))
@@ -607,9 +600,7 @@ def max_abs_under(
     )
 
 
-def verify_theorem(
-    theorem: str, n: int, k: int, workers: int = 1, allow_order_8: bool = False
-) -> SearchReport:
+def verify_theorem(theorem: str, n: int, k: int, workers: int = 1) -> SearchReport:
     """Exhaustively test one extremal characterization at one (n, k).
 
     Where the claimed maximizer does not exist there is no claim: the
@@ -618,7 +609,7 @@ def verify_theorem(
     if theorem not in THEOREMS:
         raise ValueError(f"unknown theorem id {theorem!r}; expected one of {THEOREMS}")
     case = CASES[theorem]
-    report = max_abs_under(Constraint(n, case.kind, k), workers, allow_order_8)
+    report = max_abs_under(Constraint(n, case.kind, k), workers)
     expected = case.maximizer(n, k)
     if expected is None:
         return replace(report, construction_match=False, in_hypothesis=False)
@@ -684,39 +675,35 @@ class PropertyCheck:
     min_margin: float
 
 
-@dataclass(frozen=True)
-class ScalarGrid:
-    """Grids for the finite-difference projections of the scalar claims."""
-
-    xy_points: tuple[float, ...] = tuple(1 + 0.5 * i for i in range(99))
-    deltas: tuple[float, ...] = (0.5, 1.0, 2.0)
-    shifts: tuple[float, ...] = (1.0, 2.0, 3.0)
-    contrast_bounds: tuple[int, ...] = tuple(range(1, 21))
-    contrast_x: tuple[float, ...] = tuple(float(x) for x in range(1, 51))
+# the grids of the finite-difference projections of the scalar claims
+_XY_POINTS = tuple(1 + 0.5 * i for i in range(99))
+_DELTAS = (0.5, 1.0, 2.0)
+_SHIFTS = (1.0, 2.0, 3.0)
+_CONTRAST_BOUNDS = tuple(range(1, 21))
+_CONTRAST_X = tuple(float(x) for x in range(1, 51))
 
 
-def check_scalar_properties(grid: ScalarGrid | None = None) -> list[PropertyCheck]:
+def check_scalar_properties() -> list[PropertyCheck]:
     """Sign checks for the monotonicity/convexity claims on f, g and h.
 
     Strict positivity is required everywhere except the contrast check
     at equal bounds, where the function is identically zero.
     """
-    grid = grid or ScalarGrid()
     results = []
 
     margins = []
-    for d in grid.deltas:
-        for x in grid.xy_points:
-            for y in grid.xy_points:
+    for d in _DELTAS:
+        for x in _XY_POINTS:
+            for y in _XY_POINTS:
                 margins.append(edge_weight(x + d, y) - edge_weight(x, y))
     results.append(_verdict("edge_weight increasing in x", margins))
 
     dec_margins = []
     cvx_margins = []
-    for s in grid.shifts:
-        for d in grid.deltas:
-            for x in grid.xy_points:
-                for y in grid.xy_points:
+    for s in _SHIFTS:
+        for d in _DELTAS:
+            for x in _XY_POINTS:
+                for y in _XY_POINTS:
                     g0 = shift_gain(s, x, y)
                     g1 = shift_gain(s, x + d, y)
                     g2 = shift_gain(s, x + 2 * d, y)
@@ -730,13 +717,13 @@ def check_scalar_properties(grid: ScalarGrid | None = None) -> list[PropertyChec
     dec_contrast = []
     zero_ok = True
     zero_checks = 0
-    for s in grid.shifts:
-        for d in grid.deltas:
-            for lo in grid.contrast_bounds:
-                for hi in grid.contrast_bounds:
+    for s in _SHIFTS:
+        for d in _DELTAS:
+            for lo in _CONTRAST_BOUNDS:
+                for hi in _CONTRAST_BOUNDS:
                     if hi < lo:
                         continue
-                    for x in grid.contrast_x:
+                    for x in _CONTRAST_X:
                         step = gain_contrast(s, lo, hi, x) - gain_contrast(
                             s, lo, hi, x + d
                         )

@@ -27,14 +27,12 @@ def gnp_graphs():
 
 @pytest.fixture
 def cold_caches():
-    """Empty class and table caches for one test; the warm ones come back after."""
-    saved = dict(search._class_cache), dict(search._table_cache)
-    search._class_cache.clear()
+    """An empty class cache for one test; the warm one comes back after."""
+    saved = dict(search._table_cache)
     search._table_cache.clear()
     yield
-    for cache, entries in zip((search._class_cache, search._table_cache), saved):
-        cache.clear()
-        cache.update(entries)
+    search._table_cache.clear()
+    search._table_cache.update(saved)
 
 
 @pytest.fixture

@@ -1,5 +1,7 @@
 import hashlib
 import io
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -243,7 +245,7 @@ AUDIT_SHA256 = {
     "T3-clique-term": "ef55148418b5f80072366ef0226e06df69823d80cc7cf57060d99c79bb33a3b7",
 }
 CONSTRUCT_AUDIT_SHA256 = {
-    "turan": "95a75556cb88ce3f68180123bace7949246a4d39886f81bfc88c4d061fe1c16a",
+    "turan": "1eb86c5148d44fc00e51dc52fc26ac99697e8dcebf4fae218242e07df96ce353",
     "split": "410244065ec293561e2efd1b59f7010ebf59136e37cddb964a4d012dca8d9ffd",
     "star": "a75a8514ad90da344494aceb08fcd7d0e6c35b4d924eee7198becbbb54c1375c",
     "dstar": "4aba8b84c68489f8a93474c825e89615af870254205a0743f571ebc54baae808",
@@ -371,7 +373,6 @@ class TestUsage:
         code, many, _ = run(capsys, "verify", "--n", "6..6", "--workers", "64")
         assert code == 0
         assert seen.sizes == [2]
-        search._class_cache.clear()
         search._table_cache.clear()
         _, one, _ = run(capsys, "verify", "--n", "6..6", "--workers", "1")
         assert many == one
@@ -380,6 +381,16 @@ class TestUsage:
         monkeypatch.setenv("ABSINDEX_WORKERS", "two")
         code, _, _ = run(capsys, "verify", "--n", "4..4", "--workers", "1")
         assert code == 0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("compute", "Bw"), ("construct", "star", "--n", "5"), ("audit", "T1"), ("lemmas",)],
+    )
+    def test_enable_n8_belongs_to_verify(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "--enable-n8")
+        assert code == 2
+        assert out == ""
+        assert "unrecognized arguments: --enable-n8" in err
 
     def test_unwritable_out(self, tmp_path, capsys):
         target = tmp_path / "missing" / "rows.csv"
@@ -390,3 +401,45 @@ class TestUsage:
         assert out == ""
         assert err.count("\n") == 1 and "cannot write" in err
         assert not target.parent.exists()
+
+
+class TestOutputOnUsageError:
+    """A run that exits 2 writes nothing, to --out or to stdout."""
+
+    def test_existing_out_file_is_left_as_it_was(self, tmp_path, capsys):
+        target = tmp_path / "results.csv"
+        assert main(["verify", "--n", "4..4", "--out", str(target)]) == 0
+        good = target.read_bytes()
+        code, out, err = run(capsys, "verify", "--n", "9", "--out", str(target))
+        assert code == 2
+        assert out == ""
+        assert "cap" in err
+        assert target.read_bytes() == good
+
+    def test_no_out_file_is_created(self, tmp_path, capsys):
+        target = tmp_path / "f.csv"
+        code, _, err = run(capsys, "construct", "turan", "--n", "5", "--out", str(target))
+        assert code == 2
+        assert "--chi" in err
+        assert not target.exists()
+
+    def test_error_after_the_report_prints_no_report(self, capsys):
+        code, out, err = run(capsys, "construct", "turan", "--n", "2", "--chi", "2", "--audit")
+        assert (code, out, err) == (2, "", "construct: math domain error\n")
+
+
+def readme_cli_lines() -> list[list[str]]:
+    """The arguments of each ``absindex`` line in the README's CLI block."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [
+        shlex.split(line, comments=True)[1:]
+        for line in block.splitlines()
+        if line.startswith("absindex ")
+    ]
+
+
+@pytest.mark.parametrize("argv", readme_cli_lines(), ids=" ".join)
+def test_readme_cli_block_runs(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 0, err

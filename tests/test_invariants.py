@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 
 from absindex import (
     are_isomorphic,
@@ -18,9 +19,11 @@ from absindex import (
     enumerate_connected,
 )
 from absindex.invariants import (
+    _colorable,
     _refined_cells,
     find_isomorphism,
     graph_from_canonical_form,
+    independence_within,
 )
 
 import references
@@ -278,6 +281,45 @@ class TestKernelReferences:
                 tri = rng.getrandbits(nbits)
                 form = bytes([n]) + tri.to_bytes(max(1, (nbits + 7) // 8), "big")
                 assert graph_from_canonical_form(form) == references.graph_from_canonical_form(form)
+
+
+def _inner_code(fn, name):
+    return next(c for c in fn.__code__.co_consts if getattr(c, "co_name", None) == name)
+
+
+def search_nodes(graphs) -> tuple[int, int]:
+    """Calls of α's ``expand`` and χ's ``assign`` (one per branch node)
+    while α and χ of each graph are computed, counted by a profile hook."""
+    counts = {
+        _inner_code(independence_within, "expand"): 0,
+        _inner_code(_colorable, "assign"): 0,
+    }
+
+    def hook(frame, event, arg):
+        if event == "call" and frame.f_code in counts:
+            counts[frame.f_code] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        for g in graphs:
+            independence_number(g)
+            chromatic_number(g)
+    finally:
+        sys.setprofile(previous)
+    return tuple(counts.values())
+
+
+class TestSearchNodes:
+    """α and χ are exact under any branching rule, so only the node counts
+    see the rule: branch on the candidate with the most candidate
+    neighbours, the lowest index among ties."""
+
+    def test_every_class_up_to_7(self, small_classes):
+        assert search_nodes(small_classes) == (15912, 1430)
+
+    def test_gnp_graphs_9_to_12(self, gnp_graphs):
+        assert search_nodes(gnp_graphs) == (12642, 1981)
 
 
 class TestIsomorphism:

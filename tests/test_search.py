@@ -66,11 +66,15 @@ class TestEnumeration:
             for g in enumerate_connected(n):
                 assert decode_graph6(encode_graph6(g)) == g
 
-    def test_order_cap(self):
-        with pytest.raises(ValueError):
-            enumerate_connected(8)
-        with pytest.raises(ValueError):
-            enumerate_connected(9, allow_order_8=True)
+    def test_order_8_needs_no_opt_in(self):
+        # one limit with no opt-in: every search path takes order 8 alike
+        assert len(enumerate_connected(8)) == KNOWN_COUNTS[8]
+        assert len(class_table(8).forms) == KNOWN_COUNTS[8]
+        assert max_abs_under(Constraint(8, "chromatic", 3)).unique
+        assert verify_theorem("T1", 8, 3).construction_match
+        # the labeled oracle keeps its own cap
+        with pytest.raises(ValueError, match=r"^order 8 outside the labeled sweep's"):
+            connected_class_forms_labeled(8)
 
     def test_invariant_partition(self):
         # every class lands in exactly one bucket per invariant
@@ -318,10 +322,20 @@ class TestClassTable:
     def test_table_is_cached(self):
         assert class_table(5) is class_table(5)
 
-    def test_order_8_still_needs_opt_in(self, cold_caches):
-        with pytest.raises(ValueError, match="allow_order_8"):
-            max_abs_under(Constraint(8, "chromatic", 3))
-        assert 8 not in search._class_cache and 8 not in search._table_cache
+    def test_orders_outside_the_limit_build_nothing(self, cold_caches):
+        searches = (
+            enumerate_connected,
+            class_table,
+            lambda n: max_abs_under(Constraint(n, "chromatic", 3)),
+            lambda n: verify_theorem("T1", n, 3),
+        )
+        for n in (0, 9):
+            for search_at in searches:
+                with pytest.raises(
+                    ValueError, match=rf"^order {n} outside the supported range 1\.\.8$"
+                ):
+                    search_at(n)
+        assert search._table_cache == {}
 
 
 def _subset_image(mask, perm):
@@ -425,6 +439,5 @@ class TestWorkerPool:
     def test_pooled_table_matches_serial(self, cold_caches, fake_pool):
         fake_pool(cores=2)
         pooled = class_table(7, workers=2)
-        search._class_cache.clear()
         search._table_cache.clear()
         assert class_table(7) == pooled
