@@ -7,13 +7,15 @@ byte-identical output regardless of worker count.
 Exit codes: 0 all checks passed or informational output, 1 a
 verification or lemma check failed, 2 usage or input error.  Output
 reaches ``--out`` or stdout only on exit 0 or 1, so a usage error
-creates no file and leaves an existing one as it was.
+creates no file and leaves an existing one as it was.  Every usage error
+is a ValueError; an ``--out`` that cannot be written is found before the work.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import io
 import os
 import sys
@@ -30,7 +32,7 @@ from .extremal import (
     star,
     turan,
 )
-from .graphs import Graph, Graph6Error, decode_graph6, encode_graph6
+from .graphs import Graph, decode_graph6, encode_graph6
 from .index import abs_index, edge_contributions
 from .invariants import GraphInvariants
 from .search import (
@@ -97,6 +99,21 @@ def _resolve_workers(args) -> int:
     return workers
 
 
+def _check_out(path: str) -> None:
+    """Raise before the run the error that opening ``path`` to write would
+    raise after it, as far as that shows without creating or truncating it."""
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(parent):
+        code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+    elif not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise ValueError(f"cannot write {path}: {os.strerror(code)}")
+
+
 def _open_out(path: str | None):
     if not path:
         return contextlib.nullcontext(sys.stdout)
@@ -153,17 +170,8 @@ def _emit_graph_report(g: Graph, fmt: str, out) -> None:
 
 
 def _cmd_compute(args, out) -> int:
-    text = args.graph6
-    if text is None:
-        text = sys.stdin.read().strip()
-    if not text:
-        print("compute: empty graph6 input", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        g = decode_graph6(text)
-    except Graph6Error as exc:
-        print(f"compute: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    # a Graph6Error, empty input included, is a ValueError: a usage error
+    g = decode_graph6(sys.stdin.read() if args.graph6 is None else args.graph6)
     out.write(f"graph6,{encode_graph6(g)}\n\n")
     _emit_graph_report(g, args.format, out)
     return EXIT_OK
@@ -206,12 +214,10 @@ def _cmd_verify(args, out) -> int:
     n_lo, n_hi = args.n
     cap = MAX_SEARCH_ORDER if args.enable_n8 else DEFAULT_ORDER_CAP
     if n_hi > cap:
-        print(
-            f"verify: order cap {cap} exceeded"
-            + ("" if args.enable_n8 else " (use --enable-n8 for n = 8)"),
-            file=sys.stderr,
+        raise ValueError(
+            f"order cap {cap} exceeded"
+            + ("" if args.enable_n8 else " (use --enable-n8 for n = 8)")
         )
-        return EXIT_USAGE
     theorems = args.theorems
     header = [
         "theorem",
@@ -317,6 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
             help="table output format (default csv)",
         )
         p.add_argument("--out", default=None, help="write output to this file")
+
+    def workers(p):  # only the subcommands that search
         p.add_argument(
             "--workers", type=int, default=None,
             help=f"worker processes (default 1; env {WORKERS_ENV} overrides)",
@@ -348,6 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="order range, N or A..B (default 5..7)",
     )
     common(p)
+    workers(p)
     p.add_argument(
         "--enable-n8", action="store_true",
         help="allow order-8 sweeps (slow)",
@@ -367,6 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="order range for the edge-addition sweep (default 4..6, cap 6)",
     )
     common(p)
+    workers(p)
 
     return parser
 
@@ -389,11 +399,13 @@ def main(argv: list[str] | None = None) -> int:
     handler = _DISPATCH[args.command]
     buffer = io.StringIO()
     try:
-        args.workers = _resolve_workers(args)
+        if hasattr(args, "workers"):
+            args.workers = _resolve_workers(args)
+        if args.out:
+            _check_out(args.out)
         code = handler(args, buffer)
-        if code in (EXIT_OK, EXIT_FAILED):
-            with _open_out(args.out) as out:
-                out.write(buffer.getvalue())
+        with _open_out(args.out) as out:
+            out.write(buffer.getvalue())
         return code
     except ValueError as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)

@@ -13,9 +13,11 @@ with its transpose, made by four delta swaps.  Only rows that fail it
 go through the per-row and per-pair checks, which name the first fault.
 
 The module also implements the standard graph6 text encoding (short
-form, n <= 62) used for input and output of graphs.  The graph6 body and
-a canonical form's body are the same packed pair string, and
-``from_packed_pairs`` decodes both.
+form) used for input and output of graphs.  The graph6 body and a
+canonical form's body are the same packed pair string: pair k, in graph6
+column order, is bit nbits-1-k.  This module alone turns rows into that
+string (``to_packed_pairs``) and back (``from_packed_pairs``); graph6 is
+encoded and decoded through it.
 """
 
 from __future__ import annotations
@@ -166,23 +168,6 @@ class Graph:
         rows[v] |= 1 << u
         return Graph(self.order, tuple(rows))
 
-    # -- triangle-mask interop ----------------------------------------
-
-    def triangle_mask(self) -> int:
-        """Upper-triangle bits packed into one int.
-
-        Bit k encodes the pair (i, j), i < j, with k = j(j-1)/2 + i --
-        the same column-major pair order graph6 uses.
-        """
-        mask = 0
-        k = 0
-        for j in range(1, self.order):
-            for i in range(j):
-                if self.rows[i] >> j & 1:
-                    mask |= 1 << k
-                k += 1
-        return mask
-
     def _check_vertex(self, v: int) -> None:
         if not 0 <= v < self.order:
             raise GraphError(f"vertex {v} out of range 0..{self.order - 1}")
@@ -238,6 +223,16 @@ def from_packed_pairs(order: int, packed: int) -> Graph:
     return Graph(order, tuple(rows))
 
 
+def to_packed_pairs(g: Graph) -> int:
+    """The packed pair string of g; ``from_packed_pairs`` inverts it."""
+    packed = 0
+    for j in range(1, g.order):
+        row = g.rows[j]
+        for i in range(j):
+            packed = packed << 1 | row >> i & 1
+    return packed
+
+
 def complete_graph(order: int) -> Graph:
     full = (1 << order) - 1
     return Graph(order, tuple(full ^ (1 << v) for v in range(order)))
@@ -247,21 +242,15 @@ def complete_graph(order: int) -> Graph:
 
 
 def encode_graph6(g: Graph) -> str:
-    """Encode a graph in the short graph6 form (header byte n+63)."""
+    """Encode a graph in the short graph6 form (header byte n+63): the
+    packed pair string, shifted left by the padding, in 6-bit groups."""
     n = g.order
-    if n > 62:  # unreachable with MAX_ORDER = 12, kept for the contract
-        raise Graph6Error(f"short graph6 form supports n <= 62, got {n}")
-    mask = g.triangle_mask()
     nbits = n * (n - 1) // 2
-    chars = [chr(n + 63)]
-    for start in range(0, nbits, 6):
-        group = 0
-        for off in range(6):
-            k = start + off
-            bit = mask >> k & 1 if k < nbits else 0
-            group = group << 1 | bit
-        chars.append(chr(group + 63))
-    return "".join(chars)
+    groups = (nbits + 5) // 6
+    packed = to_packed_pairs(g) << 6 * groups - nbits
+    return chr(n + 63) + "".join(
+        chr((packed >> 6 * k & 63) + 63) for k in reversed(range(groups))
+    )
 
 
 def decode_graph6(text: str) -> Graph:

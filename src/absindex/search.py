@@ -13,9 +13,10 @@ class of connected graphs:
   non-cut vertex.  Each class then comes from exactly one parent class,
   so the parents' outputs are disjoint (``_augment_parent`` has the
   argument);
-* a labeled sweep (oracle): iterate all 2^(n(n-1)/2) upper-triangle
-  masks, skip masks already known via the permutation orbit of a found
-  class, canonicalize the rest.
+* a labeled sweep (oracle): decode every one of the 2^(n(n-1)/2) packed
+  pair strings with ``graphs.from_packed_pairs``, skip strings already
+  known via the relabeling orbit of a found class, canonicalize the
+  rest.  It runs serially, in this process.
 
 Both must agree exactly; the test suite pins the class counts.  On top
 of the enumeration sit the constrained ABS maximizer, the verifier of the
@@ -57,7 +58,7 @@ from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, replace
 
 from .extremal import CASES, THEOREMS
-from .graphs import MAX_ORDER, Graph, encode_graph6
+from .graphs import MAX_ORDER, Graph, encode_graph6, from_packed_pairs
 from .index import abs_index, edge_weight, gain_contrast, shift_gain
 from .invariants import (
     are_isomorphic,
@@ -453,54 +454,41 @@ def enumerate_connected(n: int, workers: int = 1) -> list[Graph]:
 # -- labeled sweep oracle ---------------------------------------------
 
 
-def _labeled_range(args: tuple[int, int, int]) -> set[bytes]:
-    n, start, stop = args
+def connected_class_forms_labeled(n: int) -> tuple[bytes, ...]:
+    """Oracle enumeration by full labeled sweep; agrees with the fast path.
+
+    Every packed pair string of order n is decoded with
+    ``from_packed_pairs``; each connected graph whose string is not in the
+    relabeling orbit of one already found is canonicalized.
+    """
+    if not 1 <= n <= 7:  # order 8 would be 2^28 strings
+        raise ValueError(f"order {n} outside the labeled sweep's range 1..7")
     nbits = n * (n - 1) // 2
-    pairs = [(i, j) for j in range(1, n) for i in range(j)]
-    perm_maps = []
-    for perm in itertools.permutations(range(n)):
-        index_of = {}
-        for k, (i, j) in enumerate(pairs):
-            index_of[(i, j)] = k
-            index_of[(j, i)] = k
-        perm_maps.append(
-            tuple(index_of[(perm[i], perm[j])] for (i, j) in pairs)
-        )
+    # the edge at each bit, and each relabeling as the bit of each edge's image
+    edges = [from_packed_pairs(n, 1 << b).edges()[0] for b in range(nbits)]
+    bit_of = {}
+    for b, (i, j) in enumerate(edges):
+        bit_of[i, j] = bit_of[j, i] = 1 << b
+    images = [
+        [bit_of[perm[i], perm[j]] for i, j in edges]
+        for perm in itertools.permutations(range(n))
+    ]
     seen: set[int] = set()
     forms: set[bytes] = set()
-    for mask in range(start, stop):
-        if mask in seen:
+    for packed in range(1 << nbits):
+        if packed in seen:
             continue
-        rows = [0] * n
-        for k, (i, j) in enumerate(pairs):
-            if mask >> k & 1:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-        g = Graph(n, tuple(rows))
+        g = from_packed_pairs(n, packed)
         if not g.is_connected():
             continue
         forms.add(canonical_form(g))
-        bits = [k for k in range(nbits) if mask >> k & 1]
-        for pm in perm_maps:
-            pmask = 0
-            for k in bits:
-                pmask |= 1 << pm[k]
-            seen.add(pmask)
-    return forms
-
-
-def connected_class_forms_labeled(n: int, workers: int = 1) -> tuple[bytes, ...]:
-    """Oracle enumeration by full labeled sweep; agrees with the fast path."""
-    if not 1 <= n <= 7:  # order 8 would be 2^28 masks
-        raise ValueError(f"order {n} outside the labeled sweep's range 1..7")
-    total = 1 << (n * (n - 1) // 2)
-    with _shared_workers(workers) as pool:
-        bounds = [total * i // pool.size for i in range(pool.size + 1)]
-        jobs = [(n, bounds[i], bounds[i + 1]) for i in range(pool.size)]
-        merged: set[bytes] = set()
-        for part in pool.map(_labeled_range, jobs):
-            merged |= part
-    return tuple(sorted(merged))
+        bits = [b for b in range(nbits) if packed >> b & 1]
+        for image in images:
+            relabeled = 0
+            for b in bits:
+                relabeled |= image[b]
+            seen.add(relabeled)
+    return tuple(sorted(forms))
 
 
 # -- constrained maximization -----------------------------------------

@@ -1,5 +1,6 @@
 """The per-graph kernels as they were before they moved to bit rows, the
-graph validation as it was before its bit-matrix fast test, the
+graph validation as it was before its bit-matrix fast test, the graph6
+encoder as it was before it wrote the packed pair string, the
 augmentation's max-key test as it was before it was answered from the
 parent, and the theorem verifier as it was before it read the claim
 table.
@@ -22,7 +23,6 @@ from absindex import (
     are_isomorphic,
     complete_split,
     edge_weight,
-    encode_graph6,
     max_abs_under,
     pendant_count,
     pendant_maximizer,
@@ -98,6 +98,39 @@ def decode_graph6(text):
             if bit:
                 mask |= 1 << k
     return from_triangle_mask(n, mask)
+
+
+def triangle_mask(g):
+    """Upper-triangle bits packed into one int.
+
+    Bit k encodes the pair (i, j), i < j, with k = j(j-1)/2 + i --
+    the same column-major pair order graph6 uses.
+    """
+    mask = 0
+    k = 0
+    for j in range(1, g.order):
+        for i in range(j):
+            if g.rows[i] >> j & 1:
+                mask |= 1 << k
+            k += 1
+    return mask
+
+
+def encode_graph6(g):
+    n = g.order
+    if n > 62:  # unreachable with MAX_ORDER = 12, kept for the contract
+        raise Graph6Error(f"short graph6 form supports n <= 62, got {n}")
+    mask = triangle_mask(g)
+    nbits = n * (n - 1) // 2
+    chars = [chr(n + 63)]
+    for start in range(0, nbits, 6):
+        group = 0
+        for off in range(6):
+            k = start + off
+            bit = mask >> k & 1 if k < nbits else 0
+            group = group << 1 | bit
+        chars.append(chr(group + 63))
+    return "".join(chars)
 
 
 # -- index ------------------------------------------------------------

@@ -392,6 +392,42 @@ class TestUsage:
         assert out == ""
         assert "unrecognized arguments: --enable-n8" in err
 
+    @pytest.mark.parametrize(
+        "argv", [("compute", "Bw"), ("construct", "star", "--n", "5"), ("audit", "T1")]
+    )
+    def test_workers_belongs_to_the_searches(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "--workers", "2")
+        assert code == 2
+        assert out == ""
+        assert "unrecognized arguments: --workers 2" in err
+
+    def test_workers_env_is_not_read_without_a_search(self, capsys, monkeypatch):
+        monkeypatch.setenv("ABSINDEX_WORKERS", "two")
+        code, out, err = run(capsys, "compute", "Bw")
+        assert (code, out, err) == (0, COMPUTE_STDOUT["Bw"], "")
+
+    def test_unwritable_out_is_found_before_the_sweep(
+        self, tmp_path, capsys, cold_caches
+    ):
+        target = tmp_path / "missing" / "x.csv"
+        code, out, err = run(
+            capsys, "verify", "--n", "8", "--enable-n8", "--out", str(target)
+        )
+        assert (code, out) == (2, "")
+        assert err == f"verify: cannot write {target}: No such file or directory\n"
+        assert search._table_cache == {}
+
+    def test_out_that_is_a_directory_or_under_a_file(self, tmp_path, capsys):
+        code, out, err = run(capsys, "verify", "--n", "4..4", "--out", str(tmp_path))
+        assert (code, out) == (2, "")
+        assert err == f"verify: cannot write {tmp_path}: Is a directory\n"
+        (tmp_path / "f.csv").write_text("kept")
+        target = tmp_path / "f.csv" / "x.csv"
+        code, out, err = run(capsys, "verify", "--n", "4..4", "--out", str(target))
+        assert (code, out) == (2, "")
+        assert err == f"verify: cannot write {target}: Not a directory\n"
+        assert (tmp_path / "f.csv").read_text() == "kept"
+
     def test_unwritable_out(self, tmp_path, capsys):
         target = tmp_path / "missing" / "rows.csv"
         code, out, err = run(

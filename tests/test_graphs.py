@@ -11,7 +11,8 @@ from absindex import (
     encode_graph6,
     from_edges,
 )
-from absindex.graphs import from_packed_pairs
+from absindex import search
+from absindex.graphs import from_packed_pairs, to_packed_pairs
 
 import references
 
@@ -291,6 +292,34 @@ class TestPackedPairs:
         for order in (0, 13):
             with pytest.raises(GraphError, match="order must be in 1..12"):
                 from_packed_pairs(order, 1)
+
+    def test_to_packed_pairs_puts_the_first_pair_on_top(self):
+        assert to_packed_pairs(from_edges(3, [(0, 1)])) == 0b100
+        assert to_packed_pairs(from_edges(3, [(1, 2)])) == 0b001
+        assert to_packed_pairs(complete_graph(12)) == (1 << 66) - 1
+
+
+def reference_graphs(small_classes, gnp_graphs):
+    """Every class of order 1..8, the G(n, p) graphs of order 9..12, 600
+    seeded G(n, p) graphs of order 1..12, and the edgeless and complete
+    graph of every order 1..12."""
+    rng = random.Random(5)
+    seeded = [random_graph(rng.randint(1, 12), rng) for _ in range(600)]
+    extremes = [g for n in range(1, 13) for g in (from_edges(n, []), complete_graph(n))]
+    return [*small_classes, *search.enumerate_connected(8), *gnp_graphs, *seeded, *extremes]
+
+
+class TestEncoderReference:
+    """encode_graph6 writes exactly what the old body did, and the packed
+    pair string round-trips."""
+
+    def test_encode_matches_reference(self, small_classes, gnp_graphs):
+        for g in reference_graphs(small_classes, gnp_graphs):
+            assert encode_graph6(g) == references.encode_graph6(g)
+
+    def test_packed_pairs_round_trip(self, small_classes, gnp_graphs):
+        for g in reference_graphs(small_classes, gnp_graphs):
+            assert from_packed_pairs(g.order, to_packed_pairs(g)) == g
 
 
 class TestDecoderReference:

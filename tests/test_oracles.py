@@ -1,5 +1,5 @@
-"""networkx as an independent oracle for alpha, isomorphism and the
-order-7 classes."""
+"""networkx as an independent oracle for alpha, isomorphism, graph6 and
+the order-7 classes."""
 
 import itertools
 import random
@@ -11,7 +11,9 @@ nx = pytest.importorskip("networkx")
 from absindex import (  # noqa: E402
     are_isomorphic,
     canonical_form,
+    complete_graph,
     connected_class_forms,
+    encode_graph6,
     enumerate_connected,
     from_edges,
     independence_number,
@@ -34,6 +36,14 @@ def test_independence_number_is_clique_number_of_complement(gnp_graphs):
         h = to_nx(g)
         _, size = nx.max_weight_clique(nx.complement(h), weight=None)
         assert independence_number(g) == size
+
+
+def test_graph6_agrees_with_networkx(small_classes, gnp_graphs):
+    extremes = [g for n in range(1, 13) for g in (from_edges(n, []), complete_graph(n))]
+    for g in [*small_classes, *gnp_graphs, *extremes]:
+        text = nx.to_graph6_bytes(to_nx(g), header=False).strip()
+        assert text == encode_graph6(g).encode()
+        assert from_nx(nx.from_graph6_bytes(text), g.order) == g
 
 
 def test_atlas_order_7_gives_exactly_the_enumerated_classes():

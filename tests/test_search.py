@@ -51,9 +51,6 @@ class TestEnumeration:
         for n in range(1, 7):
             assert connected_class_forms_labeled(n) == connected_class_forms(n)
 
-    def test_labeled_sweep_parallel_agrees(self):
-        assert connected_class_forms_labeled(6, workers=2) == connected_class_forms(6)
-
     def test_representatives_are_connected_and_distinct(self):
         for n in range(2, 7):
             graphs = enumerate_connected(n)
@@ -424,11 +421,6 @@ class TestWorkerPool:
         assert seen.sizes == [2]
         assert seen.batches == [2, 6, 21, 112]  # orders 4..7; order 7 with its rows
         assert len(table.forms) == len(table.abs_value) == 853
-
-    def test_labeled_sweep_splits_over_the_clamped_pool(self, fake_pool):
-        seen = fake_pool(cores=2)
-        assert connected_class_forms_labeled(5, workers=8) == connected_class_forms(5)
-        assert seen.sizes == [2] and seen.batches == [2]
 
     def test_one_worker_forks_nothing(self, cold_caches, fake_pool):
         seen = fake_pool(cores=8)
