@@ -5,16 +5,17 @@ fixed row order) as CSV or Markdown, so identical invocations produce
 byte-identical output regardless of worker count.
 
 Exit codes: 0 all checks passed or informational output, 1 a
-verification or lemma check failed, 2 usage or input error.  Output
-reaches ``--out`` or stdout only on exit 0 or 1, so a usage error
-creates no file and leaves an existing one as it was.  Every usage error
-is a ValueError; an ``--out`` that cannot be written is found before the work.
+verification or lemma check failed, 2 usage or input error, or output
+that could not be written.  Output reaches ``--out`` or stdout only on
+exit 0 or 1, so a usage error creates no file and leaves an existing one
+as it was.  Every usage error is a ValueError; an ``--out`` that cannot
+be opened is found before the work, and a write that fails after it
+(a full device, say) is reported as one line too.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import errno
 import io
 import os
@@ -32,7 +33,7 @@ from .extremal import (
     star,
     turan,
 )
-from .graphs import Graph, decode_graph6, encode_graph6
+from .graphs import MAX_ORDER, Graph, decode_graph6, encode_graph6
 from .index import abs_index, edge_contributions
 from .invariants import GraphInvariants
 from .search import (
@@ -114,13 +115,34 @@ def _check_out(path: str) -> None:
     raise ValueError(f"cannot write {path}: {os.strerror(code)}")
 
 
-def _open_out(path: str | None):
-    if not path:
-        return contextlib.nullcontext(sys.stdout)
+def _emit(text: str, path: str | None) -> None:
+    """Write ``text`` to ``path``, else to stdout; a failed open, write,
+    flush or close raises ValueError."""
     try:
-        return open(path, "w", newline="")
+        if path:
+            with open(path, "w", newline="") as out:
+                out.write(text)
+        else:
+            sys.stdout.write(text)
+            sys.stdout.flush()
     except OSError as exc:
-        raise ValueError(f"cannot write {path}: {exc.strerror}") from None
+        if not path:
+            _drop_stdout()
+        raise ValueError(f"cannot write {path or 'stdout'}: {exc.strerror}") from None
+
+
+def _drop_stdout() -> None:
+    """Point stdout's descriptor at the null device, so that what a failed
+    write left in its buffer goes nowhere at exit instead of failing again."""
+    try:
+        fd = sys.stdout.fileno()
+    except (OSError, ValueError):
+        return  # not backed by a descriptor
+    null = os.open(os.devnull, os.O_WRONLY)
+    try:
+        os.dup2(null, fd)
+    finally:
+        os.close(null)
 
 
 def _audit_cells(a: FormulaAudit) -> list[str]:
@@ -255,6 +277,9 @@ def _cmd_verify(args, out) -> int:
 
 def _cmd_audit(args, out) -> int:
     n_lo, n_hi = args.n
+    if n_hi > MAX_ORDER:  # no graph has it, so no printed bound speaks of it
+        first = max(n_lo, MAX_ORDER + 1)
+        raise ValueError(f"order must be in 1..{MAX_ORDER}, got {first}")
     header = ["case", "n", "param", "printed", "direct", "difference", "agrees"]
     case = CASES[args.case]
     rows = []
@@ -404,8 +429,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.out:
             _check_out(args.out)
         code = handler(args, buffer)
-        with _open_out(args.out) as out:
-            out.write(buffer.getvalue())
+        _emit(buffer.getvalue(), args.out)
         return code
     except ValueError as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)

@@ -31,20 +31,22 @@ Which orders a user may sweep by default is the CLI's policy.
 Per-class facts are computed once per order: every augmentation job
 also computes χ, α, pendant count and the ABS value of each class it
 finds, and ``class_table(n)`` keeps them in compact columns parallel to
-the sorted forms, in the one cache of each order.  A job works out its
-parent's degrees, cut vertices, χ and α once, and answers each child
-from them: its max-key test, whether it is χ(parent)-colourable, and
-whether the vertices outside its new vertex's neighbours hold an
-independent set of size α(parent), which decides between the parent's
-value and one more; only the children that pass the key test are built
-as graphs.  A constrained maximization is then a scan of one column and
-a max over the value column; only the maximizers are decoded again.
+the sorted forms, in the one cache of each order.  A job's only input is
+one row of ``class_table(n - 1)``: its parent's form, χ and α.  It
+decodes the form once, works out the parent's degrees and cut vertices
+once, and answers each child from them: its max-key test, whether it is
+χ(parent)-colourable, and whether the vertices outside its new vertex's
+neighbours hold an independent set of size α(parent), which decides
+between the parent's value and one more; only the children that pass the
+key test are built as graphs.  A constrained maximization is then a scan
+of one column and a max over the value column; only the maximizers are
+decoded again.
 
 Work is optionally spread over one process pool per top-level call: an
 enumeration uses it for every order it builds.  The pool holds at most
-as many workers as this process has usable cores.  The jobs' outputs
-are concatenated and sorted once, the table columns along with the
-forms, so reports are identical for any worker count.
+as many workers as this process has usable cores.  Each job returns five
+columns (form, χ, α, pendants, ABS); they are concatenated and sorted
+once, all five alike, so reports are identical for any worker count.
 """
 
 from __future__ import annotations
@@ -65,11 +67,9 @@ from .invariants import (
     canonical_form,
     canonical_labeling,
     cell_automorphisms,
-    chromatic_number,
     find_isomorphism,
     form_from_triangle,
     graph_from_canonical_form,
-    independence_number,
     independence_within,
     is_colorable,
 )
@@ -181,14 +181,17 @@ def _components_without(rows: Sequence[int], v: int) -> list[int]:
 class _Parent:
     """What every one-vertex extension of one parent is answered from.
 
-    A child adds the new vertex ``order`` on a neighbour mask ``nbrs``;
-    its degrees are the parent's plus ``nbrs`` and ``|nbrs|`` for the new
+    The parent is given by its canonical form, decoded here once, and
+    its χ and α, taken as given from its order's class table.  A child
+    adds the new vertex ``order`` on a neighbour mask ``nbrs``; its
+    degrees are the parent's plus ``nbrs`` and ``|nbrs|`` for the new
     vertex.  ``_augment_parent`` has the argument for each rule.
     """
 
-    def __init__(self, order: int, rows: tuple[int, ...]) -> None:
-        self.graph = Graph(order, rows)
-        self.rows = rows
+    def __init__(self, form: bytes, chromatic: int, independence: int) -> None:
+        self.graph = graph_from_canonical_form(form)
+        self.rows = rows = self.graph.rows
+        order = len(rows)
         degrees = [row.bit_count() for row in rows]
         # by_degree[k]: the vertices of degree k; above[k]: those above k
         self.by_degree = [0] * (order + 1)
@@ -207,8 +210,8 @@ class _Parent:
         # new vertex's neighbours have in the child
         self.packed = _subset_sums([_DEGREE_WEIGHT[k] for k in degrees])
         self.raised = _subset_sums([_DEGREE_WEIGHT[k + 1] for k in degrees])
-        self.chromatic = chromatic_number(self.graph)
-        self.independence = independence_number(self.graph)
+        self.chromatic = chromatic
+        self.independence = independence
 
     def max_key_ties(self, nbrs: int) -> list[int] | None:
         """The child's non-cut vertices with the largest key (degree,
@@ -283,15 +286,15 @@ def _child_row(parent: _Parent, child: Graph, nbrs: int) -> tuple[int, int, int,
 
 
 def _augment_parent(
-    args: tuple[int, tuple[int, ...]],
-) -> tuple[list[bytes], tuple[array, ...]]:
+    row: tuple[bytes, int, int],
+) -> tuple[list[bytes], array, array, array, array]:
     """The new classes one parent generates, with their table rows.
 
-    Returns the canonical forms of the accepted one-vertex extensions of
-    the parent, each once, and the χ, α, pendant and ABS columns of those
-    classes in the same order.  The rules follow McKay's canonical
-    construction path ("Isomorph-free exhaustive generation", J.
-    Algorithms 26, 1998).
+    ``row`` is the parent's (form, χ, α) row of its order's class table.
+    Returns the form, χ, α, pendant and ABS columns of the accepted
+    one-vertex extensions of the parent, one row per class.  The rules
+    follow McKay's canonical construction path ("Isomorph-free
+    exhaustive generation", J. Algorithms 26, 1998).
 
     Child side.  Let m(G) be, among the non-cut vertices of G with the
     largest key (degree, ascending neighbour degrees), the one that the
@@ -316,7 +319,7 @@ def _augment_parent(
     is sound; a smaller one only leaves more repeats for the set.
 
     From the parent.  The key test and the row of the child C on a
-    neighbour set N are answered from facts computed once per parent P
+    neighbour set N are answered from facts gathered once per parent P
     (``_Parent``), and C is built only if it passes the test.
     - Cut vertices.  C - new = P is connected, so the new vertex is never
       a cut vertex.  For a parent vertex v, C - v is P - v with the new
@@ -336,43 +339,33 @@ def _augment_parent(
       χ(P) + 1 otherwise.
     - Pendants are counted from C's degrees; ABS is ``abs_index(C)``.
     """
-    parent_order, parent_rows = args
-    parent = _Parent(parent_order, parent_rows)
-    n = parent_order + 1
-    new = parent_order
+    parent = _Parent(*row)
+    new = len(parent.rows)
     seen: set[bytes] = set()
-    forms: list[bytes] = []
     columns = _new_columns()
     for nbrs in _orbit_leaders(parent.graph):
         tied = parent.max_key_ties(nbrs)
         if tied is None:
             continue
-        rows = [row | (nbrs >> v & 1) << new for v, row in enumerate(parent_rows)]
+        rows = [r | (nbrs >> v & 1) << new for v, r in enumerate(parent.rows)]
         rows.append(nbrs)
-        child = Graph(n, tuple(rows))
+        child = Graph(new + 1, tuple(rows))
         tri, order = canonical_labeling(child)
         last = max(tied, key=order.index)  # m(child)
         if last != new and find_isomorphism(child, child, (new, last)) is None:
             continue
-        form = form_from_triangle(n, tri)
+        form = form_from_triangle(new + 1, tri)
         if form in seen:
             continue
         seen.add(form)
-        forms.append(form)
-        _append_row(columns, _child_row(parent, child, nbrs))
-    return forms, columns
+        for column, value in zip(columns, (form, *_child_row(parent, child, nbrs))):
+            column.append(value)
+    return columns
 
 
-def _new_columns() -> tuple[array, array, array, array]:
-    """Empty χ, α, pendant and ABS columns, in ``ClassTable`` order."""
-    return array("b"), array("b"), array("b"), array("d")
-
-
-def _append_row(
-    columns: tuple[array, array, array, array], row: tuple[int, int, int, float]
-) -> None:
-    for column, value in zip(columns, row):
-        column.append(value)
+def _new_columns() -> tuple[list[bytes], array, array, array, array]:
+    """Empty form, χ, α, pendant and ABS columns, in ``ClassTable`` order."""
+    return [], array("b"), array("b"), array("b"), array("d")
 
 
 def _orbit_leaders(g: Graph) -> list[int]:
@@ -408,11 +401,11 @@ def connected_class_forms(n: int, workers: int = 1) -> tuple[bytes, ...]:
     """Sorted canonical forms of all connected isomorphism classes.
 
     All orders built by one call share one pool of at most ``workers``
-    processes.  Each parent class of order n - 1 is one job; the jobs'
-    outputs are disjoint, so they are concatenated and sorted once.  The
-    jobs also compute the rows of ``class_table(n)``, which are permuted
-    along with the forms and cached with them.  An order outside
-    1..MAX_SEARCH_ORDER raises ValueError before any order is built.
+    processes.  Each (form, χ, α) row of ``class_table(n - 1)`` is one
+    job; the jobs' outputs are disjoint, so their five columns are
+    concatenated and sorted once, all alike, and cached as
+    ``class_table(n)``.  An order outside 1..MAX_SEARCH_ORDER raises
+    ValueError before any order is built.
     """
     if not 1 <= n <= MAX_SEARCH_ORDER:
         raise ValueError(f"order {n} outside the supported range 1..{MAX_SEARCH_ORDER}")
@@ -420,28 +413,24 @@ def connected_class_forms(n: int, workers: int = 1) -> tuple[bytes, ...]:
     if cached is not None:
         return cached.forms
     columns = _new_columns()
-    if n == 1:
-        found = [canonical_form(Graph(1, (0,)))]
-        _append_row(columns, (1, 1, 0, 0.0))  # K1: χ = α = 1, no edges
-    else:
-        with _shared_workers(workers) as pool:
+    with _shared_workers(workers) as pool:
+        if n == 1:  # K1: χ = α = 1, no pendants, no edges
+            parts = [([canonical_form(Graph(1, (0,)))], [1], [1], [0], [0.0])]
+        else:
+            parents = class_table(n - 1, workers)
             # greatest form first: K_(n-1), whose child K_n has the
             # costliest canonical search, then starts the batch instead of
             # ending it alone in the pool's last chunk
-            parents = map(
-                graph_from_canonical_form,
-                reversed(connected_class_forms(n - 1, workers)),
-            )
-            jobs = [(g.order, g.rows) for g in parents]
-            found = []
-            for part, part_columns in pool.map(_augment_parent, jobs):
-                found += part
-                for column, piece in zip(columns, part_columns):
-                    column.extend(piece)
+            jobs = zip(parents.forms, parents.chromatic, parents.independence)
+            parts = pool.map(_augment_parent, list(jobs)[::-1])
+        for part in parts:
+            for column, piece in zip(columns, part):
+                column.extend(piece)
+    found = columns[0]
     rank = sorted(range(len(found)), key=found.__getitem__)
     forms = tuple(map(found.__getitem__, rank))
     _table_cache[n] = ClassTable(
-        forms, *(array(c.typecode, map(c.__getitem__, rank)) for c in columns)
+        forms, *(array(c.typecode, map(c.__getitem__, rank)) for c in columns[1:])
     )
     return forms
 

@@ -1,6 +1,9 @@
 import hashlib
 import io
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -333,12 +336,13 @@ class TestUsage:
         assert out == ""
         assert "below 1" in err
 
-    def test_audit_order_above_graph_cap(self, capsys):
-        # an order no graph can have is an input error, not a missing maximizer
-        code, out, err = run(capsys, "audit", "T3", "--n", "12..13")
-        assert code == 2
-        assert out == ""
-        assert "order must be in 1..12" in err
+    @pytest.mark.parametrize("case", ["T1", "T2", "T3", "T3-clique-term"])
+    def test_audit_order_above_graph_cap(self, capsys, case):
+        # an order no graph can have is an input error, not a missing
+        # maximizer; no row is built for it, or for the orders below it
+        code, out, err = run(capsys, "audit", case, "--n", "12..13")
+        assert (code, out) == (2, "")
+        assert err == "audit: order must be in 1..12, got 13\n"
 
     def test_workers_zero(self, capsys):
         code, out, err = run(capsys, "verify", "--n", "4..4", "--workers", "0")
@@ -437,6 +441,42 @@ class TestUsage:
         assert out == ""
         assert err.count("\n") == 1 and "cannot write" in err
         assert not target.parent.exists()
+
+
+def run_process(argv, stdout):
+    """``python -m absindex *argv`` in a new process; its exit code and stderr.
+
+    Its stdout is block-buffered, as by default, so that what a failed
+    write leaves in the buffer would be flushed again at exit.
+    """
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(__file__).parent.parent / "src")
+    done = subprocess.run(
+        [sys.executable, "-m", "absindex", *argv],
+        env=env,
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+        text=True,
+        timeout=120,
+    )
+    return done.returncode, done.stderr
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+class TestFailedWrite:
+    """A write that fails after the work exits 2 with one line, no traceback."""
+
+    def test_out_on_full_device(self):
+        argv = ("verify", "--n", "5", "--out", "/dev/full")
+        code, err = run_process(argv, subprocess.DEVNULL)
+        assert code == 2
+        assert err == "verify: cannot write /dev/full: No space left on device\n"
+
+    def test_stdout_on_full_device(self):
+        with open("/dev/full", "w") as full:
+            code, err = run_process(("compute", "Bw"), full)
+        assert code == 2
+        assert err == "compute: cannot write stdout: No space left on device\n"
 
 
 class TestOutputOnUsageError:

@@ -22,7 +22,7 @@ from absindex import (
     turan,
     verify_theorem,
 )
-from absindex import GraphError, search
+from absindex import GraphError, invariants, search
 from absindex.invariants import (
     GraphInvariants,
     chromatic_number,
@@ -262,24 +262,26 @@ class TestClassTable:
             )
 
     def test_invariants_once_per_class(self, cold_caches, monkeypatch):
-        # one row per order-7 class, and chi and alpha once per order-6
-        # parent; the lower orders are built first, so only order 7 counts
+        # one row per order-7 class, and no exact chi or alpha search: the
+        # order-6 parents' values come from their table; the lower orders
+        # are built first, so only order 7 counts
         connected_class_forms(6)
         calls = dict.fromkeys(
             ("_child_row", "chromatic_number", "independence_number"), 0
         )
 
-        def counting(name):
-            fn = getattr(search, name)
+        def counting(module, name):
+            fn = getattr(module, name)
 
             def counted(*args):
                 calls[name] += 1
                 return fn(*args)
 
-            return counted
+            monkeypatch.setattr(module, name, counted)
 
-        for name in calls:
-            monkeypatch.setattr(search, name, counting(name))
+        counting(search, "_child_row")
+        counting(invariants, "chromatic_number")
+        counting(invariants, "independence_number")
         # nor does the scan compute invariants per class
         monkeypatch.setattr(
             GraphInvariants, "of", classmethod(lambda cls, g: pytest.fail("of"))
@@ -289,8 +291,8 @@ class TestClassTable:
                 verify_theorem(theorem, 7, k)
         assert calls == {
             "_child_row": 853,
-            "chromatic_number": 112,
-            "independence_number": 112,
+            "chromatic_number": 0,
+            "independence_number": 0,
         }
 
     def test_parent_derived_rows_match_direct_invariants_to_8(self):
@@ -349,14 +351,20 @@ def _automorphisms(g):
     ]
 
 
+def _table_rows(n):
+    """The (form, chi, alpha) rows of ``class_table(n)``: the jobs of n + 1."""
+    table = class_table(n)
+    return list(zip(table.forms, table.chromatic, table.independence))
+
+
 class TestAcceptRule:
     def test_every_class_has_an_accepted_parent(self):
         # one parent class per class: the jobs' outputs are disjoint,
         # hold no repeats, and together give every class of the order
         for n in range(2, 9):
             found = []
-            for g in enumerate_connected(n - 1):
-                forms, columns = search._augment_parent((g.order, g.rows))
+            for row in _table_rows(n - 1):
+                forms, *columns = search._augment_parent(row)
                 assert [len(column) for column in columns] == [len(forms)] * 4
                 found += forms
             assert len(found) == len(set(found))
@@ -371,11 +379,10 @@ class TestAcceptRule:
             calls += 1
             return labeling(g)
 
-        forms = connected_class_forms(7)
-        parents = [search.graph_from_canonical_form(f) for f in forms]
+        parents = _table_rows(7)
         monkeypatch.setattr(search, "canonical_labeling", counting)
-        for g in parents:
-            search._augment_parent((g.order, g.rows))
+        for row in parents:
+            search._augment_parent(row)
         assert calls == 11997  # of 853 * 127 = 108,331 children
 
     def test_max_key_ties_match_the_reference(self):
@@ -383,7 +390,10 @@ class TestAcceptRule:
         # the old test on the built child ties, for every child at n <= 7
         for n in range(1, 7):
             for g in enumerate_connected(n):
-                parent = search._Parent(g.order, g.rows)
+                parent = search._Parent(
+                    canonical_form(g), chromatic_number(g), independence_number(g)
+                )
+                assert parent.rows == g.rows  # the labels the reference sees
                 for nbrs in range(1, 1 << n):
                     rows = [row | (nbrs >> v & 1) << n for v, row in enumerate(g.rows)]
                     rows.append(nbrs)
