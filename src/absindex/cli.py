@@ -10,7 +10,10 @@ that could not be written.  Output reaches ``--out`` or stdout only on
 exit 0 or 1, so a usage error creates no file and leaves an existing one
 as it was.  Every usage error is a ValueError; an ``--out`` that cannot
 be opened is found before the work, and a write that fails after it
-(a full device, say) is reported as one line too.
+(a full device, say) is reported as one line too.  Such a write is the
+one exit 2 that can change an existing ``--out``: the file is opened,
+and so emptied, only after the work, and keeps what was written before
+the failure.
 """
 
 from __future__ import annotations
@@ -40,10 +43,10 @@ from .search import (
     MAX_SEARCH_ORDER,
     check_edge_additions,
     check_scalar_properties,
+    class_table,
     verify_theorem,
 )
 
-WORKERS_ENV = "ABSINDEX_WORKERS"
 DEFAULT_ORDER_CAP = 7  # verify's order limit unless --enable-n8 lifts it
 
 EXIT_OK = 0
@@ -81,23 +84,6 @@ def _parse_range(text: str, what: str) -> tuple[int, int]:
     if lo < 1:
         raise argparse.ArgumentTypeError(f"{what} range {text!r} starts below 1")
     return lo, hi
-
-
-def _resolve_workers(args) -> int:
-    """The --workers flag, else the environment, else 1; must be positive."""
-    if args.workers is not None:
-        source, text = "--workers", str(args.workers)
-    else:
-        source, text = WORKERS_ENV, os.environ.get(WORKERS_ENV)
-        if not text:
-            return 1
-    try:
-        workers = int(text)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ValueError(f"{source} must be a positive integer, got {text!r}")
-    return workers
 
 
 def _check_out(path: str) -> None:
@@ -200,9 +186,10 @@ def _cmd_compute(args, out) -> int:
 
 
 # family: (its option x, the claim it may be the maximizer of, the graph
-# and that claim's k at (n, x)).  The audit row is printed only where the
-# claim's maximizer at (n, k) is the built graph: dstar only at m = 2, kite
-# only at 1 <= p <= n - 3.
+# and that claim's k at (n, x)).  The audit row is printed only where
+# ``audit`` prints it and the claim's maximizer at (n, k) is the built
+# graph: turan only at 3 <= chi <= n - 1, dstar only at m = 2, kite only
+# at 1 <= p <= n - 3.
 _FAMILIES = {
     "turan": ("chi", "T1", lambda n, x: (turan(n, x), x)),
     "split": ("alpha", "T2", lambda n, x: (complete_split(n, x), x)),
@@ -220,7 +207,8 @@ def _cmd_construct(args, out) -> int:
     g, k = build(args.n, x)
     out.write(f"graph6,{encode_graph6(g)}\n\n")
     _emit_graph_report(g, args.format, out)
-    if args.audit and CASES[case].maximizer(args.n, k) == g:
+    claim = CASES[case]
+    if args.audit and k in claim.params(args.n) and claim.maximizer(args.n, k) == g:
         a = formula_audit(case, args.n, k)
         out.write("\n")
         _write_table(
@@ -234,12 +222,15 @@ def _cmd_construct(args, out) -> int:
 
 def _cmd_verify(args, out) -> int:
     n_lo, n_hi = args.n
+    if args.workers < 1:
+        raise ValueError(f"--workers must be a positive integer, got '{args.workers}'")
     cap = MAX_SEARCH_ORDER if args.enable_n8 else DEFAULT_ORDER_CAP
     if n_hi > cap:
         raise ValueError(
             f"order cap {cap} exceeded"
             + ("" if args.enable_n8 else " (use --enable-n8 for n = 8)")
         )
+    class_table(n_hi, args.workers)  # every order of the sweep, in one pool
     theorems = args.theorems
     header = [
         "theorem",
@@ -257,7 +248,7 @@ def _cmd_verify(args, out) -> int:
     for theorem in theorems:
         for n in range(n_lo, n_hi + 1):
             for k in CASES[theorem].params(n):
-                rep = verify_theorem(theorem, n, k, workers=args.workers)
+                rep = verify_theorem(theorem, n, k)
                 if rep.in_hypothesis and not (rep.construction_match and rep.unique):
                     all_ok = False
                 rows.append([
@@ -298,7 +289,7 @@ def _cmd_lemmas(args, out) -> int:
     ok = True
     rows = []
     for n in range(n_lo, n_hi + 1):
-        rep = check_edge_additions(n, workers=args.workers)
+        rep = check_edge_additions(n)
         ok &= rep.passed
         rows.append([
             f"edge addition increases ABS (n={n})",
@@ -349,12 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--out", default=None, help="write output to this file")
 
-    def workers(p):  # only the subcommands that search
-        p.add_argument(
-            "--workers", type=int, default=None,
-            help=f"worker processes (default 1; env {WORKERS_ENV} overrides)",
-        )
-
     p = sub.add_parser("compute", help="ABS report for a graph6 graph")
     p.add_argument("graph6", nargs="?", help="graph6 text (default: stdin)")
     common(p)
@@ -381,7 +366,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="order range, N or A..B (default 5..7)",
     )
     common(p)
-    workers(p)
+    p.add_argument(
+        "--workers", type=int, default=1,
+        help="worker processes for the class tables (default 1)",
+    )
     p.add_argument(
         "--enable-n8", action="store_true",
         help="allow order-8 sweeps (slow)",
@@ -401,7 +389,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="order range for the edge-addition sweep (default 4..6, cap 6)",
     )
     common(p)
-    workers(p)
 
     return parser
 
@@ -424,8 +411,6 @@ def main(argv: list[str] | None = None) -> int:
     handler = _DISPATCH[args.command]
     buffer = io.StringIO()
     try:
-        if hasattr(args, "workers"):
-            args.workers = _resolve_workers(args)
         if args.out:
             _check_out(args.out)
         code = handler(args, buffer)

@@ -42,9 +42,10 @@ key test are built as graphs.  A constrained maximization is then a scan
 of one column and a max over the value column; only the maximizers are
 decoded again.
 
-Work is optionally spread over one process pool per top-level call: an
-enumeration uses it for every order it builds.  The pool holds at most
-as many workers as this process has usable cores.  Each job returns five
+Only the table builders, ``connected_class_forms`` and ``class_table``,
+take a worker count: one pool per builder call, for every order it
+builds; the CLI makes one call per sweep.  The pool holds at most as
+many workers as this process has usable cores.  Each job returns five
 columns (form, χ, α, pendants, ABS); they are concatenated and sorted
 once, all five alike, so reports are identical for any worker count.
 """
@@ -435,9 +436,9 @@ def connected_class_forms(n: int, workers: int = 1) -> tuple[bytes, ...]:
     return forms
 
 
-def enumerate_connected(n: int, workers: int = 1) -> list[Graph]:
+def enumerate_connected(n: int) -> list[Graph]:
     """One canonically labeled representative per connected class."""
-    return [graph_from_canonical_form(f) for f in connected_class_forms(n, workers)]
+    return [graph_from_canonical_form(f) for f in connected_class_forms(n)]
 
 
 # -- labeled sweep oracle ---------------------------------------------
@@ -532,19 +533,21 @@ def class_table(n: int, workers: int = 1) -> ClassTable:
     """The cached invariant table of order n, built with its classes.
 
     Each row is computed in the augmentation job that finds its class,
-    from that job's parent (``_augment_parent``).
+    from that job's parent (``_augment_parent``).  Every order the call
+    builds, 1..n as needed, shares one pool of at most ``workers``.
     """
     connected_class_forms(n, workers)
     return _table_cache[n]
 
 
-def max_abs_under(constraint: Constraint, workers: int = 1) -> SearchReport:
+def max_abs_under(constraint: Constraint) -> SearchReport:
     """Exact maximum of the ABS index over the constrained classes.
 
-    All graphs within TIE_TOLERANCE of the maximum are collected, so a
+    Scans ``class_table(order)``, built serially unless cached.  All
+    graphs within TIE_TOLERANCE of the maximum are collected, so a
     false uniqueness claim would surface as multiple maximizers.
     """
-    table = class_table(constraint.order, workers)
+    table = class_table(constraint.order)
     if constraint.kind == "none":
         selected = range(len(table.forms))
     else:
@@ -577,16 +580,17 @@ def max_abs_under(constraint: Constraint, workers: int = 1) -> SearchReport:
     )
 
 
-def verify_theorem(theorem: str, n: int, k: int, workers: int = 1) -> SearchReport:
+def verify_theorem(theorem: str, n: int, k: int) -> SearchReport:
     """Exhaustively test one extremal characterization at one (n, k).
 
-    Where the claimed maximizer does not exist there is no claim: the
-    report says ``construction_match=False`` and ``in_hypothesis=False``.
+    Scans ``class_table(n)`` through ``max_abs_under``.  Where the
+    claimed maximizer does not exist there is no claim: the report says
+    ``construction_match=False`` and ``in_hypothesis=False``.
     """
     if theorem not in THEOREMS:
         raise ValueError(f"unknown theorem id {theorem!r}; expected one of {THEOREMS}")
     case = CASES[theorem]
-    report = max_abs_under(Constraint(n, case.kind, k), workers)
+    report = max_abs_under(Constraint(n, case.kind, k))
     expected = case.maximizer(n, k)
     if expected is None:
         return replace(report, construction_match=False, in_hypothesis=False)
@@ -615,13 +619,13 @@ class EdgeAdditionReport:
     counterexample: str | None  # graph6 of the offending graph, if any
 
 
-def check_edge_additions(n: int, workers: int = 1) -> EdgeAdditionReport:
+def check_edge_additions(n: int) -> EdgeAdditionReport:
     """Adding any edge to any connected class must strictly raise ABS."""
     if n > 6:
         raise ValueError(f"edge-addition sweep capped at n = 6, got {n}")
     min_margin = None
     checks = 0
-    for g in enumerate_connected(n, workers):
+    for g in enumerate_connected(n):
         base = abs_index(g)
         for u in range(n):
             for v in range(u + 1, n):

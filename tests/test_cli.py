@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from absindex import complete_graph, encode_graph6, search, star, turan
+from absindex import cli, complete_graph, encode_graph6, search, star, turan
 from absindex.cli import main
 
 # stdout of `absindex verify --n 8 --enable-n8` (T1-T3, 19 rows)
@@ -137,6 +137,18 @@ class TestConstruct:
         assert code == 2
         assert "--chi" in err
 
+    def test_audit_row_only_where_audit_prints_it(self, capsys):
+        # T1 claims 3 <= chi <= n - 1: no row at chi = 2, and none at all at n = 2
+        for n, chi in (("2", "2"), ("5", "2"), ("5", "5")):
+            argv = ("construct", "turan", "--n", n, "--chi", chi, "--audit")
+            code, out, err = run(capsys, *argv)
+            assert (code, err) == (0, "")
+            assert "case,printed" not in out
+        _, out, _ = run(capsys, "construct", "turan", "--n", "5", "--chi", "3", "--audit")
+        _, table, _ = run(capsys, "audit", "T1", "--n", "5")
+        row = next(r for r in table.splitlines() if r.startswith("T1,5,3,"))
+        assert out.splitlines()[-1] == "T1 n=5 chi=3," + row.split(",", 3)[3]
+
 
 class TestVerify:
     def test_t1_small(self, capsys):
@@ -248,7 +260,7 @@ AUDIT_SHA256 = {
     "T3-clique-term": "ef55148418b5f80072366ef0226e06df69823d80cc7cf57060d99c79bb33a3b7",
 }
 CONSTRUCT_AUDIT_SHA256 = {
-    "turan": "1eb86c5148d44fc00e51dc52fc26ac99697e8dcebf4fae218242e07df96ce353",
+    "turan": "5f102cea4d15d02b070c3f2f5c6077191a68c1a3707b4d0726116fbc1dfcf08e",
     "split": "410244065ec293561e2efd1b59f7010ebf59136e37cddb964a4d012dca8d9ffd",
     "star": "a75a8514ad90da344494aceb08fcd7d0e6c35b4d924eee7198becbbb54c1375c",
     "dstar": "4aba8b84c68489f8a93474c825e89615af870254205a0743f571ebc54baae808",
@@ -308,9 +320,27 @@ class TestDeterminism:
         _, second, _ = run(capsys, "verify", "--theorems", "T2", "--n", "5..5")
         assert first == second
 
-    def test_workers_env_override(self, capsys, monkeypatch):
+    def test_one_pool_builds_every_order_of_the_sweep(
+        self, capsys, cold_caches, fake_pool
+    ):
+        seen = fake_pool(cores=2)
+        code, pooled, _ = run(capsys, "verify", "--n", "5..7", "--workers", "2")
+        assert code == 0
+        assert seen.sizes == [2]
+        assert seen.batches == [2, 6, 21, 112]  # orders 4..7
+        search._table_cache.clear()
+        _, serial, _ = run(capsys, "verify", "--n", "5..7", "--workers", "1")
+        assert seen.sizes == [2]
+        assert pooled == serial
+
+    def test_workers_env_override(self, capsys, cold_caches, fake_pool, monkeypatch):
+        # ABSINDEX_WORKERS no longer overrides the default of one worker:
+        # a cold verify with it set forks no pool and prints the same rows
+        seen = fake_pool(cores=2)
         monkeypatch.setenv("ABSINDEX_WORKERS", "2")
-        _, env_out, _ = run(capsys, "verify", "--theorems", "T2", "--n", "5..5")
+        code, env_out, _ = run(capsys, "verify", "--theorems", "T2", "--n", "5..5")
+        assert code == 0
+        assert seen.sizes == []
         monkeypatch.delenv("ABSINDEX_WORKERS")
         _, plain_out, _ = run(capsys, "verify", "--theorems", "T2", "--n", "5..5")
         assert env_out == plain_out
@@ -356,20 +386,6 @@ class TestUsage:
         assert out == ""
         assert err.count("\n") == 1 and "--workers" in err
 
-    def test_workers_env_malformed(self, capsys, monkeypatch):
-        monkeypatch.setenv("ABSINDEX_WORKERS", "two")
-        code, out, err = run(capsys, "verify", "--n", "4..4")
-        assert code == 2
-        assert out == ""
-        assert err.count("\n") == 1 and "ABSINDEX_WORKERS" in err
-
-    def test_workers_env_non_positive(self, capsys, monkeypatch):
-        monkeypatch.setenv("ABSINDEX_WORKERS", "0")
-        code, out, err = run(capsys, "lemmas", "--n", "4..4")
-        assert code == 2
-        assert out == ""
-        assert err.count("\n") == 1 and "ABSINDEX_WORKERS" in err
-
     def test_workers_above_core_count_are_clamped(
         self, capsys, cold_caches, fake_pool
     ):
@@ -380,11 +396,6 @@ class TestUsage:
         search._table_cache.clear()
         _, one, _ = run(capsys, "verify", "--n", "6..6", "--workers", "1")
         assert many == one
-
-    def test_workers_flag_wins_over_bad_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("ABSINDEX_WORKERS", "two")
-        code, _, _ = run(capsys, "verify", "--n", "4..4", "--workers", "1")
-        assert code == 0
 
     @pytest.mark.parametrize(
         "argv",
@@ -397,7 +408,8 @@ class TestUsage:
         assert "unrecognized arguments: --enable-n8" in err
 
     @pytest.mark.parametrize(
-        "argv", [("compute", "Bw"), ("construct", "star", "--n", "5"), ("audit", "T1")]
+        "argv",
+        [("compute", "Bw"), ("construct", "star", "--n", "5"), ("audit", "T1"), ("lemmas",)],
     )
     def test_workers_belongs_to_the_searches(self, capsys, argv):
         code, out, err = run(capsys, *argv, "--workers", "2")
@@ -405,10 +417,24 @@ class TestUsage:
         assert out == ""
         assert "unrecognized arguments: --workers 2" in err
 
+    def test_workers_flag_wins_over_bad_env(self, capsys, monkeypatch):
+        # the variable is read by nothing, so a malformed value cannot
+        # shadow the flag or turn a valid run into an error
+        _, plain, _ = run(capsys, "verify", "--n", "4..4", "--workers", "1")
+        monkeypatch.setenv("ABSINDEX_WORKERS", "two")
+        code, out, err = run(capsys, "verify", "--n", "4..4", "--workers", "1")
+        assert (code, out, err) == (0, plain, "")
+        code, out, err = run(capsys, "verify", "--n", "4..4", "--workers", "0")
+        assert (code, out) == (2, "")
+        assert err == "verify: --workers must be a positive integer, got '0'\n"
+
     def test_workers_env_is_not_read_without_a_search(self, capsys, monkeypatch):
         monkeypatch.setenv("ABSINDEX_WORKERS", "two")
         code, out, err = run(capsys, "compute", "Bw")
         assert (code, out, err) == (0, COMPUTE_STDOUT["Bw"], "")
+        code, out, err = run(capsys, "lemmas", "--n", "4..4")
+        assert (code, err) == (0, "")
+        assert all(",true," in row for row in out.strip().splitlines()[1:])
 
     def test_unwritable_out_is_found_before_the_sweep(
         self, tmp_path, capsys, cold_caches
@@ -499,8 +525,12 @@ class TestOutputOnUsageError:
         assert "--chi" in err
         assert not target.exists()
 
-    def test_error_after_the_report_prints_no_report(self, capsys):
-        code, out, err = run(capsys, "construct", "turan", "--n", "2", "--chi", "2", "--audit")
+    def test_error_after_the_report_prints_no_report(self, capsys, monkeypatch):
+        def failing_audit(case, n, k):
+            raise ValueError("math domain error")
+
+        monkeypatch.setattr(cli, "formula_audit", failing_audit)
+        code, out, err = run(capsys, "construct", "turan", "--n", "5", "--chi", "3", "--audit")
         assert (code, out, err) == (2, "", "construct: math domain error\n")
 
 

@@ -155,11 +155,6 @@ class TestVerifyTheorem:
         assert report.in_hypothesis is False
         assert report.graph_count > 0
 
-    def test_workers_do_not_change_report(self):
-        seq = verify_theorem("T3", 6, 2, workers=1)
-        par = verify_theorem("T3", 6, 2, workers=2)
-        assert seq == par
-
     def test_unknown_theorem(self):
         with pytest.raises(ValueError):
             verify_theorem("T9", 5, 2)
