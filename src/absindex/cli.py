@@ -189,7 +189,7 @@ def _cmd_compute(args, out) -> int:
 # and that claim's k at (n, x)).  The audit row is printed only where
 # ``audit`` prints it and the claim's maximizer at (n, k) is the built
 # graph: turan only at 3 <= chi <= n - 1, dstar only at m = 2, kite only
-# at 1 <= p <= n - 3.
+# at 1 <= p <= n - 3.  A family is given its own option only.
 _FAMILIES = {
     "turan": ("chi", "T1", lambda n, x: (turan(n, x), x)),
     "split": ("alpha", "T2", lambda n, x: (complete_split(n, x), x)),
@@ -201,7 +201,11 @@ _FAMILIES = {
 
 def _cmd_construct(args, out) -> int:
     option, case, build = _FAMILIES[args.family]
+    for other in ("chi", "alpha", "p", "m"):
+        if other != option and getattr(args, other) is not None:
+            raise ValueError(f"family {args.family!r} takes no --{other}")
     x = getattr(args, option) if option else None
+    x = 2 if args.family == "dstar" and x is None else x
     if option and x is None:
         raise ValueError(f"family {args.family!r} needs --{option}")
     g, k = build(args.n, x)
@@ -350,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--chi", type=int, default=None, help="part count (turan)")
     p.add_argument("--alpha", type=int, default=None, help="independent-set size (split)")
     p.add_argument("--p", type=int, default=None, help="pendant count (kite)")
-    p.add_argument("--m", type=int, default=2, help="internal degree (dstar, default 2)")
+    p.add_argument("--m", type=int, help="internal degree (dstar, default 2)")
     p.add_argument(
         "--audit", action="store_true", help="append the printed-vs-direct audit row"
     )
@@ -386,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lemmas", help="edge-addition and scalar-grid checks")
     p.add_argument(
         "--n", type=lambda s: _parse_range(s, "order"), default=(4, 6),
-        help="order range for the edge-addition sweep (default 4..6, cap 6)",
+        help="order range for the edge-addition sweep (default 4..6)",
     )
     common(p)
 

@@ -320,23 +320,29 @@ def find_isomorphism(
         return None
     g_cells = _refined_cells(g)
     h_cells = g_cells if h is g else _refined_cells(h)
-    return _map_cells(g, g_cells, h, h_cells, pin)
+    return _map_cells(g, g_cells, h, h_cells, () if pin is None else (pin,))
 
 
-def cell_automorphisms(g: Graph) -> list[list[int]]:
-    """For each refined cell, the automorphisms that map its first vertex
-    onto each other vertex of the cell, where one exists.
+def automorphism_generators(g: Graph) -> list[list[int]]:
+    """Automorphisms that generate Aut(g), from a stabilizer chain.
 
-    Under the group they generate, each cell's first vertex has the same
-    orbit as under Aut(g); the group itself may be a proper subgroup.
+    With the vertices b_1, ..., b_n in refined-cell order and G_i the
+    automorphisms fixing b_1, ..., b_(i-1), one t in G_i is kept for each
+    i and each later vertex x of b_i's cell with t(b_i) = x, where one
+    exists.  By induction from i = n down, the kept maps generate G_i: an
+    s in G_i maps b_i into its cell but onto no earlier vertex, so s, or
+    t^-1 s for the kept t with t(b_i) = s(b_i), lies in G_(i+1).
     """
     cells = _refined_cells(g)
     found = []
+    fixed: list[tuple[int, int]] = []
     for cell in cells:
-        for x in cell[1:]:
-            sigma = _map_cells(g, cells, g, cells, (cell[0], x))
-            if sigma is not None:
-                found.append(sigma)
+        for i, b in enumerate(cell):
+            for x in cell[i + 1:]:
+                sigma = _map_cells(g, cells, g, cells, [*fixed, (b, x)])
+                if sigma is not None:
+                    found.append(sigma)
+            fixed.append((b, b))
     return found
 
 
@@ -345,9 +351,9 @@ def _map_cells(
     g_cells: list[list[int]],
     h: Graph,
     h_cells: list[list[int]],
-    pin: tuple[int, int] | None,
+    pins: Sequence[tuple[int, int]],
 ) -> list[int] | None:
-    """``find_isomorphism`` given the refined cells of both graphs."""
+    """``find_isomorphism`` given both refined cells; pin (u, w) maps u to w."""
     n = g.order
     if [len(c) for c in g_cells] != [len(c) for c in h_cells]:
         return None
@@ -357,8 +363,7 @@ def _map_cells(
             targets[v] = h_cell
     g_rows, h_rows = g.rows, h.rows
     order: list[int] = []
-    if pin is not None:
-        u, w = pin
+    for u, w in pins:
         if w not in targets[u]:
             return None
         targets[u] = [w]

@@ -8,11 +8,11 @@ class of connected graphs:
   a new vertex to a nonempty neighbor set.  This is McKay's canonical
   construction path ("Isomorph-free exhaustive generation", J.
   Algorithms 26, 1998): each (n-1)-class is extended by one neighbour
-  set per orbit of a group of its automorphisms, and a child is kept
-  only if its new vertex lies in the orbit of a canonically chosen
-  non-cut vertex.  Each class then comes from exactly one parent class,
-  so the parents' outputs are disjoint (``_augment_parent`` has the
-  argument);
+  set per orbit of its automorphism group, and a child is kept only
+  if its new vertex lies in the orbit of a canonically chosen non-cut
+  vertex.  Each class then comes from exactly one parent class, once,
+  so the parents' outputs are disjoint and hold no repeats
+  (``_augment_parent`` has the argument);
 * a labeled sweep (oracle): decode every one of the 2^(n(n-1)/2) packed
   pair strings with ``graphs.from_packed_pairs``, skip strings already
   known via the relabeling orbit of a found class, canonicalize the
@@ -67,7 +67,7 @@ from .invariants import (
     are_isomorphic,
     canonical_form,
     canonical_labeling,
-    cell_automorphisms,
+    automorphism_generators,
     find_isomorphism,
     form_from_triangle,
     graph_from_canonical_form,
@@ -207,10 +207,9 @@ class _Parent:
             1 << v for v, parts in enumerate(self.components) if len(parts) == 1
         )
         # packed neighbour degrees (``_DEGREE_WEIGHT``) of each vertex set
-        # at the parent's degrees, and with each degree one higher, as the
-        # new vertex's neighbours have in the child
+        # at the parent's degrees; >> 4 packs them one degree higher, as the
+        # new vertex's neighbours have in the child (every term is a multiple of 16)
         self.packed = _subset_sums([_DEGREE_WEIGHT[k] for k in degrees])
-        self.raised = _subset_sums([_DEGREE_WEIGHT[k + 1] for k in degrees])
         self.chromatic = chromatic
         self.independence = independence
 
@@ -236,14 +235,14 @@ class _Parent:
         tied = []
         equal = self.by_degree[d] & ~nbrs | nbrs & self.by_degree[d - 1]
         if equal:
-            rows, packed, raised = self.rows, self.packed, self.raised
-            key = raised[nbrs]
+            rows, packed = self.rows, self.packed
+            key = packed[nbrs] >> 4
             while equal:
                 low = equal & -equal
                 equal ^= low
                 v = low.bit_length() - 1
                 row = rows[v]
-                own = packed[row & ~nbrs] + raised[row & nbrs]
+                own = packed[row & ~nbrs] + (packed[row & nbrs] >> 4)
                 if nbrs & low:
                     own += _DEGREE_WEIGHT[d]
                 if own > key:
@@ -307,17 +306,16 @@ def _augment_parent(
     m(G) gives G back with m(G) as the new vertex, and any other
     accepted parent is G - v for a v in the orbit of m(G), which is
     isomorphic to G - m(G).  So the outputs of different parents are
-    disjoint.  Two accepted children of one parent that are isomorphic
-    have neighbour sets related by a parent automorphism (an isomorphism
-    between them can be chosen to fix the new vertex, and then restricts
-    to one); a set of forms removes these repeats.
+    disjoint.
 
     Parent side.  A parent automorphism s extends, fixing the new vertex,
     to an isomorphism from the child on S onto the child on s(S), so the
     two are one class and the rule accepts both or neither.  Only the
-    least neighbour set of each orbit of a group of parent automorphisms
-    is therefore tried (``_orbit_leaders``).  Any subgroup of Aut(parent)
-    is sound; a smaller one only leaves more repeats for the set.
+    least neighbour set of each orbit of Aut(parent) is therefore tried
+    (``_orbit_leaders``).  Two accepted children of one parent are not
+    isomorphic: an isomorphism can be chosen to map new vertex to new
+    vertex, as each lies in the orbit of m(child), and it then restricts
+    to a parent automorphism between their neighbour sets.
 
     From the parent.  The key test and the row of the child C on a
     neighbour set N are answered from facts gathered once per parent P
@@ -342,7 +340,6 @@ def _augment_parent(
     """
     parent = _Parent(*row)
     new = len(parent.rows)
-    seen: set[bytes] = set()
     columns = _new_columns()
     for nbrs in _orbit_leaders(parent.graph):
         tied = parent.max_key_ties(nbrs)
@@ -356,9 +353,6 @@ def _augment_parent(
         if last != new and find_isomorphism(child, child, (new, last)) is None:
             continue
         form = form_from_triangle(new + 1, tri)
-        if form in seen:
-            continue
-        seen.add(form)
         for column, value in zip(columns, (form, *_child_row(parent, child, nbrs))):
             column.append(value)
     return columns
@@ -370,16 +364,14 @@ def _new_columns() -> tuple[list[bytes], array, array, array, array]:
 
 
 def _orbit_leaders(g: Graph) -> list[int]:
-    """The least neighbour set in each orbit of the group that
-    ``cell_automorphisms(g)`` generates.
+    """The least neighbour set in each orbit of Aut(g), which
+    ``automorphism_generators(g)`` generates.
 
     Sets are nonempty vertex bitmasks, listed in ascending order.
     """
     size = 1 << g.order
     # each mask's image: the sum of its vertices' image bits
-    images = [_subset_sums([1 << w for w in sigma]) for sigma in cell_automorphisms(g)]
-    if not images:
-        return list(range(1, size))
+    images = [_subset_sums([1 << w for w in a]) for a in automorphism_generators(g)]
     reached = bytearray(size)
     leaders = []
     for mask in range(1, size):
@@ -621,8 +613,6 @@ class EdgeAdditionReport:
 
 def check_edge_additions(n: int) -> EdgeAdditionReport:
     """Adding any edge to any connected class must strictly raise ABS."""
-    if n > 6:
-        raise ValueError(f"edge-addition sweep capped at n = 6, got {n}")
     min_margin = None
     checks = 0
     for g in enumerate_connected(n):

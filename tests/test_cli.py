@@ -137,6 +137,24 @@ class TestConstruct:
         assert code == 2
         assert "--chi" in err
 
+    def test_option_of_another_family(self, capsys):
+        for family, argv in (
+            ("star", ("--n", "5", "--chi", "9")),
+            ("turan", ("--n", "5", "--chi", "3", "--m", "4")),
+            ("split", ("--n", "5", "--alpha", "2", "--p", "1")),
+            ("dstar", ("--n", "6", "--alpha", "2")),
+            ("kite", ("--n", "6", "--p", "2", "--m", "2")),
+        ):
+            code, out, err = run(capsys, "construct", family, *argv)
+            assert (code, out) == (2, "")
+            assert err == f"construct: family {family!r} takes no {argv[-2]}\n"
+
+    def test_dstar_builds_m_2_without_m(self, capsys):
+        _, default, _ = run(capsys, "construct", "dstar", "--n", "6")
+        _, given, _ = run(capsys, "construct", "dstar", "--n", "6", "--m", "2")
+        assert default == given
+        assert default.startswith("graph6,")
+
     def test_audit_row_only_where_audit_prints_it(self, capsys):
         # T1 claims 3 <= chi <= n - 1: no row at chi = 2, and none at all at n = 2
         for n, chi in (("2", "2"), ("5", "2"), ("5", "5")):
@@ -310,8 +328,9 @@ class TestLemmas:
         assert all(",true," in row for row in rows)
 
     def test_cap(self, capsys):
-        code, _, err = run(capsys, "lemmas", "--n", "4..7")
-        assert code == 2
+        code, out, err = run(capsys, "lemmas", "--n", "9")
+        assert (code, out) == (2, "")
+        assert err == "lemmas: order 9 outside the supported range 1..8\n"
 
 
 class TestDeterminism:

@@ -1,5 +1,5 @@
-"""networkx as an independent oracle for alpha, isomorphism, graph6 and
-the order-7 classes."""
+"""networkx as an independent oracle for alpha, isomorphism, automorphism
+groups, graph6 and the order-7 classes."""
 
 import itertools
 import random
@@ -7,6 +7,7 @@ import random
 import pytest
 
 nx = pytest.importorskip("networkx")
+from networkx.algorithms.isomorphism import GraphMatcher  # noqa: E402
 
 from absindex import (  # noqa: E402
     are_isomorphic,
@@ -18,6 +19,7 @@ from absindex import (  # noqa: E402
     from_edges,
     independence_number,
 )
+from absindex.invariants import automorphism_generators  # noqa: E402
 
 
 def to_nx(g):
@@ -69,6 +71,27 @@ def test_order_7_classes_with_equal_degree_sequences():
             assert are_isomorphic(g, h) == nx.is_isomorphic(to_nx(g), to_nx(h))
             pairs += 1
     assert pairs == 3048
+
+
+def test_automorphism_generators_generate_the_whole_group(small_classes):
+    # networkx counts |Aut(g)|; FFzn_ (order 7, 4-regular) is where one
+    # pinned map per refined cell generated a proper subgroup, 6 of 48
+    for g in small_classes:
+        h = to_nx(g)
+        size = sum(1 for _ in GraphMatcher(h, h).isomorphisms_iter())
+        generators = automorphism_generators(g)
+        for sigma in generators:
+            assert all(g.has_edge(sigma[u], sigma[v]) for u, v in g.edges())
+        group = {tuple(range(g.order))}
+        frontier = list(group)
+        while frontier:
+            p = frontier.pop()
+            for sigma in generators:
+                q = tuple(sigma[v] for v in p)
+                if q not in group:
+                    group.add(q)
+                    frontier.append(q)
+        assert len(group) == size, encode_graph6(g)
 
 
 def test_gnp_relabelings_and_degree_preserving_swaps(gnp_graphs):

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import os
 
 import pytest
 
@@ -36,6 +37,8 @@ import references
 # connected isomorphism classes by order (see e.g. OEIS A001349)
 KNOWN_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}
 ORDER_8_DIGEST = "13f308b1b8a6a9e97ae1d07a761b9dbf65d2b6b8a5b6f1868202e5d239d05e39"
+# order 9: 261,080 classes (OEIS A001349), with no form found twice
+ORDER_9_DIGEST = "0508d7bb27da5ea085a0a10f6601a85ec8224c5c356f360083ea9ffb4ea83ce8"
 
 
 class TestEnumeration:
@@ -46,6 +49,16 @@ class TestEnumeration:
     def test_order_8_forms_digest(self):
         forms = connected_class_forms(8)
         assert hashlib.sha256(b"".join(sorted(forms))).hexdigest() == ORDER_8_DIGEST
+
+    @pytest.mark.skipif(
+        os.environ.get("ABSINDEX_SLOW") != "1",
+        reason="builds order 9, about 20 s on 2 cores; set ABSINDEX_SLOW=1",
+    )
+    def test_order_9_forms_digest(self, cold_caches, monkeypatch):
+        monkeypatch.setattr(search, "MAX_SEARCH_ORDER", 9)
+        forms = connected_class_forms(9, workers=2)
+        assert len(forms) == 261080
+        assert hashlib.sha256(b"".join(forms)).hexdigest() == ORDER_9_DIGEST
 
     def test_labeled_sweep_agrees(self):
         for n in range(1, 7):
@@ -193,8 +206,8 @@ class TestEdgeAddition:
         assert report.passed
 
     def test_cap(self):
-        with pytest.raises(ValueError):
-            check_edge_additions(7)
+        with pytest.raises(ValueError, match=r"^order 9 outside the supported range"):
+            check_edge_additions(9)
 
 
 class TestScalarProperties:
@@ -378,7 +391,13 @@ class TestAcceptRule:
         monkeypatch.setattr(search, "canonical_labeling", counting)
         for row in parents:
             search._augment_parent(row)
-        assert calls == 11997  # of 853 * 127 = 108,331 children
+        assert calls == 11987  # of 853 * 127 = 108,331 children
+
+    def test_order_8_tries_one_neighbour_set_per_orbit(self):
+        # the orbits of each order-7 parent's automorphism group on its
+        # nonempty vertex sets
+        leaders = sum(len(search._orbit_leaders(g)) for g in enumerate_connected(7))
+        assert leaders == 67141  # of 853 * 127 = 108,331 neighbour sets
 
     def test_max_key_ties_match_the_reference(self):
         # the key test answered from the parent ties exactly the vertices
@@ -396,7 +415,7 @@ class TestAcceptRule:
 
     def test_orbit_leaders_meet_every_orbit_of_neighbour_sets(self):
         # the leaders are ascending, and every orbit of Aut(g) on the
-        # nonempty vertex sets holds at least one of them
+        # nonempty vertex sets holds one of them, its least set
         for n in range(1, 6):
             for g in enumerate_connected(n):
                 leaders = search._orbit_leaders(g)
@@ -404,7 +423,7 @@ class TestAcceptRule:
                 autos = _automorphisms(g)
                 for mask in range(1, 1 << n):
                     orbit = {_subset_image(mask, p) for p in autos}
-                    assert orbit & set(leaders)
+                    assert orbit & set(leaders) == {min(orbit)}
 
 
 class TestWorkerPool:
