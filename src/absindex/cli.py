@@ -234,7 +234,7 @@ def _cmd_verify(args, out) -> int:
             f"order cap {cap} exceeded"
             + ("" if args.enable_n8 else " (use --enable-n8 for n = 8)")
         )
-    class_table(n_hi, args.workers)  # every order of the sweep, in one pool
+    class_table(n_hi, args.workers)  # every order of the sweep; the highest pooled
     theorems = args.theorems
     header = [
         "theorem",
@@ -290,6 +290,7 @@ def _cmd_audit(args, out) -> int:
 
 def _cmd_lemmas(args, out) -> int:
     n_lo, n_hi = args.n
+    class_table(n_hi)  # every order of the sweep; an order too high fails first
     ok = True
     rows = []
     for n in range(n_lo, n_hi + 1):

@@ -155,18 +155,9 @@ def independence_within(rows: Sequence[int], candidates: int, floor: int = 0) ->
         if candidates == 0:
             best = size
             return
-        # branch on the candidate with most candidate-neighbors (lowest
-        # index among ties)
-        most = -1
-        rest = candidates
-        while rest:
-            low = rest & -rest
-            u = low.bit_length() - 1
-            count = (rows[u] & candidates).bit_count()
-            if count > most:
-                most, v, bit = count, u, low
-            rest ^= low
-        expand(candidates & ~(rows[v] | bit), size + 1)
+        # branch on the lowest candidate: in the set, or not
+        bit = candidates & -candidates
+        expand(candidates & ~(rows[bit.bit_length() - 1] | bit), size + 1)
         expand(candidates ^ bit, size)
 
     expand(candidates, 0)

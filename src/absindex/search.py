@@ -43,16 +43,16 @@ of one column and a max over the value column; only the maximizers are
 decoded again.
 
 Only the table builders, ``connected_class_forms`` and ``class_table``,
-take a worker count: one pool per builder call, for every order it
-builds; the CLI makes one call per sweep.  The pool holds at most as
-many workers as this process has usable cores.  Each job returns five
-columns (form, χ, α, pendants, ABS); they are concatenated and sorted
-once, all five alike, so reports are identical for any worker count.
+take a worker count: the jobs of the requested order share one pool, of
+at most as many workers as this process has usable cores, and every
+lower order is built in this process; the CLI makes one call per sweep.
+Each job returns five columns (form, χ, α, pendants, ABS); they are
+concatenated and sorted once, all five alike, so reports are identical
+for any worker count.
 """
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 import multiprocessing
 import os
@@ -97,54 +97,25 @@ def _usable_cores() -> int:
     return os.cpu_count() or 1
 
 
-class _Workers:
-    """The worker processes of one top-level search call.
+def _map(fn, jobs: list, workers: int) -> Iterator:
+    """``fn(job)`` for each job, in order, as the results come in.
 
-    Their number is the requested count clamped to the usable cores.
-    They are forked for the first batch with at least that many jobs and
-    serve it and every later batch; earlier batches, and all batches when
-    one worker is asked for, run in this process, so no worker is forked
-    that its first batch would leave idle.
+    ``min(workers, usable cores)`` forked processes map the jobs if that
+    is more than one and no more than the jobs, so none would sit idle;
+    otherwise the jobs run in this process.  The pool is terminated, and
+    its workers reaped, however the iteration ends.
     """
-
-    def __init__(self, workers: int) -> None:
-        self.size = min(workers, _usable_cores())
-        self._pool = None
-
-    def map(self, fn, jobs: list) -> Iterator:
-        """``fn(job)`` for each job, in order, as the results come in."""
-        if self._pool is None and 1 < self.size <= len(jobs):
-            self._pool = _POOL_CONTEXT.Pool(self.size)
-        if self._pool is None:
-            return map(fn, jobs)
+    size = min(workers, _usable_cores())
+    if not 1 < size <= len(jobs):
+        yield from map(fn, jobs)
+        return
+    pool = _POOL_CONTEXT.Pool(size)
+    try:
         # about eight messages per worker: sent one job at a time, the
         # pickling round trips cost more than uneven chunks lose
-        chunk = max(1, len(jobs) // (8 * self.size))
-        return self._pool.imap(fn, jobs, chunksize=chunk)
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.terminate()  # also reaps the workers
-            self._pool = None
-
-
-# The pool of the top-level call in progress; the nested calls for lower
-# orders reuse it, so one sweep forks its workers once.
-_active_workers: _Workers | None = None
-
-
-@contextlib.contextmanager
-def _shared_workers(workers: int):
-    global _active_workers
-    if _active_workers is not None:
-        yield _active_workers
-        return
-    _active_workers = _Workers(workers)
-    try:
-        yield _active_workers
+        yield from pool.imap(fn, jobs, chunksize=max(1, len(jobs) // (8 * size)))
     finally:
-        _active_workers.close()
-        _active_workers = None
+        pool.terminate()
 
 
 # -- augmentation fast path -------------------------------------------
@@ -393,32 +364,31 @@ def _orbit_leaders(g: Graph) -> list[int]:
 def connected_class_forms(n: int, workers: int = 1) -> tuple[bytes, ...]:
     """Sorted canonical forms of all connected isomorphism classes.
 
-    All orders built by one call share one pool of at most ``workers``
-    processes.  Each (form, χ, α) row of ``class_table(n - 1)`` is one
-    job; the jobs' outputs are disjoint, so their five columns are
-    concatenated and sorted once, all alike, and cached as
-    ``class_table(n)``.  An order outside 1..MAX_SEARCH_ORDER raises
-    ValueError before any order is built.
+    Each (form, χ, α) row of ``class_table(n - 1)`` is one job, and the
+    jobs of order n share one pool of at most ``workers`` processes;
+    lower orders are built in this process.  The jobs' outputs are
+    disjoint, so their five columns are concatenated and sorted once,
+    all alike, and cached as ``class_table(n)``.  An order outside
+    1..MAX_SEARCH_ORDER raises ValueError before any order is built.
     """
     if not 1 <= n <= MAX_SEARCH_ORDER:
         raise ValueError(f"order {n} outside the supported range 1..{MAX_SEARCH_ORDER}")
     cached = _table_cache.get(n)
     if cached is not None:
         return cached.forms
+    if n == 1:  # K1: χ = α = 1, no pendants, no edges
+        parts = [([canonical_form(Graph(1, (0,)))], [1], [1], [0], [0.0])]
+    else:
+        parents = class_table(n - 1)
+        # greatest form first: K_(n-1), whose child K_n has the costliest
+        # canonical search, then starts the batch instead of ending it
+        # alone in the pool's last chunk
+        jobs = zip(parents.forms, parents.chromatic, parents.independence)
+        parts = _map(_augment_parent, list(jobs)[::-1], workers)
     columns = _new_columns()
-    with _shared_workers(workers) as pool:
-        if n == 1:  # K1: χ = α = 1, no pendants, no edges
-            parts = [([canonical_form(Graph(1, (0,)))], [1], [1], [0], [0.0])]
-        else:
-            parents = class_table(n - 1, workers)
-            # greatest form first: K_(n-1), whose child K_n has the
-            # costliest canonical search, then starts the batch instead of
-            # ending it alone in the pool's last chunk
-            jobs = zip(parents.forms, parents.chromatic, parents.independence)
-            parts = pool.map(_augment_parent, list(jobs)[::-1])
-        for part in parts:
-            for column, piece in zip(columns, part):
-                column.extend(piece)
+    for part in parts:
+        for column, piece in zip(columns, part):
+            column.extend(piece)
     found = columns[0]
     rank = sorted(range(len(found)), key=found.__getitem__)
     forms = tuple(map(found.__getitem__, rank))
@@ -525,8 +495,9 @@ def class_table(n: int, workers: int = 1) -> ClassTable:
     """The cached invariant table of order n, built with its classes.
 
     Each row is computed in the augmentation job that finds its class,
-    from that job's parent (``_augment_parent``).  Every order the call
-    builds, 1..n as needed, shares one pool of at most ``workers``.
+    from that job's parent (``_augment_parent``).  Order n's jobs share
+    one pool of at most ``workers``; the lower orders it needs are built
+    in this process.
     """
     connected_class_forms(n, workers)
     return _table_cache[n]

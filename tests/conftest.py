@@ -40,9 +40,10 @@ def fake_pool(monkeypatch):
     """Replaces the process pool by one that maps in this process.
 
     Yields a function that sets the number of usable cores; the returned
-    namespace lists each pool's requested size and each batch it mapped.
+    namespace lists each pool's requested size and each batch it mapped,
+    and counts the pools terminated.
     """
-    seen = types.SimpleNamespace(sizes=[], batches=[])
+    seen = types.SimpleNamespace(sizes=[], batches=[], terminated=0)
 
     class Pool:
         def __init__(self, size):
@@ -53,7 +54,7 @@ def fake_pool(monkeypatch):
             return map(fn, jobs)
 
         def terminate(self):
-            pass
+            seen.terminated += 1
 
     monkeypatch.setattr(search, "_POOL_CONTEXT", types.SimpleNamespace(Pool=Pool))
 

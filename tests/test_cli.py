@@ -233,6 +233,22 @@ class TestVerify:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == N8_STDOUT_SHA256
 
+    @pytest.mark.skipif(
+        os.environ.get("ABSINDEX_SLOW") != "1",
+        reason="builds order 9, about 20 s on 2 cores; set ABSINDEX_SLOW=1",
+    )
+    def test_order_9_sweep_matches_the_committed_table(
+        self, capsys, cold_caches, monkeypatch
+    ):
+        monkeypatch.setattr(search, "MAX_SEARCH_ORDER", 9)
+        monkeypatch.setattr(cli, "MAX_SEARCH_ORDER", 9)
+        code, out, _ = run(
+            capsys, "verify", "--n", "9", "--enable-n8", "--workers", "2"
+        )
+        assert code == 0
+        committed = Path(__file__).parent.parent / "results" / "verify_n9.csv"
+        assert out == committed.read_text()
+
 
 class TestAudit:
     def test_t1_all_disagree(self, capsys):
@@ -332,6 +348,12 @@ class TestLemmas:
         assert (code, out) == (2, "")
         assert err == "lemmas: order 9 outside the supported range 1..8\n"
 
+    def test_cap_refused_before_any_order_is_built(self, capsys, cold_caches):
+        code, out, err = run(capsys, "lemmas", "--n", "4..9")
+        assert (code, out) == (2, "")
+        assert err == "lemmas: order 9 outside the supported range 1..8\n"
+        assert search._table_cache == {}
+
 
 class TestDeterminism:
     def test_same_output_repeated(self, capsys):
@@ -346,7 +368,7 @@ class TestDeterminism:
         code, pooled, _ = run(capsys, "verify", "--n", "5..7", "--workers", "2")
         assert code == 0
         assert seen.sizes == [2]
-        assert seen.batches == [2, 6, 21, 112]  # orders 4..7
+        assert seen.batches == [112]  # order 7; orders 1..6 in this process
         search._table_cache.clear()
         _, serial, _ = run(capsys, "verify", "--n", "5..7", "--workers", "1")
         assert seen.sizes == [2]
@@ -372,6 +394,16 @@ class TestUsage:
     def test_unknown_theorem(self, capsys):
         code, _, _ = run(capsys, "verify", "--theorems", "T7")
         assert code == 2
+
+    def test_verify_order_not_a_number(self, capsys):
+        code, out, err = run(capsys, "verify", "--n", "five")
+        assert (code, out) == (2, "")
+        assert "bad order range 'five'" in err
+
+    def test_empty_theorem_list(self, capsys):
+        code, out, err = run(capsys, "verify", "--theorems", ",")
+        assert (code, out) == (2, "")
+        assert "empty theorem list" in err
 
     def test_verify_order_zero(self, capsys):
         code, out, err = run(capsys, "verify", "--n", "0")

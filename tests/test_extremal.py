@@ -275,6 +275,11 @@ class TestClaimTable:
         assert CASES["T3"].maximizer(3, 1) is None  # no double star of order 3
         assert CASES["T3"].maximizer(6, 3) == kite(6, 3)
 
+    def test_maximizer_at_an_order_no_graph_has_raises(self):
+        # a missing maximizer is None only for an order a graph can have
+        with pytest.raises(GraphError):
+            CASES["T3"].maximizer(13, 1)
+
     def test_constructors_are_looked_up_in_the_module(self, monkeypatch):
         """A wrapper bound over a constructor's module name sees the table's
         calls, as the benchmark's tracer needs."""

@@ -431,7 +431,7 @@ class TestWorkerPool:
         seen = fake_pool(cores=3)
         forms = connected_class_forms(6, workers=64)
         assert seen.sizes == [3]
-        assert seen.batches == [6, 21]  # orders 5 and 6; order 4 has 2 parents
+        assert seen.batches == [21]  # order 6; orders 1..5 in this process
         assert len(forms) == 112
 
     def test_no_pool_for_batches_below_its_size(self, cold_caches, fake_pool):
@@ -439,12 +439,29 @@ class TestWorkerPool:
         assert len(connected_class_forms(6, workers=64)) == 112
         assert seen.sizes == []
 
-    def test_one_pool_for_every_order_and_the_table(self, cold_caches, fake_pool):
+    def test_one_pool_for_the_requested_order(self, cold_caches, fake_pool):
         seen = fake_pool(cores=2)
         table = class_table(7, workers=2)
         assert seen.sizes == [2]
-        assert seen.batches == [2, 6, 21, 112]  # orders 4..7; order 7 with its rows
+        assert seen.batches == [112]  # order 7; orders 1..6 in this process
+        assert seen.terminated == 1
         assert len(table.forms) == len(table.abs_value) == 853
+
+    def test_failed_job_terminates_the_pool(self, cold_caches, fake_pool, monkeypatch):
+        seen = fake_pool(cores=2)
+        class_table(6)
+        augment = search._augment_parent
+
+        def augment_or_fail(row):
+            if row[0] == min(search._table_cache[6].forms):
+                raise RuntimeError("job failed")
+            return augment(row)
+
+        monkeypatch.setattr(search, "_augment_parent", augment_or_fail)
+        with pytest.raises(RuntimeError, match="job failed"):
+            class_table(7, workers=2)
+        assert (seen.sizes, seen.terminated) == ([2], 1)
+        assert 7 not in search._table_cache
 
     def test_one_worker_forks_nothing(self, cold_caches, fake_pool):
         seen = fake_pool(cores=8)
