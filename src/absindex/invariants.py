@@ -10,10 +10,12 @@ minimal upper-triangle bit-string over all vertex relabelings, with the
 permutation search restricted by an iterated degree-partition
 refinement, whose rounds count each vertex's neighbours only in the
 cells that the round before split off; it decodes through the same
-packed pair decoder as graph6
-(``graphs.from_packed_pairs``).  Two given graphs are compared by a
-direct search for an isomorphism between their refined cells, which is
-much cheaper than two canonical forms on symmetric graphs.
+packed pair decoder as graph6 (``graphs.from_packed_pairs``).  The
+search packs the vertices' columns into one int and compares them
+position by position, visiting the nodes a whole-prefix comparison
+visits, in the same order.  Two given graphs are compared by a direct
+search for an isomorphism between their refined cells, which is much
+cheaper than two canonical forms on symmetric graphs.
 """
 
 from __future__ import annotations
@@ -239,6 +241,14 @@ def _refined_cells(g: Graph) -> list[list[int]]:
     return cells
 
 
+# _SPREAD[b] has bit 16 i set for each set bit i of the byte b; a row has
+# at most MAX_ORDER = 12 bits, so two bytes spread it.
+_SPREAD = [0]
+for _bit in range(8):
+    _SPREAD += [s | 1 << 16 * _bit for s in _SPREAD]
+del _bit
+
+
 def canonical_labeling(g: Graph) -> tuple[int, list[int]]:
     """The minimal upper-triangle bit-string over relabelings, and the
     first vertex order that reaches it.
@@ -253,46 +263,78 @@ def canonical_labeling(g: Graph) -> tuple[int, list[int]]:
     that reaches the minimum is this one composed with an automorphism,
     so a vertex chosen by its canonical position is defined up to its
     orbit.
+
+    A discrete partition admits one order, which is returned without
+    the search (that would walk the one path).  Otherwise ``place``
+    extends the order, trying the unplaced vertices of each position's
+    cell (a bitmask) in ascending order.  Every vertex's column against
+    the placed prefix lives in a 16-bit field of one int: placing v
+    shifts it left by one and ors in ``spread[v]`` (bit 16 w for each
+    neighbour w).  The string is the columns in turn, so while a prefix
+    equals the best order's, a candidate is pruned iff its column
+    exceeds the best order's column at that position, and a child is
+    equal iff the columns are; a strictly smaller prefix prunes nothing
+    until its first leaf, a new best, makes it equal again.  These are
+    the prunings of the whole-prefix comparison, so the same nodes are
+    visited in the same order and the first minimal order is kept.
     """
     n = g.order
-    rows = g.rows
     cells = _refined_cells(g)
-    cell_at: list[list[int]] = []
+    if len(cells) == n:
+        order = [cell[0] for cell in cells]
+        return _triangle(g.rows, order), order
+    cell_at: list[int] = []  # the vertex mask of each position's cell
     for cell in cells:
-        cell_at.extend([cell] * len(cell))
-    total_bits = n * (n - 1) // 2
-    best: int | None = None
+        cell_at.extend([sum(1 << v for v in cell)] * len(cell))
+    spread = [_SPREAD[row & 0xFF] | _SPREAD[row >> 8] << 128 for row in g.rows]
+    best_cols = [0] * n
     best_perm: list[int] = []
-    perm: list[int] = []
-    used = [False] * n
+    perm = [0] * n
 
-    def place(pos: int, prefix: int, nbits: int) -> None:
-        nonlocal best, best_perm
+    def place(pos: int, cols: int, placed: int, equal: bool) -> None:
+        nonlocal best_perm
         if pos == n:
-            if best is None or prefix < best:
-                best = prefix
+            if not equal:
+                # field v ends in v's adjacency to the n - i - 1 vertices
+                # placed after it, and one zero bit for v itself
                 best_perm = perm[:]
+                for i, v in enumerate(perm):
+                    best_cols[i] = (cols >> 16 * v & 0xFFFF) >> n - i
             return
-        for v in cell_at[pos]:
-            if used[v]:
+        candidates = cell_at[pos] & ~placed
+        if not equal:
+            low = candidates & -candidates
+            candidates ^= low
+            v = low.bit_length() - 1
+            perm[pos] = v
+            place(pos + 1, cols << 1 | spread[v], placed | low, False)
+        bound = best_cols[pos]
+        while candidates:
+            low = candidates & -candidates
+            candidates ^= low
+            v = low.bit_length() - 1
+            col = cols >> 16 * v & 0xFFFF
+            if col > bound:
                 continue
-            col = 0
-            row_v = rows[v]
-            for i in range(pos):
-                col = col << 1 | (row_v >> perm[i] & 1)
-            new_prefix = (prefix << pos) | col
-            new_bits = nbits + pos
-            if best is not None and new_prefix > best >> (total_bits - new_bits):
-                continue
-            used[v] = True
-            perm.append(v)
-            place(pos + 1, new_prefix, new_bits)
-            perm.pop()
-            used[v] = False
+            perm[pos] = v
+            place(pos + 1, cols << 1 | spread[v], placed | low, col == bound)
+            bound = col  # the best order's column here, if it changed
 
-    place(0, 0, 0)
-    assert best is not None
-    return best, best_perm
+    place(0, 0, 0, False)
+    tri = 0
+    for pos, col in enumerate(best_cols):
+        tri = tri << pos | col
+    return tri, best_perm
+
+
+def _triangle(rows: tuple[int, ...], order: list[int]) -> int:
+    """The upper-triangle bit-string of the graph relabeled by ``order``."""
+    tri = 0
+    for pos, v in enumerate(order):
+        row = rows[v]
+        for u in order[:pos]:
+            tri = tri << 1 | (row >> u & 1)
+    return tri
 
 
 def find_isomorphism(

@@ -2,13 +2,15 @@
 graph validation as it was before its bit-matrix fast test, the graph6
 encoder as it was before it wrote the packed pair string, the
 augmentation's max-key test as it was before it was answered from the
-parent, and the theorem verifier as it was before it read the claim
+parent, the canonical labeling search as it was before it packed the
+columns, and the theorem verifier as it was before it read the claim
 table.
 
 Each function here is the old body of the library function with the same
 name, kept unchanged as the reference the rewritten kernels must match
 exactly: same integers, same floats (``==``), same graphs, the same
-``Graph6Error`` messages and the same tied vertices.
+``Graph6Error`` messages, the same tied vertices and the same
+canonical triangle and vertex order.
 """
 
 import math
@@ -29,6 +31,7 @@ from absindex import (
     turan,
 )
 from absindex.graphs import _G6_HEADER, MAX_ORDER
+from absindex.invariants import _refined_cells
 
 
 # -- graphs -----------------------------------------------------------
@@ -247,6 +250,62 @@ def graph_from_canonical_form(form):
         if tri >> (total_bits - 1 - k) & 1:
             mask |= 1 << k
     return from_triangle_mask(n, mask)
+
+
+def canonical_labeling(g: Graph) -> tuple[int, list[int]]:
+    """The minimal upper-triangle bit-string over relabelings, and the
+    first vertex order that reaches it.
+
+    The string is read pair-by-pair in the graph6 column order and
+    packed so that earlier pairs land in more significant bits; the
+    minimum is therefore the numeric minimum.  Only permutations that
+    respect the refined-cell order are considered, which is sound
+    because the cell sequence itself is isomorphism-invariant.
+
+    Vertex ``order[i]`` gets label i in the canonical graph.  Every order
+    that reaches the minimum is this one composed with an automorphism,
+    so a vertex chosen by its canonical position is defined up to its
+    orbit.
+    """
+    n = g.order
+    rows = g.rows
+    cells = _refined_cells(g)
+    cell_at: list[list[int]] = []
+    for cell in cells:
+        cell_at.extend([cell] * len(cell))
+    total_bits = n * (n - 1) // 2
+    best: int | None = None
+    best_perm: list[int] = []
+    perm: list[int] = []
+    used = [False] * n
+
+    def place(pos: int, prefix: int, nbits: int) -> None:
+        nonlocal best, best_perm
+        if pos == n:
+            if best is None or prefix < best:
+                best = prefix
+                best_perm = perm[:]
+            return
+        for v in cell_at[pos]:
+            if used[v]:
+                continue
+            col = 0
+            row_v = rows[v]
+            for i in range(pos):
+                col = col << 1 | (row_v >> perm[i] & 1)
+            new_prefix = (prefix << pos) | col
+            new_bits = nbits + pos
+            if best is not None and new_prefix > best >> (total_bits - new_bits):
+                continue
+            used[v] = True
+            perm.append(v)
+            place(pos + 1, new_prefix, new_bits)
+            perm.pop()
+            used[v] = False
+
+    place(0, 0, 0)
+    assert best is not None
+    return best, best_perm
 
 
 # -- search -----------------------------------------------------------

@@ -21,6 +21,7 @@ from absindex import (
 from absindex.invariants import (
     _colorable,
     _refined_cells,
+    canonical_labeling,
     find_isomorphism,
     graph_from_canonical_form,
     independence_within,
@@ -283,17 +284,39 @@ class TestKernelReferences:
                 assert graph_from_canonical_form(form) == references.graph_from_canonical_form(form)
 
 
+class TestCanonicalLabelingReference:
+    """The packed-column search returns exactly the old search's minimal
+    triangle and the first vertex order that reaches it."""
+
+    def test_every_class_up_to_7(self, small_classes):
+        for g in small_classes:
+            assert canonical_labeling(g) == references.canonical_labeling(g)
+
+    def test_every_order_8_class_relabeled(self):
+        rng = random.Random(61)
+        perm = list(range(8))
+        for form in connected_class_forms(8):
+            rng.shuffle(perm)
+            g = permuted(graph_from_canonical_form(form), perm)
+            assert canonical_labeling(g) == references.canonical_labeling(g)
+
+    def test_gnp_graphs_9_to_12(self, gnp_graphs):
+        for g in gnp_graphs:
+            assert canonical_labeling(g) == references.canonical_labeling(g)
+
+    def test_symmetric_families(self):
+        # the searches that walk the most orders
+        for g in (complete_graph(8), star(9), kite(9, 7), complete_split(9, 8), turan(10, 5)):
+            assert canonical_labeling(g) == references.canonical_labeling(g)
+
+
 def _inner_code(fn, name):
     return next(c for c in fn.__code__.co_consts if getattr(c, "co_name", None) == name)
 
 
-def search_nodes(graphs) -> tuple[int, int]:
-    """Calls of α's ``expand`` and χ's ``assign`` (one per branch node)
-    while α and χ of each graph are computed, counted by a profile hook."""
-    counts = {
-        _inner_code(independence_within, "expand"): 0,
-        _inner_code(_colorable, "assign"): 0,
-    }
+def _count_calls(codes, work) -> tuple[int, ...]:
+    """Calls of each code object while ``work()`` runs, counted by a profile hook."""
+    counts = dict.fromkeys(codes, 0)
 
     def hook(frame, event, arg):
         if event == "call" and frame.f_code in counts:
@@ -302,23 +325,60 @@ def search_nodes(graphs) -> tuple[int, int]:
     previous = sys.getprofile()
     sys.setprofile(hook)
     try:
-        for g in graphs:
-            independence_number(g)
-            chromatic_number(g)
+        work()
     finally:
         sys.setprofile(previous)
     return tuple(counts.values())
 
 
+def search_nodes(graphs) -> tuple[int, int, int]:
+    """Calls of α's ``expand``, χ's ``assign`` and the canonical labeling's
+    ``place`` (one per search node) while α, χ and the canonical labeling
+    of each graph are computed."""
+
+    def work():
+        for g in graphs:
+            independence_number(g)
+            chromatic_number(g)
+            canonical_labeling(g)
+
+    return _count_calls(
+        (
+            _inner_code(independence_within, "expand"),
+            _inner_code(_colorable, "assign"),
+            _inner_code(canonical_labeling, "place"),
+        ),
+        work,
+    )
+
+
+def reference_place_nodes(graphs) -> int:
+    """Calls of the reference labeling's ``place`` on the graphs whose
+    refined cells are not discrete (the others take no search now)."""
+    searched = [g for g in graphs if len(_refined_cells(g)) < g.order]
+
+    def work():
+        for g in searched:
+            references.canonical_labeling(g)
+
+    return _count_calls((_inner_code(references.canonical_labeling, "place"),), work)[0]
+
+
 class TestSearchNodes:
     """α and χ are exact under any branching rule, so only the node counts
-    see the rule: α branches on its lowest candidate, taken or left out."""
+    see the rule: α branches on its lowest candidate, taken or left out.
+    The labeling's count is the reference's on the graphs it searches, so
+    the packed-column search visits as many nodes as the old one."""
 
     def test_every_class_up_to_7(self, small_classes):
-        assert search_nodes(small_classes) == (16826, 1430)
+        nodes = search_nodes(small_classes)
+        assert nodes == (16826, 1430, 47071)
+        assert reference_place_nodes(small_classes) == nodes[2]
 
     def test_gnp_graphs_9_to_12(self, gnp_graphs):
-        assert search_nodes(gnp_graphs) == (14156, 1981)
+        nodes = search_nodes(gnp_graphs)
+        assert nodes == (14156, 1981, 7128)
+        assert reference_place_nodes(gnp_graphs) == nodes[2]
 
 
 class TestIsomorphism:
