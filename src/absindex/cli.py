@@ -10,10 +10,11 @@ that could not be written.  Output reaches ``--out`` or stdout only on
 exit 0 or 1, so a usage error creates no file and leaves an existing one
 as it was.  Every usage error is a ValueError; an ``--out`` that cannot
 be opened is found before the work, and a write that fails after it
-(a full device, say) is reported as one line too.  Such a write is the
-one exit 2 that can change an existing ``--out``: the file is opened,
-and so emptied, only after the work, and keeps what was written before
-the failure.
+(a full device, say) is reported as one line too.  A new ``--out`` file,
+or a regular one this process owns with no other hard link, is replaced
+only by a complete copy, written beside it, so such a failure leaves it
+as it was too; any other ``--out``, such as a device or a pipe, is
+written in place, and keeps what was written before a failure.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ import argparse
 import errno
 import io
 import os
+import shutil
+import stat
 import sys
 
 from . import __version__
@@ -103,18 +106,64 @@ def _check_out(path: str) -> None:
 
 def _emit(text: str, path: str | None) -> None:
     """Write ``text`` to ``path``, else to stdout; a failed open, write,
-    flush or close raises ValueError."""
+    flush or close raises ValueError.
+
+    A new file, or a regular file that this process owns and that has no
+    other hard link, in a directory this process may write, is replaced
+    only by a complete copy (``_replace_with``), so a failed write leaves
+    it as it was; any other target, such as a device, a FIFO or a pipe
+    named ``/dev/stdout``, is written in place.
+    """
     try:
-        if path:
-            with open(path, "w", newline="") as out:
-                out.write(text)
-        else:
+        if not path:
             sys.stdout.write(text)
             sys.stdout.flush()
+        elif target := _replaceable(path):
+            _replace_with(text, target)
+        else:
+            with open(path, "w", newline="") as out:
+                out.write(text)
     except OSError as exc:
         if not path:
             _drop_stdout()
         raise ValueError(f"cannot write {path or 'stdout'}: {exc.strerror}") from None
+
+
+def _replaceable(path: str) -> str | None:
+    """The resolved file that ``path`` names, if a renamed copy may take
+    its place: it does not exist yet, or it is a regular file with one
+    link that this process owns, and its directory is writable.  Else
+    None.  ``os.stat`` follows symlinks, so a ``/dev/stdout`` that is a
+    pipe is found to be one."""
+    try:
+        info = os.stat(path)
+    except FileNotFoundError:
+        info = None
+    if info and not (
+        stat.S_ISREG(info.st_mode) and info.st_nlink == 1 and info.st_uid == os.geteuid()
+    ):
+        return None
+    target = os.path.realpath(path)
+    return target if os.access(os.path.dirname(target), os.W_OK) else None
+
+
+def _replace_with(text: str, target: str) -> None:
+    """Write ``text`` to a new file beside ``target``, give it the
+    permission bits of ``target`` if that exists, and rename it onto
+    ``target``; the new file is removed if any step fails.  It is
+    created with mode 0o666, so the umask applies as to a plain open."""
+    folder, name = os.path.split(target)
+    temp = os.path.join(folder, f".{name}.{os.getpid()}.tmp")
+    fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "w", newline="") as out:
+            out.write(text)
+        if os.path.exists(target):
+            shutil.copymode(target, temp)
+        os.replace(temp, target)
+    except BaseException:
+        os.unlink(temp)
+        raise
 
 
 def _drop_stdout() -> None:

@@ -16,12 +16,16 @@ The module also implements the standard graph6 text encoding (short
 form) used for input and output of graphs.  The graph6 body and a
 canonical form's body are the same packed pair string: pair k, in graph6
 column order, is bit nbits-1-k.  This module alone turns rows into that
-string (``to_packed_pairs``) and back (``from_packed_pairs``); graph6 is
-encoded and decoded through it.
+string (``packed_pairs``, under any vertex order) and back
+(``from_packed_pairs``); graph6 is encoded and decoded through it, and a
+canonical labeling writes its discrete case with it.  It also holds the
+one breadth-first walk over bit rows (``reachable``), which connectivity
+and the enumeration's cut-vertex test share.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 MAX_ORDER = 12
@@ -141,18 +145,7 @@ class Graph:
 
     def is_connected(self) -> bool:
         full = (1 << self.order) - 1
-        seen = 1
-        frontier = 1
-        while frontier:
-            nxt = 0
-            rest = frontier
-            while rest:
-                v = (rest & -rest).bit_length() - 1
-                nxt |= self.rows[v]
-                rest &= rest - 1
-            frontier = nxt & ~seen
-            seen |= frontier
-        return seen == full
+        return reachable(self.rows, 1, full) == full
 
     # -- copy-on-write mutation ---------------------------------------
 
@@ -225,12 +218,33 @@ def from_packed_pairs(order: int, packed: int) -> Graph:
 
 def to_packed_pairs(g: Graph) -> int:
     """The packed pair string of g; ``from_packed_pairs`` inverts it."""
+    return packed_pairs(g.rows, range(g.order))
+
+
+def packed_pairs(rows: Sequence[int], order: Sequence[int]) -> int:
+    """The packed pair string of the graph with bit rows ``rows`` in which
+    vertex ``order[i]`` is relabeled i."""
     packed = 0
-    for j in range(1, g.order):
-        row = g.rows[j]
-        for i in range(j):
-            packed = packed << 1 | row >> i & 1
+    for j, v in enumerate(order):
+        row = rows[v]
+        for u in order[:j]:
+            packed = packed << 1 | row >> u & 1
     return packed
+
+
+def reachable(rows: Sequence[int], start: int, within: int) -> int:
+    """The vertices of mask ``within`` reachable from the vertices of mask
+    ``start``, which it holds, along paths inside ``within``."""
+    seen = frontier = start
+    while frontier:
+        reach = 0
+        while frontier:
+            low = frontier & -frontier
+            reach |= rows[low.bit_length() - 1]
+            frontier ^= low
+        frontier = reach & within & ~seen
+        seen |= frontier
+    return seen
 
 
 def complete_graph(order: int) -> Graph:

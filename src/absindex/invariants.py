@@ -13,9 +13,11 @@ cells that the round before split off; it decodes through the same
 packed pair decoder as graph6 (``graphs.from_packed_pairs``).  The
 search packs the vertices' columns into one int and compares them
 position by position, visiting the nodes a whole-prefix comparison
-visits, in the same order.  Two given graphs are compared by a direct
-search for an isomorphism between their refined cells, which is much
-cheaper than two canonical forms on symmetric graphs.
+visits, in the same order; a discrete partition's one order is written
+by ``graphs.packed_pairs``.  Two given graphs are compared by a direct
+search for an isomorphism between their refined cells, which maps g's
+vertices one at a time to h's and is much cheaper than two canonical
+forms on symmetric graphs.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .graphs import Graph, from_packed_pairs
+from .graphs import Graph, from_packed_pairs, packed_pairs
 
 
 @dataclass(frozen=True)
@@ -59,8 +61,6 @@ def pendant_count(g: Graph) -> int:
 def chromatic_number(g: Graph) -> int:
     """Least k admitting a proper k-coloring (exact)."""
     rows = g.rows
-    if not any(rows):
-        return 1
     order = _by_degree(rows)
     lower = _greedy_clique_size(rows, order)
     upper = _greedy_coloring_size(rows, order)
@@ -282,7 +282,7 @@ def canonical_labeling(g: Graph) -> tuple[int, list[int]]:
     cells = _refined_cells(g)
     if len(cells) == n:
         order = [cell[0] for cell in cells]
-        return _triangle(g.rows, order), order
+        return packed_pairs(g.rows, order), order
     cell_at: list[int] = []  # the vertex mask of each position's cell
     for cell in cells:
         cell_at.extend([sum(1 << v for v in cell)] * len(cell))
@@ -325,16 +325,6 @@ def canonical_labeling(g: Graph) -> tuple[int, list[int]]:
     for pos, col in enumerate(best_cols):
         tri = tri << pos | col
     return tri, best_perm
-
-
-def _triangle(rows: tuple[int, ...], order: list[int]) -> int:
-    """The upper-triangle bit-string of the graph relabeled by ``order``."""
-    tri = 0
-    for pos, v in enumerate(order):
-        row = rows[v]
-        for u in order[:pos]:
-            tri = tri << 1 | (row >> u & 1)
-    return tri
 
 
 def find_isomorphism(
@@ -386,7 +376,14 @@ def _map_cells(
     h_cells: list[list[int]],
     pins: Sequence[tuple[int, int]],
 ) -> list[int] | None:
-    """``find_isomorphism`` given both refined cells; pin (u, w) maps u to w."""
+    """``find_isomorphism`` given both refined cells; pin (u, w) maps u to w.
+
+    ``image[v]`` is the h vertex that g vertex v maps to.  A candidate x
+    for the next vertex v fits iff it is unmapped and its mapped
+    neighbours are exactly the images of v's mapped neighbours: as the
+    map is one-to-one, that is the adjacency test against every vertex
+    mapped so far.
+    """
     n = g.order
     if [len(c) for c in g_cells] != [len(c) for c in h_cells]:
         return None
@@ -409,42 +406,26 @@ def _map_cells(
         )
         order.append(v)
         placed |= 1 << v
-    pos = [0] * n
-    for k, v in enumerate(order):
-        pos[v] = k
-    # back[k]: the positions before k that hold neighbours of order[k]
-    back = [0] * n
-    for k, v in enumerate(order):
-        for i in range(k):
-            if g_rows[v] >> order[i] & 1:
-                back[k] |= 1 << i
-    image = [0] * n  # h vertex at each position
-    h_pos = [-1] * n  # position of each mapped h vertex
+    image = [0] * n
 
-    def extend(k: int, mapped: int) -> bool:
+    def extend(k: int, before: int, mapped: int) -> bool:
         if k == n:
             return True
-        for x in targets[order[k]]:
-            if h_pos[x] >= 0:
-                continue
-            seen = 0
-            rest = h_rows[x] & mapped
-            while rest:
-                low = rest & -rest
-                seen |= 1 << h_pos[low.bit_length() - 1]
-                rest ^= low
-            if seen != back[k]:
-                continue
-            image[k] = x
-            h_pos[x] = k
-            if extend(k + 1, mapped | 1 << x):
-                return True
-            h_pos[x] = -1
+        v = order[k]
+        want = 0
+        rest = g_rows[v] & before
+        while rest:
+            low = rest & -rest
+            want |= 1 << image[low.bit_length() - 1]
+            rest ^= low
+        for x in targets[v]:
+            if not mapped >> x & 1 and h_rows[x] & mapped == want:
+                image[v] = x
+                if extend(k + 1, before | 1 << v, mapped | 1 << x):
+                    return True
         return False
 
-    if not extend(0, 0):
-        return None
-    return [image[pos[v]] for v in range(n)]
+    return image if extend(0, 0, 0) else None
 
 
 def canonical_form(g: Graph) -> bytes:
@@ -463,8 +444,6 @@ def graph_from_canonical_form(form: bytes) -> Graph:
 
 
 def are_isomorphic(g: Graph, h: Graph) -> bool:
-    if g.order != h.order:
-        return False
     if sorted(g.degrees()) != sorted(h.degrees()):
         return False
     return find_isomorphism(g, h) is not None

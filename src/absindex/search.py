@@ -61,7 +61,7 @@ from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, replace
 
 from .extremal import CASES, THEOREMS
-from .graphs import MAX_ORDER, Graph, encode_graph6, from_packed_pairs
+from .graphs import MAX_ORDER, Graph, encode_graph6, from_packed_pairs, reachable
 from .index import abs_index, edge_weight, gain_contrast, shift_gain
 from .invariants import (
     are_isomorphic,
@@ -136,15 +136,7 @@ def _components_without(rows: Sequence[int], v: int) -> list[int]:
     rest = ((1 << len(rows)) - 1) & ~(1 << v)
     components = []
     while rest:
-        seen = frontier = rest & -rest
-        while frontier:
-            reach = 0
-            while frontier:
-                u = (frontier & -frontier).bit_length() - 1
-                reach |= rows[u]
-                frontier &= frontier - 1
-            frontier = reach & rest & ~seen
-            seen |= frontier
+        seen = reachable(rows, rest & -rest, rest)
         components.append(seen)
         rest &= ~seen
     return components
@@ -583,11 +575,16 @@ class EdgeAdditionReport:
 
 
 def check_edge_additions(n: int) -> EdgeAdditionReport:
-    """Adding any edge to any connected class must strictly raise ABS."""
+    """Adding any edge to any connected class must strictly raise ABS.
+
+    Each class's own value is read from ``class_table(n)``, which holds
+    exactly ``abs_index`` of the class.
+    """
     min_margin = None
     checks = 0
-    for g in enumerate_connected(n):
-        base = abs_index(g)
+    table = class_table(n)
+    for form, base in zip(table.forms, table.abs_value):
+        g = graph_from_canonical_form(form)
         for u in range(n):
             for v in range(u + 1, n):
                 if g.has_edge(u, v):

@@ -3,17 +3,19 @@ graph validation as it was before its bit-matrix fast test, the graph6
 encoder as it was before it wrote the packed pair string, the
 augmentation's max-key test as it was before it was answered from the
 parent, the canonical labeling search as it was before it packed the
-columns, and the theorem verifier as it was before it read the claim
+columns, the isomorphism search as it was before it mapped vertex to
+vertex, and the theorem verifier as it was before it read the claim
 table.
 
 Each function here is the old body of the library function with the same
 name, kept unchanged as the reference the rewritten kernels must match
 exactly: same integers, same floats (``==``), same graphs, the same
-``Graph6Error`` messages, the same tied vertices and the same
-canonical triangle and vertex order.
+``Graph6Error`` messages, the same tied vertices, the same
+canonical triangle and vertex order, and the same vertex maps.
 """
 
 import math
+from collections.abc import Sequence
 from dataclasses import replace
 
 from absindex import (
@@ -306,6 +308,74 @@ def canonical_labeling(g: Graph) -> tuple[int, list[int]]:
     place(0, 0, 0)
     assert best is not None
     return best, best_perm
+
+
+def _map_cells(
+    g: Graph,
+    g_cells: list[list[int]],
+    h: Graph,
+    h_cells: list[list[int]],
+    pins: Sequence[tuple[int, int]],
+) -> list[int] | None:
+    """``find_isomorphism`` given both refined cells; pin (u, w) maps u to w."""
+    n = g.order
+    if [len(c) for c in g_cells] != [len(c) for c in h_cells]:
+        return None
+    targets: list[list[int]] = [[]] * n
+    for g_cell, h_cell in zip(g_cells, h_cells):
+        for v in g_cell:
+            targets[v] = h_cell
+    g_rows, h_rows = g.rows, h.rows
+    order: list[int] = []
+    for u, w in pins:
+        if w not in targets[u]:
+            return None
+        targets[u] = [w]
+        order.append(u)
+    placed = sum(1 << v for v in order)
+    while len(order) < n:
+        v = min(
+            (v for v in range(n) if not placed >> v & 1),
+            key=lambda v: (-(g_rows[v] & placed).bit_count(), len(targets[v])),
+        )
+        order.append(v)
+        placed |= 1 << v
+    pos = [0] * n
+    for k, v in enumerate(order):
+        pos[v] = k
+    # back[k]: the positions before k that hold neighbours of order[k]
+    back = [0] * n
+    for k, v in enumerate(order):
+        for i in range(k):
+            if g_rows[v] >> order[i] & 1:
+                back[k] |= 1 << i
+    image = [0] * n  # h vertex at each position
+    h_pos = [-1] * n  # position of each mapped h vertex
+
+    def extend(k: int, mapped: int) -> bool:
+        if k == n:
+            return True
+        for x in targets[order[k]]:
+            if h_pos[x] >= 0:
+                continue
+            seen = 0
+            rest = h_rows[x] & mapped
+            while rest:
+                low = rest & -rest
+                seen |= 1 << h_pos[low.bit_length() - 1]
+                rest ^= low
+            if seen != back[k]:
+                continue
+            image[k] = x
+            h_pos[x] = k
+            if extend(k + 1, mapped | 1 << x):
+                return True
+            h_pos[x] = -1
+        return False
+
+    if not extend(0, 0):
+        return None
+    return [image[pos[v]] for v in range(n)]
 
 
 # -- search -----------------------------------------------------------

@@ -520,11 +520,12 @@ class TestUsage:
         assert not target.parent.exists()
 
 
-def run_process(argv, stdout):
+def run_process(argv, stdout, **options):
     """``python -m absindex *argv`` in a new process; its exit code and stderr.
 
     Its stdout is block-buffered, as by default, so that what a failed
-    write leaves in the buffer would be flushed again at exit.
+    write leaves in the buffer would be flushed again at exit.  Further
+    ``subprocess.run`` options are passed on.
     """
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = str(Path(__file__).parent.parent / "src")
@@ -535,6 +536,7 @@ def run_process(argv, stdout):
         stderr=subprocess.PIPE,
         text=True,
         timeout=120,
+        **options,
     )
     return done.returncode, done.stderr
 
@@ -554,6 +556,93 @@ class TestFailedWrite:
             code, err = run_process(("compute", "Bw"), full)
         assert code == 2
         assert err == "compute: cannot write stdout: No space left on device\n"
+
+
+class TestReplacedOut:
+    """A regular --out file is replaced only by a complete copy."""
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs preexec_fn")
+    def test_failed_write_leaves_out_as_it_was(self, tmp_path):
+        import resource
+
+        def limit_file_size():
+            resource.setrlimit(resource.RLIMIT_FSIZE, (1024, 1024))
+
+        target = tmp_path / "kept.csv"
+        assert main(["verify", "--n", "5", "--out", str(target)]) == 0
+        good = target.read_bytes()
+        argv = ("verify", "--n", "5..7", "--out", "kept.csv")
+        code, err = run_process(
+            argv, subprocess.DEVNULL, cwd=tmp_path, preexec_fn=limit_file_size
+        )
+        assert code == 2
+        assert err == "verify: cannot write kept.csv: File too large\n"
+        assert target.read_bytes() == good
+        assert os.listdir(tmp_path) == ["kept.csv"]
+
+    def test_symlink_and_permission_bits_are_kept(self, tmp_path, capsys):
+        target = tmp_path / "real.csv"
+        target.write_text("old\n")
+        target.chmod(0o640)
+        link = tmp_path / "link.csv"
+        link.symlink_to(target)
+        _, expected, _ = run(capsys, "verify", "--n", "4")
+        assert main(["verify", "--n", "4", "--out", str(link)]) == 0
+        assert link.is_symlink()
+        assert target.read_text() == expected
+        assert target.stat().st_mode & 0o777 == 0o640
+        assert sorted(os.listdir(tmp_path)) == ["link.csv", "real.csv"]
+
+    def test_new_file_mode_follows_the_umask(self, tmp_path):
+        target = tmp_path / "new.csv"
+        old = os.umask(0o027)
+        try:
+            assert main(["verify", "--n", "4", "--out", str(target)]) == 0
+        finally:
+            os.umask(old)
+        assert target.stat().st_mode & 0o777 == 0o640
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+    def test_dev_stdout_into_a_pipe_is_written_in_place(self, capsys):
+        _, expected, _ = run(capsys, "verify", "--n", "5")
+        read_end, write_end = os.pipe()
+        with open(read_end) as reader, open(write_end, "w") as writer:
+            argv = ("verify", "--n", "5", "--out", "/dev/stdout")
+            code, err = run_process(argv, writer)
+            writer.close()
+            assert (code, err) == (0, "")
+            assert reader.read() == expected
+
+    def written_in_place(self, capsys, target):
+        """Run ``verify --n 4 --out target`` over an old ``target`` and
+        assert that the same inode now holds the table, beside no new file."""
+        target.write_text("old\n")
+        inode = target.stat().st_ino
+        before = sorted(os.listdir(target.parent))
+        _, expected, _ = run(capsys, "verify", "--n", "4")
+        assert main(["verify", "--n", "4", "--out", str(target)]) == 0
+        assert target.stat().st_ino == inode
+        assert target.read_text() == expected
+        assert sorted(os.listdir(target.parent)) == before
+
+    def test_file_of_another_owner_is_written_in_place(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(os, "geteuid", lambda: os.stat(tmp_path).st_uid + 1)
+        self.written_in_place(capsys, tmp_path / "theirs.csv")
+
+    def test_hard_linked_file_is_written_in_place(self, tmp_path, capsys):
+        target = tmp_path / "linked.csv"
+        target.write_text("old\n")
+        (tmp_path / "other.csv").hardlink_to(target)
+        self.written_in_place(capsys, target)
+        assert (tmp_path / "other.csv").read_text() == target.read_text()
+
+    def test_file_in_unwritable_directory_is_written_in_place(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        folder = os.path.realpath(tmp_path)
+        access = os.access
+        monkeypatch.setattr(os, "access", lambda p, mode: p != folder and access(p, mode))
+        self.written_in_place(capsys, tmp_path / "kept.csv")
 
 
 class TestOutputOnUsageError:

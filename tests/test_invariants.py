@@ -18,9 +18,11 @@ from absindex import (
     GraphInvariants,
     enumerate_connected,
 )
+from absindex import invariants
 from absindex.invariants import (
     _colorable,
     _refined_cells,
+    automorphism_generators,
     canonical_labeling,
     find_isomorphism,
     graph_from_canonical_form,
@@ -292,13 +294,22 @@ class TestCanonicalLabelingReference:
         for g in small_classes:
             assert canonical_labeling(g) == references.canonical_labeling(g)
 
-    def test_every_order_8_class_relabeled(self):
+    def test_every_order_8_class_relabeled(self, monkeypatch):
+        # and the isomorphism search maps each class onto its relabeling
+        # as the reference search does
         rng = random.Random(61)
         perm = list(range(8))
+        pairs = []
         for form in connected_class_forms(8):
             rng.shuffle(perm)
-            g = permuted(graph_from_canonical_form(form), perm)
+            base = graph_from_canonical_form(form)
+            g = permuted(base, perm)
             assert canonical_labeling(g) == references.canonical_labeling(g)
+            pairs.append((base, g))
+        ours, old = on_both_searches(
+            monkeypatch, lambda: [find_isomorphism(base, g) for base, g in pairs]
+        )
+        assert ours == old
 
     def test_gnp_graphs_9_to_12(self, gnp_graphs):
         for g in gnp_graphs:
@@ -308,6 +319,45 @@ class TestCanonicalLabelingReference:
         # the searches that walk the most orders
         for g in (complete_graph(8), star(9), kite(9, 7), complete_split(9, 8), turan(10, 5)):
             assert canonical_labeling(g) == references.canonical_labeling(g)
+
+
+class TestIsomorphismReference:
+    """The vertex-to-vertex search returns exactly the maps and generators
+    of the old position-indexed search, not just the same verdicts."""
+
+    def test_every_class_up_to_7_with_every_pin_in_a_cell(self, small_classes, monkeypatch):
+        def maps():
+            found = []
+            for g in small_classes:
+                found += [automorphism_generators(g), find_isomorphism(g, g)]
+                for cell in _refined_cells(g):
+                    found += [find_isomorphism(g, g, (u, w)) for u in cell for w in cell]
+            return found
+
+        ours, old = on_both_searches(monkeypatch, maps)
+        assert ours == old
+
+    def test_gnp_graphs_9_to_12_relabeled(self, gnp_graphs, monkeypatch):
+        rng = random.Random(71)
+        pairs = []
+        for g in gnp_graphs:
+            perm = list(range(g.order))
+            rng.shuffle(perm)
+            pairs.append((g, permuted(g, perm)))
+
+        def maps():
+            return [(find_isomorphism(g, h), automorphism_generators(g)) for g, h in pairs]
+
+        ours, old = on_both_searches(monkeypatch, maps)
+        assert ours == old
+
+
+def on_both_searches(monkeypatch, work):
+    """``work()`` on the library ``_map_cells``, then on the reference one."""
+    ours = work()
+    with monkeypatch.context() as m:
+        m.setattr(invariants, "_map_cells", references._map_cells)
+        return ours, work()
 
 
 def _inner_code(fn, name):
