@@ -15,6 +15,10 @@ or a regular one this process owns with no other hard link, is replaced
 only by a complete copy, written beside it, so such a failure leaves it
 as it was too; any other ``--out``, such as a device or a pipe, is
 written in place, and keeps what was written before a failure.
+
+``verify`` and ``lemmas`` take the library's one order limit,
+``search.MAX_SEARCH_ORDER``: an order above it is refused before any
+order is built.  ``verify --enable-n8`` has no effect.
 """
 
 from __future__ import annotations
@@ -43,14 +47,11 @@ from .graphs import MAX_ORDER, Graph, decode_graph6, encode_graph6
 from .index import abs_index, edge_contributions
 from .invariants import GraphInvariants
 from .search import (
-    MAX_SEARCH_ORDER,
     check_edge_additions,
     check_scalar_properties,
     class_table,
     verify_theorem,
 )
-
-DEFAULT_ORDER_CAP = 7  # verify's order limit unless --enable-n8 lifts it
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -277,13 +278,7 @@ def _cmd_verify(args, out) -> int:
     n_lo, n_hi = args.n
     if args.workers < 1:
         raise ValueError(f"--workers must be a positive integer, got '{args.workers}'")
-    cap = MAX_SEARCH_ORDER if args.enable_n8 else DEFAULT_ORDER_CAP
-    if n_hi > cap:
-        raise ValueError(
-            f"order cap {cap} exceeded"
-            + ("" if args.enable_n8 else " (use --enable-n8 for n = 8)")
-        )
-    class_table(n_hi, args.workers)  # every order of the sweep; the highest pooled
+    class_table(n_hi, args.workers)  # the highest order pooled; too high fails first
     theorems = args.theorems
     header = [
         "theorem",
@@ -426,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--enable-n8", action="store_true",
-        help="allow order-8 sweeps (slow)",
+        help="no effect; kept so that existing command lines still parse",
     )
 
     p = sub.add_parser("audit", help="printed bound vs direct evaluation table")

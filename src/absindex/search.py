@@ -23,10 +23,10 @@ of the enumeration sit the constrained ABS maximizer, the verifier of the
 theorems in the claim table ``extremal.CASES``, and the exhaustive
 monotonicity checks.
 
-The library has one order limit, MAX_SEARCH_ORDER, with no opt-in:
+The library has one order limit, MAX_SEARCH_ORDER = 9, with no opt-in:
 ``connected_class_forms`` checks it, and every search goes through that
-function.  Only the labeled oracle has a lower cap of its own, order 7.
-Which orders a user may sweep by default is the CLI's policy.
+function; the CLI keeps no limit of its own.  Only the labeled oracle
+has a lower cap of its own, order 7.
 
 Per-class facts are computed once per order: every augmentation job
 also computes χ, α, pendant count and the ABS value of each class it
@@ -75,7 +75,7 @@ from .invariants import (
     is_colorable,
 )
 
-MAX_SEARCH_ORDER = 8
+MAX_SEARCH_ORDER = 9
 TIE_TOLERANCE = 1e-9
 
 CONSTRAINT_KINDS = ("chromatic", "independence", "pendants", "none")

@@ -12,9 +12,15 @@ name, kept unchanged as the reference the rewritten kernels must match
 exactly: same integers, same floats (``==``), same graphs, the same
 ``Graph6Error`` messages, the same tied vertices, the same
 canonical triangle and vertex order, and the same vertex maps.
+
+The last section is not an old body: it counts the connected classes of
+each order by edge count (Pólya counting), using neither the
+enumeration nor any canonical form, so the class tables can be checked
+against it.
 """
 
 import math
+from collections import Counter
 from collections.abc import Sequence
 from dataclasses import replace
 
@@ -457,3 +463,97 @@ def verify_theorem(theorem, n, k):
         in_hypothesis=in_range,
         expected_graph6=encode_graph6(expected),
     )
+
+
+# -- class counts by Pólya counting -----------------------------------
+
+
+def _partitions(n, largest):
+    """The partitions of n into parts of at most ``largest``, as
+    non-increasing tuples."""
+    if n == 0:
+        yield ()
+        return
+    for part in range(min(n, largest), 0, -1):
+        for rest in _partitions(n - part, part):
+            yield (part, *rest)
+
+
+def graph_counts_by_edges(n):
+    """Graphs on n vertices up to isomorphism, by edge count (Burnside).
+
+    A permutation fixes a graph iff each cycle it induces on the vertex
+    pairs is all edges or all non-edges, so it fixes as many graphs with
+    e edges as the x^e coefficient of the product of (1 + x^len) over
+    its pair cycles.  That product depends only on the cycle type; the
+    sum over S_n is divided by n!.
+    """
+    totals = [0] * (n * (n - 1) // 2 + 1)
+    for cycles in _partitions(n, n):
+        pair_cycles = []
+        for i, a in enumerate(cycles):
+            # a pair inside one a-cycle: (a - 1) // 2 cycles of length a,
+            # plus one of length a / 2 (the antipodal pairs) if a is even
+            pair_cycles += [a] * ((a - 1) // 2)
+            if a % 2 == 0:
+                pair_cycles.append(a // 2)
+            for b in cycles[i + 1:]:  # a pair across two cycles
+                pair_cycles += [math.lcm(a, b)] * math.gcd(a, b)
+        fixed = [1] + [0] * (len(totals) - 1)
+        for length in pair_cycles:
+            for e in range(len(fixed) - 1, length - 1, -1):
+                fixed[e] += fixed[e - length]
+        permutations = math.factorial(n)
+        for a, m in Counter(cycles).items():
+            permutations //= a**m * math.factorial(m)
+        for e, count in enumerate(fixed):
+            totals[e] += permutations * count
+    assert all(t % math.factorial(n) == 0 for t in totals)
+    return [t // math.factorial(n) for t in totals]
+
+
+def connected_counts_by_edges(n_max):
+    """Connected graphs up to isomorphism by edge count, for n = 1..n_max:
+    index n holds the list of counts for e = 0..n(n - 1)/2 edges.
+
+    Every graph is a multiset of connected ones, so with G(x, y) the sum
+    of graph counts by edges (x) and vertices (y), and C(x, y) the
+    connected one, log G = sum over k >= 1 of C(x^k, y^k) / k.  The
+    y^n coefficients of y d/dy log G are m_n = n g_n - sum of m_k
+    g_(n - k) over k < n, and Möbius inversion gives
+    c_n(x) = sum over d | n of mu(d) m_(n / d)(x^d), divided by n; all
+    in integers.
+    """
+    graphs = [None] + [graph_counts_by_edges(n) for n in range(1, n_max + 1)]
+    logs = [None]
+    for n in range(1, n_max + 1):
+        m = [n * g for g in graphs[n]]
+        for k in range(1, n):
+            for i, a in enumerate(logs[k]):
+                for j, b in enumerate(graphs[n - k]):
+                    m[i + j] -= a * b
+        logs.append(m)
+    connected = [None]
+    for n in range(1, n_max + 1):
+        c = [0] * len(graphs[n])
+        for d in range(1, n + 1):
+            mu = _mobius(d) if n % d == 0 else 0
+            if mu:
+                for i, a in enumerate(logs[n // d]):
+                    c[i * d] += mu * a
+        assert all(x % n == 0 for x in c)
+        connected.append([x // n for x in c])
+    return connected
+
+
+def _mobius(d):
+    """The Möbius function: 0 if a square divides d, else (-1)^(prime factors)."""
+    sign, p = 1, 2
+    while p * p <= d:
+        if d % p == 0:
+            d //= p
+            if d % p == 0:
+                return 0
+            sign = -sign
+        p += 1
+    return -sign if d > 1 else sign

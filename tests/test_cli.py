@@ -11,7 +11,7 @@ import pytest
 from absindex import cli, complete_graph, encode_graph6, search, star, turan
 from absindex.cli import main
 
-# stdout of `absindex verify --n 8 --enable-n8` (T1-T3, 19 rows)
+# stdout of `absindex verify --n 8` (T1-T3, 19 rows), with or without --enable-n8
 N8_STDOUT_SHA256 = "efc3635c47aec7c21c3d23dcea937936699af0ea131e6878a876fc8cdcf7a1f2"
 
 
@@ -184,14 +184,9 @@ class TestVerify:
         assert [line.split(",")[2] for line in lines[1:]] == ["1", "2", "3", "4", "5"]
 
     def test_cap_exceeded(self, capsys):
-        code, _, err = run(capsys, "verify", "--n", "9..9")
-        assert code == 2
-        assert "cap" in err
-
-    def test_n8_needs_flag(self, capsys):
-        code, _, err = run(capsys, "verify", "--n", "8..8")
-        assert code == 2
-        assert "--enable-n8" in err
+        code, out, err = run(capsys, "verify", "--n", "10..10")
+        assert (code, out) == (2, "")
+        assert err == "verify: order 10 outside the supported range 1..9\n"
 
     def test_markdown_format(self, capsys):
         code, out, _ = run(
@@ -225,11 +220,14 @@ class TestVerify:
         assert "T3,3,1,0,,,false,false,false" in rows
         assert "T3,3,2,1,1.1547005384,BW,true,true,true" in rows
 
-    @pytest.mark.parametrize("workers", ["1", "2"])
-    def test_n8_sweep_stdout(self, capsys, cold_caches, workers):
-        code, out, _ = run(
-            capsys, "verify", "--n", "8", "--enable-n8", "--workers", workers
-        )
+    @pytest.mark.parametrize(
+        "flags",
+        [("--enable-n8", "--workers", "1"), ("--enable-n8", "--workers", "2"), ("--workers", "2")],
+        ids=["1", "2", "2-without-flag"],
+    )
+    def test_n8_sweep_stdout(self, capsys, cold_caches, flags):
+        # --enable-n8 has no effect; it still parses
+        code, out, _ = run(capsys, "verify", "--n", "8", *flags)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == N8_STDOUT_SHA256
 
@@ -237,14 +235,8 @@ class TestVerify:
         os.environ.get("ABSINDEX_SLOW") != "1",
         reason="builds order 9, about 20 s on 2 cores; set ABSINDEX_SLOW=1",
     )
-    def test_order_9_sweep_matches_the_committed_table(
-        self, capsys, cold_caches, monkeypatch
-    ):
-        monkeypatch.setattr(search, "MAX_SEARCH_ORDER", 9)
-        monkeypatch.setattr(cli, "MAX_SEARCH_ORDER", 9)
-        code, out, _ = run(
-            capsys, "verify", "--n", "9", "--enable-n8", "--workers", "2"
-        )
+    def test_order_9_sweep_matches_the_committed_table(self, capsys, cold_caches):
+        code, out, _ = run(capsys, "verify", "--n", "9", "--workers", "2")
         assert code == 0
         committed = Path(__file__).parent.parent / "results" / "verify_n9.csv"
         assert out == committed.read_text()
@@ -344,15 +336,16 @@ class TestLemmas:
         assert all(",true," in row for row in rows)
 
     def test_cap(self, capsys):
-        code, out, err = run(capsys, "lemmas", "--n", "9")
+        code, out, err = run(capsys, "lemmas", "--n", "10")
         assert (code, out) == (2, "")
-        assert err == "lemmas: order 9 outside the supported range 1..8\n"
+        assert err == "lemmas: order 10 outside the supported range 1..9\n"
 
     def test_cap_refused_before_any_order_is_built(self, capsys, cold_caches):
-        code, out, err = run(capsys, "lemmas", "--n", "4..9")
-        assert (code, out) == (2, "")
-        assert err == "lemmas: order 9 outside the supported range 1..8\n"
-        assert search._table_cache == {}
+        for argv in (("lemmas", "--n", "4..10"), ("verify", "--n", "5..10")):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, "")
+            assert err == f"{argv[0]}: order 10 outside the supported range 1..9\n"
+            assert search._table_cache == {}
 
 
 class TestDeterminism:
@@ -492,7 +485,7 @@ class TestUsage:
     ):
         target = tmp_path / "missing" / "x.csv"
         code, out, err = run(
-            capsys, "verify", "--n", "8", "--enable-n8", "--out", str(target)
+            capsys, "verify", "--n", "8", "--out", str(target)
         )
         assert (code, out) == (2, "")
         assert err == f"verify: cannot write {target}: No such file or directory\n"
@@ -652,10 +645,10 @@ class TestOutputOnUsageError:
         target = tmp_path / "results.csv"
         assert main(["verify", "--n", "4..4", "--out", str(target)]) == 0
         good = target.read_bytes()
-        code, out, err = run(capsys, "verify", "--n", "9", "--out", str(target))
+        code, out, err = run(capsys, "verify", "--n", "10", "--out", str(target))
         assert code == 2
         assert out == ""
-        assert "cap" in err
+        assert err == "verify: order 10 outside the supported range 1..9\n"
         assert target.read_bytes() == good
 
     def test_no_out_file_is_created(self, tmp_path, capsys):

@@ -34,8 +34,8 @@ from absindex.search import class_table
 
 import references
 
-# connected isomorphism classes by order (see e.g. OEIS A001349)
-KNOWN_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}
+# connected isomorphism classes of order n = 1..12 (OEIS A001349)
+A001349 = (1, 1, 2, 6, 21, 112, 853, 11117, 261080, 11716571, 1006700565, 164059830476)
 ORDER_8_DIGEST = "13f308b1b8a6a9e97ae1d07a761b9dbf65d2b6b8a5b6f1868202e5d239d05e39"
 # order 9: 261,080 classes (OEIS A001349), with no form found twice
 ORDER_9_DIGEST = "0508d7bb27da5ea085a0a10f6601a85ec8224c5c356f360083ea9ffb4ea83ce8"
@@ -43,8 +43,8 @@ ORDER_9_DIGEST = "0508d7bb27da5ea085a0a10f6601a85ec8224c5c356f360083ea9ffb4ea83c
 
 class TestEnumeration:
     def test_known_counts(self):
-        for n, count in KNOWN_COUNTS.items():
-            assert len(connected_class_forms(n)) == count
+        for n in range(1, 9):
+            assert len(connected_class_forms(n)) == A001349[n - 1]
 
     def test_order_8_forms_digest(self):
         forms = connected_class_forms(8)
@@ -54,14 +54,14 @@ class TestEnumeration:
         os.environ.get("ABSINDEX_SLOW") != "1",
         reason="builds order 9, about 20 s on 2 cores; set ABSINDEX_SLOW=1",
     )
-    def test_order_9_forms_digest(self, cold_caches, monkeypatch):
-        monkeypatch.setattr(search, "MAX_SEARCH_ORDER", 9)
+    def test_order_9_forms_digest(self, cold_caches):
         forms = connected_class_forms(9, workers=2)
-        assert len(forms) == 261080
+        assert len(forms) == A001349[8]
         assert hashlib.sha256(b"".join(forms)).hexdigest() == ORDER_9_DIGEST
 
     def test_labeled_sweep_agrees(self):
-        for n in range(1, 7):
+        # n = 4..7 are compared in acceptance criterion 7
+        for n in range(1, 4):
             assert connected_class_forms_labeled(n) == connected_class_forms(n)
 
     def test_representatives_are_connected_and_distinct(self):
@@ -78,8 +78,8 @@ class TestEnumeration:
 
     def test_order_8_needs_no_opt_in(self):
         # one limit with no opt-in: every search path takes order 8 alike
-        assert len(enumerate_connected(8)) == KNOWN_COUNTS[8]
-        assert len(class_table(8).forms) == KNOWN_COUNTS[8]
+        assert len(enumerate_connected(8)) == A001349[7]
+        assert len(class_table(8).forms) == A001349[7]
         assert max_abs_under(Constraint(8, "chromatic", 3)).unique
         assert verify_theorem("T1", 8, 3).construction_match
         # the labeled oracle keeps its own cap
@@ -96,6 +96,33 @@ class TestEnumeration:
                     for k in range(0, n + 1)
                 )
                 assert total == len(graphs)
+
+
+def edge_histogram(n, forms):
+    """Classes by edge count: a form's body is its packed pair string."""
+    counts = [0] * (n * (n - 1) // 2 + 1)
+    for form in forms:
+        counts[int.from_bytes(form[1:], "big").bit_count()] += 1
+    return counts
+
+
+class TestPolyaCounts:
+    """Class counts by edge count from Burnside's lemma, which uses
+    neither the enumeration nor a canonical form."""
+
+    def test_edge_histograms_match_the_class_tables(self):
+        counts = references.connected_counts_by_edges(12)
+        assert tuple(sum(counts[n]) for n in range(1, 13)) == A001349
+        for n in range(1, 9):
+            assert edge_histogram(n, class_table(n).forms) == counts[n]
+
+    @pytest.mark.skipif(
+        os.environ.get("ABSINDEX_SLOW") != "1",
+        reason="builds order 9, about 20 s on 2 cores; set ABSINDEX_SLOW=1",
+    )
+    def test_order_9_edge_histogram(self, cold_caches):
+        forms = class_table(9, workers=2).forms
+        assert edge_histogram(9, forms) == references.connected_counts_by_edges(9)[9]
 
 
 class TestMaxAbsUnder:
@@ -206,8 +233,8 @@ class TestEdgeAddition:
         assert report.passed
 
     def test_cap(self):
-        with pytest.raises(ValueError, match=r"^order 9 outside the supported range"):
-            check_edge_additions(9)
+        with pytest.raises(ValueError, match=r"^order 10 outside the supported range"):
+            check_edge_additions(10)
 
 
 class TestScalarProperties:
@@ -336,10 +363,10 @@ class TestClassTable:
             lambda n: max_abs_under(Constraint(n, "chromatic", 3)),
             lambda n: verify_theorem("T1", n, 3),
         )
-        for n in (0, 9):
+        for n in (0, 10):
             for search_at in searches:
                 with pytest.raises(
-                    ValueError, match=rf"^order {n} outside the supported range 1\.\.8$"
+                    ValueError, match=rf"^order {n} outside the supported range 1\.\.9$"
                 ):
                     search_at(n)
         assert search._table_cache == {}
