@@ -382,6 +382,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def command(name, handler, help):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(handler=handler)
+        return p
+
     def common(p):
         p.add_argument(
             "--format", choices=("csv", "markdown"), default="csv",
@@ -389,12 +394,17 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--out", default=None, help="write output to this file")
 
-    p = sub.add_parser("compute", help="ABS report for a graph6 graph")
+    def orders(p, default, help):
+        p.add_argument(
+            "--n", type=lambda s: _parse_range(s, "order"), default=default, help=help
+        )
+
+    p = command("compute", _cmd_compute, "ABS report for a graph6 graph")
     p.add_argument("graph6", nargs="?", help="graph6 text (default: stdin)")
     common(p)
 
-    p = sub.add_parser("construct", help="build an extremal-family graph")
-    p.add_argument("family", choices=("turan", "split", "star", "dstar", "kite"))
+    p = command("construct", _cmd_construct, "build an extremal-family graph")
+    p.add_argument("family", choices=_FAMILIES)
     p.add_argument("--n", type=int, required=True, help="order")
     p.add_argument("--chi", type=int, default=None, help="part count (turan)")
     p.add_argument("--alpha", type=int, default=None, help="independent-set size (split)")
@@ -405,15 +415,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common(p)
 
-    p = sub.add_parser("verify", help="exhaustive extremal verification sweep")
+    p = command("verify", _cmd_verify, "exhaustive extremal verification sweep")
     p.add_argument(
         "--theorems", type=_theorem_list, default=list(THEOREMS),
         help=f"comma-separated subset of {','.join(THEOREMS)} (default all)",
     )
-    p.add_argument(
-        "--n", type=lambda s: _parse_range(s, "order"), default=(5, 7),
-        help="order range, N or A..B (default 5..7)",
-    )
+    orders(p, (5, 7), "order range, N or A..B (default 5..7)")
     common(p)
     p.add_argument(
         "--workers", type=int, default=1,
@@ -424,31 +431,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="no effect; kept so that existing command lines still parse",
     )
 
-    p = sub.add_parser("audit", help="printed bound vs direct evaluation table")
+    p = command("audit", _cmd_audit, "printed bound vs direct evaluation table")
     p.add_argument("case", choices=CASES)
-    p.add_argument(
-        "--n", type=lambda s: _parse_range(s, "order"), default=(5, 7),
-        help="order range, N or A..B (default 5..7)",
-    )
+    orders(p, (5, 7), "order range, N or A..B (default 5..7)")
     common(p)
 
-    p = sub.add_parser("lemmas", help="edge-addition and scalar-grid checks")
-    p.add_argument(
-        "--n", type=lambda s: _parse_range(s, "order"), default=(4, 6),
-        help="order range for the edge-addition sweep (default 4..6)",
-    )
+    p = command("lemmas", _cmd_lemmas, "edge-addition and scalar-grid checks")
+    orders(p, (4, 6), "order range for the edge-addition sweep (default 4..6)")
     common(p)
 
     return parser
-
-
-_DISPATCH = {
-    "compute": _cmd_compute,
-    "construct": _cmd_construct,
-    "verify": _cmd_verify,
-    "audit": _cmd_audit,
-    "lemmas": _cmd_lemmas,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -457,12 +449,11 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    handler = _DISPATCH[args.command]
     buffer = io.StringIO()
     try:
         if args.out:
             _check_out(args.out)
-        code = handler(args, buffer)
+        code = args.handler(args, buffer)
         _emit(buffer.getvalue(), args.out)
         return code
     except ValueError as exc:

@@ -251,7 +251,12 @@ del _bit
 
 def canonical_labeling(g: Graph) -> tuple[int, list[int]]:
     """The minimal upper-triangle bit-string over relabelings, and the
-    first vertex order that reaches it.
+    first vertex order that reaches it (see ``_labeling``)."""
+    return _labeling(g, _refined_cells(g))
+
+
+def _labeling(g: Graph, cells: list[list[int]]) -> tuple[int, list[int]]:
+    """``canonical_labeling`` of g, given ``cells = _refined_cells(g)``.
 
     The string is read pair-by-pair in the graph6 column order and
     packed so that earlier pairs land in more significant bits; the
@@ -279,7 +284,6 @@ def canonical_labeling(g: Graph) -> tuple[int, list[int]]:
     visited in the same order and the first minimal order is kept.
     """
     n = g.order
-    cells = _refined_cells(g)
     if len(cells) == n:
         order = [cell[0] for cell in cells]
         return packed_pairs(g.rows, order), order
@@ -327,23 +331,20 @@ def canonical_labeling(g: Graph) -> tuple[int, list[int]]:
     return tri, best_perm
 
 
-def find_isomorphism(
-    g: Graph, h: Graph, pin: tuple[int, int] | None = None
-) -> list[int] | None:
+def find_isomorphism(g: Graph, h: Graph) -> list[int] | None:
     """A map m with h.has_edge(m[u], m[v]) == g.has_edge(u, v), or None.
 
     The map sends refined cell i of g onto cell i of h, which every
-    isomorphism does, and with ``pin = (u, w)`` it also sends u to w.
-    The search backtracks over vertex images and stops at the first map
-    that fits.  Vertices are mapped in an order where each next one has
-    the most neighbours already mapped (then the smallest cell), so the
-    adjacency test prunes early; with g = h it finds automorphisms.
+    isomorphism does; graphs of different orders have different cell
+    sizes, so no map is tried.  The search backtracks over vertex images
+    and stops at the first map that fits.  Vertices are mapped in an
+    order where each next one has the most neighbours already mapped
+    (then the smallest cell), so the adjacency test prunes early; with
+    g = h it finds automorphisms.
     """
-    if h.order != g.order:
-        return None
     g_cells = _refined_cells(g)
     h_cells = g_cells if h is g else _refined_cells(h)
-    return _map_cells(g, g_cells, h, h_cells, () if pin is None else (pin,))
+    return _map_cells(g, g_cells, h, h_cells, ())
 
 
 def automorphism_generators(g: Graph) -> list[list[int]]:

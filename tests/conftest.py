@@ -1,3 +1,5 @@
+import contextlib
+import os
 import random
 import types
 
@@ -25,14 +27,35 @@ def gnp_graphs():
     return graphs
 
 
+@contextlib.contextmanager
+def _emptied_class_cache():
+    """An empty class cache inside the block; the warm one comes back after."""
+    saved = dict(search._table_cache)
+    search._table_cache.clear()
+    try:
+        yield
+    finally:
+        search._table_cache.clear()
+        search._table_cache.update(saved)
+
+
 @pytest.fixture
 def cold_caches():
     """An empty class cache for one test; the warm one comes back after."""
-    saved = dict(search._table_cache)
-    search._table_cache.clear()
-    yield
-    search._table_cache.clear()
-    search._table_cache.update(saved)
+    with _emptied_class_cache():
+        yield
+
+
+@pytest.fixture(scope="session")
+def order_9():
+    """Order 9's class table, built once per session from empty caches in
+    a 2-worker pool, for every test that reads it; the warm caches come
+    back after the session.  Skips unless ABSINDEX_SLOW=1."""
+    if os.environ.get("ABSINDEX_SLOW") != "1":
+        pytest.skip("builds order 9, about 20 s on 2 cores; set ABSINDEX_SLOW=1")
+    with _emptied_class_cache():
+        search.connected_class_forms(9, workers=2)
+        yield
 
 
 @pytest.fixture

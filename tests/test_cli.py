@@ -231,11 +231,7 @@ class TestVerify:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == N8_STDOUT_SHA256
 
-    @pytest.mark.skipif(
-        os.environ.get("ABSINDEX_SLOW") != "1",
-        reason="builds order 9, about 20 s on 2 cores; set ABSINDEX_SLOW=1",
-    )
-    def test_order_9_sweep_matches_the_committed_table(self, capsys, cold_caches):
+    def test_order_9_sweep_matches_the_committed_table(self, capsys, order_9):
         code, out, _ = run(capsys, "verify", "--n", "9", "--workers", "2")
         assert code == 0
         committed = Path(__file__).parent.parent / "results" / "verify_n9.csv"

@@ -330,8 +330,13 @@ class TestIsomorphismReference:
             found = []
             for g in small_classes:
                 found += [automorphism_generators(g), find_isomorphism(g, g)]
-                for cell in _refined_cells(g):
-                    found += [find_isomorphism(g, g, (u, w)) for u in cell for w in cell]
+                cells = _refined_cells(g)
+                for cell in cells:
+                    found += [
+                        invariants._map_cells(g, cells, g, cells, [(u, w)])
+                        for u in cell
+                        for w in cell
+                    ]
             return found
 
         ours, old = on_both_searches(monkeypatch, maps)
@@ -396,7 +401,7 @@ def search_nodes(graphs) -> tuple[int, int, int]:
         (
             _inner_code(independence_within, "expand"),
             _inner_code(_colorable, "assign"),
-            _inner_code(canonical_labeling, "place"),
+            _inner_code(invariants._labeling, "place"),
         ),
         work,
     )
@@ -463,6 +468,7 @@ class TestIsomorphism:
         # force over all permutations, maps u onto w
         for n in range(1, 7):
             for g in enumerate_connected(n):
+                cells = _refined_cells(g)
                 edges = g.edges()
                 orbit_pairs = {
                     (u, p[u])
@@ -472,7 +478,7 @@ class TestIsomorphism:
                 }
                 for u in range(n):
                     for w in range(n):
-                        sigma = find_isomorphism(g, g, (u, w))
+                        sigma = invariants._map_cells(g, cells, g, cells, [(u, w)])
                         assert (sigma is not None) == ((u, w) in orbit_pairs)
                         if sigma is not None:
                             assert sigma[u] == w

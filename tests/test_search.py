@@ -1,7 +1,6 @@
 import hashlib
 import itertools
 import math
-import os
 
 import pytest
 
@@ -50,11 +49,7 @@ class TestEnumeration:
         forms = connected_class_forms(8)
         assert hashlib.sha256(b"".join(sorted(forms))).hexdigest() == ORDER_8_DIGEST
 
-    @pytest.mark.skipif(
-        os.environ.get("ABSINDEX_SLOW") != "1",
-        reason="builds order 9, about 20 s on 2 cores; set ABSINDEX_SLOW=1",
-    )
-    def test_order_9_forms_digest(self, cold_caches):
+    def test_order_9_forms_digest(self, order_9):
         forms = connected_class_forms(9, workers=2)
         assert len(forms) == A001349[8]
         assert hashlib.sha256(b"".join(forms)).hexdigest() == ORDER_9_DIGEST
@@ -116,11 +111,7 @@ class TestPolyaCounts:
         for n in range(1, 9):
             assert edge_histogram(n, class_table(n).forms) == counts[n]
 
-    @pytest.mark.skipif(
-        os.environ.get("ABSINDEX_SLOW") != "1",
-        reason="builds order 9, about 20 s on 2 cores; set ABSINDEX_SLOW=1",
-    )
-    def test_order_9_edge_histogram(self, cold_caches):
+    def test_order_9_edge_histogram(self, order_9):
         forms = class_table(9, workers=2).forms
         assert edge_histogram(9, forms) == references.connected_counts_by_edges(9)[9]
 
@@ -392,6 +383,30 @@ def _table_rows(n):
     return list(zip(table.forms, table.chromatic, table.independence))
 
 
+@pytest.fixture(scope="class")
+def order_8_job_calls():
+    """Calls of the canonical labeling and of the refinement while the
+    853 order-8 jobs run, each job on its order-7 parent's row."""
+    calls = dict.fromkeys(("labeling", "refinement"), 0)
+
+    def counting(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return counted
+
+    parents = _table_rows(7)
+    refine = counting("refinement", invariants._refined_cells)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(search, "_labeling", counting("labeling", search._labeling))
+        m.setattr(search, "_refined_cells", refine)
+        m.setattr(invariants, "_refined_cells", refine)
+        for row in parents:
+            search._augment_parent(row)
+    return calls
+
+
 class TestAcceptRule:
     def test_every_class_has_an_accepted_parent(self):
         # one parent class per class: the jobs' outputs are disjoint,
@@ -405,20 +420,13 @@ class TestAcceptRule:
             assert len(found) == len(set(found))
             assert sorted(found) == list(connected_class_forms(n))
 
-    def test_order_8_canonicalizes_accepted_children_only(self, monkeypatch):
-        labeling = search.canonical_labeling
-        calls = 0
+    def test_order_8_canonicalizes_accepted_children_only(self, order_8_job_calls):
+        assert order_8_job_calls["labeling"] == 11987  # of 853 * 127 = 108,331 children
 
-        def counting(g):
-            nonlocal calls
-            calls += 1
-            return labeling(g)
-
-        parents = _table_rows(7)
-        monkeypatch.setattr(search, "canonical_labeling", counting)
-        for row in parents:
-            search._augment_parent(row)
-        assert calls == 11987  # of 853 * 127 = 108,331 children
+    def test_order_8_refines_each_labeled_child_once(self, order_8_job_calls):
+        # the labeling and the orbit test share one refinement of the
+        # child; the rest refine the parents for their automorphisms
+        assert order_8_job_calls["refinement"] == 12840  # 11,987 children, 853 parents
 
     def test_order_8_tries_one_neighbour_set_per_orbit(self):
         # the orbits of each order-7 parent's automorphism group on its
