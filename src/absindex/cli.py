@@ -306,9 +306,9 @@ def _cmd_verify(args, out) -> int:
                     str(rep.graph_count),
                     _fmt(rep.max_value) if rep.max_value is not None else "",
                     ";".join(rep.maximizer_graph6),
-                    str(bool(rep.construction_match)).lower(),
+                    str(rep.construction_match).lower(),
                     str(rep.unique).lower(),
-                    str(bool(rep.in_hypothesis)).lower(),
+                    str(rep.in_hypothesis).lower(),
                 ])
     _write_table(header, rows, args.format, out)
     return EXIT_OK if all_ok else EXIT_FAILED
@@ -335,27 +335,22 @@ def _cmd_audit(args, out) -> int:
 def _cmd_lemmas(args, out) -> int:
     n_lo, n_hi = args.n
     class_table(n_hi)  # every order of the sweep; an order too high fails first
-    ok = True
-    rows = []
-    for n in range(n_lo, n_hi + 1):
-        rep = check_edge_additions(n)
-        ok &= rep.passed
-        rows.append([
-            f"edge addition increases ABS (n={n})",
-            str(rep.passed).lower(),
-            str(rep.checks),
-            _fmt(rep.min_margin) if rep.min_margin is not None else "",
-        ])
-    for prop in check_scalar_properties():
-        ok &= prop.passed
-        rows.append([
-            prop.name,
-            str(prop.passed).lower(),
-            str(prop.checks),
-            _fmt(prop.min_margin),
-        ])
+    checks = [
+        (f"edge addition increases ABS (n={n})", check_edge_additions(n))
+        for n in range(n_lo, n_hi + 1)
+    ]
+    checks += [(prop.name, prop) for prop in check_scalar_properties()]
+    rows = [
+        [
+            name,
+            str(c.passed).lower(),
+            str(c.checks),
+            _fmt(c.min_margin) if c.min_margin is not None else "",
+        ]
+        for name, c in checks
+    ]
     _write_table(["check", "passed", "checks", "min_margin"], rows, args.format, out)
-    return EXIT_OK if ok else EXIT_FAILED
+    return EXIT_OK if all(c.passed for _, c in checks) else EXIT_FAILED
 
 
 # -- argument parsing -------------------------------------------------

@@ -6,10 +6,10 @@ deterministic constructor; ``*_bound_printed`` evaluate the published
 bounds *verbatim*.  The claims live in one table, ``CASES``, that the
 search, the audit and the command line read: per case its parameter
 range, printed bound and direct value, and for the theorems T1-T3 the
-constraint kind, claimed maximizer and hypothesis.  The printed bounds
-are known not to match direct evaluation of the named graphs, so
-:func:`formula_audit` reports the discrepancies as data; all
-verification binds to direct evaluation.
+constraint kind, claimed maximizer and first claimed order.  The
+printed bounds are known not to match direct evaluation of the named
+graphs, so :func:`formula_audit` reports the discrepancies as data;
+all verification binds to direct evaluation.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 from .graphs import MAX_ORDER, Graph, GraphError, from_edges
 from .index import abs_index, edge_weight
-from .invariants import pendant_count
 
 AUDIT_TOLERANCE = 1e-9
 
@@ -102,7 +101,7 @@ def kite(n: int, p: int) -> Graph:
 
     Vertex 0 is the apex with degree (n - p - 1) + p; the other
     internal vertices have degree n - p - 1; pendants have degree 1.
-    p = 0 gives K_n.
+    p = 0 gives K_n; p = n - 2 gives the star, with n - 1 pendants.
     """
     if not 0 <= p <= n - 2:
         raise GraphError(f"need 0 <= p <= n - 2, got p={p}, n={n}")
@@ -118,26 +117,22 @@ def kite(n: int, p: int) -> Graph:
 def chromatic_bound_printed(n: int, chi: int) -> float:
     """The published three-term bound for fixed chromatic number.
 
-    Evaluated exactly as printed, with q, r from n = q*chi + r.  The
-    printed expression does not reproduce the direct ABS value of the
-    balanced multipartite graph; see :func:`formula_audit`.
+    Evaluated exactly as printed, with q, r from n = q*chi + r; a zero
+    coefficient zeroes its term.  The printed expression does not
+    reproduce the direct ABS value of the balanced multipartite graph;
+    see :func:`formula_audit`.  Below order 3 a radicand is negative.
     """
     decomp = TuranDecomposition.of(n, chi)
+    if n < 3:  # only chi = n = 2 gets here
+        raise GraphError(f"need n >= 3, got n={n}")
     q, r = decomp.q, decomp.r
-    term1 = r * (r - 1) * q * q / 2 * math.sqrt((n - q - 1) / (n - q))
-    term2 = 0.0
-    if r >= 1:  # the (2n-2q-3)/(2n-2q-1) radical; coefficient 0 otherwise
-        term2 = (
-            r * (chi - r) * q * (q + 1)
-            * math.sqrt((2 * n - 2 * q - 3) / (2 * n - 2 * q - 1))
-        )
-    term3 = 0.0
-    if chi - r >= 2:  # the (n-q-2)/(n-q) radical; coefficient 0 otherwise
-        term3 = (
-            (chi - r) * (chi - r - 1) * (q + 1) ** 2 / 2
-            * math.sqrt((n - q - 2) / (n - q))
-        )
-    return term1 + term2 + term3
+    return (
+        r * (r - 1) * q * q / 2 * math.sqrt((n - q - 1) / (n - q))
+        + r * (chi - r) * q * (q + 1)
+        * math.sqrt((2 * n - 2 * q - 3) / (2 * n - 2 * q - 1))
+        + (chi - r) * (chi - r - 1) * (q + 1) ** 2 / 2
+        * math.sqrt((n - q - 2) / (n - q))
+    )
 
 
 def independence_bound_printed(n: int, alpha: int) -> float:
@@ -145,9 +140,7 @@ def independence_bound_printed(n: int, alpha: int) -> float:
     if not 1 <= alpha <= n - 1:
         raise GraphError(f"need 1 <= alpha <= n - 1, got alpha={alpha}, n={n}")
     c = n - alpha
-    return alpha * math.sqrt(c * (c - 1)) + 0.5 * c * math.sqrt(
-        max(0, (c - 1) * (c - 2))
-    )
+    return alpha * math.sqrt(c * (c - 1)) + 0.5 * c * math.sqrt((c - 1) * (c - 2))
 
 
 def pendant_bound_printed(n: int, p: int) -> float:
@@ -165,7 +158,7 @@ def pendant_bound_printed(n: int, p: int) -> float:
     return (
         p * math.sqrt((n - 2) / n)
         + (n - p - 1) * math.sqrt((2 * n - 2 * p - 3) / (2 * n - 2 * p - 1))
-        + 0.5 * math.sqrt(n - p - 1) * (n - p - 2) ** 1.5
+        + pendant_bound_clique_term_printed(n, p)
     )
 
 
@@ -253,8 +246,9 @@ class Case:
     """One theorem, or one term of a printed bound audited on its own.
 
     At order n, k (named ``param``) runs from ``first`` to n - 1 - ``short``.
-    A theorem's direct value is its maximizer's ABS index; a term has its
-    own ``direct`` evaluation.
+    A theorem claims its maximizer for every such k from order
+    ``claimed_from`` on, wherever the maximizer exists.  Its direct value
+    is the maximizer's ABS index; a term has its own ``direct`` evaluation.
     """
 
     param: str
@@ -263,7 +257,7 @@ class Case:
     printed: Callable[[int, int], float]
     kind: str | None = None
     construct: Callable[[int, int], Graph] | None = None
-    hypothesis: Callable[[int, int, Graph], bool] | None = None
+    claimed_from: int | None = None
     direct: Callable[[int, int], float] | None = None
 
     def params(self, n: int) -> range:
@@ -284,20 +278,16 @@ class Case:
 CASES = {
     "T1": Case(
         "chi", 3, 0, chromatic_bound_printed, "chromatic",
-        lambda n, k: turan(n, k),
-        lambda n, k, g: n >= 5 and 3 <= k <= n - 1,
+        lambda n, k: turan(n, k), 5,
     ),
-    # claimed wherever the complete split graph exists
     "T2": Case(
         "alpha", 1, 0, independence_bound_printed, "independence",
-        lambda n, k: complete_split(n, k),
-        lambda n, k, g: True,
+        lambda n, k: complete_split(n, k), 1,
     ),
-    # claimed only where the construction has p pendants: not at n = 2
+    # from order 3 on: star(2) = K2 has two pendants, not one
     "T3": Case(
         "p", 1, 0, pendant_bound_printed, "pendants",
-        lambda n, k: pendant_maximizer(n, k),
-        lambda n, k, g: pendant_count(g) == k,
+        lambda n, k: pendant_maximizer(n, k), 3,
     ),
     "T3-clique-term": Case(
         "p", 1, 2, pendant_bound_clique_term_printed,

@@ -550,7 +550,7 @@ def verify_theorem(theorem: str, n: int, k: int) -> SearchReport:
         and are_isomorphic(
             graph_from_canonical_form(report.maximizer_forms[0]), expected
         ),
-        in_hypothesis=case.hypothesis(n, k, expected),
+        in_hypothesis=n >= case.claimed_from and k in case.params(n),
         expected_graph6=encode_graph6(expected),
     )
 

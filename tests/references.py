@@ -4,8 +4,8 @@ encoder as it was before it wrote the packed pair string, the
 augmentation's max-key test as it was before it was answered from the
 parent, the canonical labeling search as it was before it packed the
 columns, the isomorphism search as it was before it mapped vertex to
-vertex, and the theorem verifier as it was before it read the claim
-table.
+vertex, the theorem verifier as it was before it read the claim table,
+and the printed bounds as they were before each term was written once.
 
 Each function here is the old body of the library function with the same
 name, kept unchanged as the reference the rewritten kernels must match
@@ -13,10 +13,11 @@ exactly: same integers, same floats (``==``), same graphs, the same
 ``Graph6Error`` messages, the same tied vertices, the same
 canonical triangle and vertex order, and the same vertex maps.
 
-The last section is not an old body: it counts the connected classes of
-each order by edge count (Pólya counting), using neither the
+The last two sections are not old bodies.  One counts the connected
+classes of each order by edge count (Pólya counting), using neither the
 enumeration nor any canonical form, so the class tables can be checked
-against it.
+against it.  The other builds the cycles and seeded random graphs that
+the test modules share.
 """
 
 import math
@@ -30,9 +31,11 @@ from absindex import (
     Graph,
     Graph6Error,
     GraphError,
+    TuranDecomposition,
     are_isomorphic,
     complete_split,
     edge_weight,
+    from_edges,
     max_abs_under,
     pendant_count,
     pendant_maximizer,
@@ -465,6 +468,63 @@ def verify_theorem(theorem, n, k):
     )
 
 
+# -- printed bounds ---------------------------------------------------
+
+
+def chromatic_bound_printed(n: int, chi: int) -> float:
+    """The published three-term bound for fixed chromatic number.
+
+    Evaluated exactly as printed, with q, r from n = q*chi + r.  The
+    printed expression does not reproduce the direct ABS value of the
+    balanced multipartite graph; see :func:`formula_audit`.
+    """
+    decomp = TuranDecomposition.of(n, chi)
+    q, r = decomp.q, decomp.r
+    term1 = r * (r - 1) * q * q / 2 * math.sqrt((n - q - 1) / (n - q))
+    term2 = 0.0
+    if r >= 1:  # the (2n-2q-3)/(2n-2q-1) radical; coefficient 0 otherwise
+        term2 = (
+            r * (chi - r) * q * (q + 1)
+            * math.sqrt((2 * n - 2 * q - 3) / (2 * n - 2 * q - 1))
+        )
+    term3 = 0.0
+    if chi - r >= 2:  # the (n-q-2)/(n-q) radical; coefficient 0 otherwise
+        term3 = (
+            (chi - r) * (chi - r - 1) * (q + 1) ** 2 / 2
+            * math.sqrt((n - q - 2) / (n - q))
+        )
+    return term1 + term2 + term3
+
+
+def independence_bound_printed(n: int, alpha: int) -> float:
+    """The published bound for fixed independence number, verbatim."""
+    if not 1 <= alpha <= n - 1:
+        raise GraphError(f"need 1 <= alpha <= n - 1, got alpha={alpha}, n={n}")
+    c = n - alpha
+    return alpha * math.sqrt(c * (c - 1)) + 0.5 * c * math.sqrt(
+        max(0, (c - 1) * (c - 2))
+    )
+
+
+def pendant_bound_printed(n: int, p: int) -> float:
+    """The published bound for fixed pendant count, verbatim by case."""
+    if not 1 <= p <= n - 1:
+        raise GraphError(f"need 1 <= p <= n - 1, got p={p}, n={n}")
+    if p == n - 1:
+        return (n - 1) * math.sqrt(n - 2) / n
+    if p == n - 2:
+        return (
+            1 / math.sqrt(3)
+            + math.sqrt(n - 2) / n
+            + (n - 3) * math.sqrt(n - 3) / (n - 1)
+        )
+    return (
+        p * math.sqrt((n - 2) / n)
+        + (n - p - 1) * math.sqrt((2 * n - 2 * p - 3) / (2 * n - 2 * p - 1))
+        + 0.5 * math.sqrt(n - p - 1) * (n - p - 2) ** 1.5
+    )
+
+
 # -- class counts by Pólya counting -----------------------------------
 
 
@@ -557,3 +617,16 @@ def _mobius(d):
             sign = -sign
         p += 1
     return -sign if d > 1 else sign
+
+
+# -- shared test graphs -----------------------------------------------
+
+
+def cycle(n):
+    return from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def random_graph(n, rng):
+    """Each of the n(n-1)/2 pairs is an edge with probability 1/2."""
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5]
+    return from_edges(n, edges)

@@ -288,6 +288,11 @@ CONSTRUCT_AUDIT_SHA256 = {
     "dstar": "4aba8b84c68489f8a93474c825e89615af870254205a0743f571ebc54baae808",
     "kite": "e6a80faef4f4d917c43b27df5fefe02435c1455e675ce6014be288038456422c",
 }
+# sha256 over "exit code, newline, stdout" of `lemmas --n 1..7` in each format
+LEMMAS_SHA256 = {
+    "csv": "11d9f9e8611f7de5732d947efdd7f51b323966330d9c3a0753a97c8a1327f233",
+    "markdown": "4344e2f50b5f74c81798d1243a19c2cfe51f0282741e8a6773cab0910ea09f8e",
+}
 FAMILY_OPTION = {"turan": "--chi", "split": "--alpha", "dstar": "--m", "kite": "--p"}
 
 
@@ -322,6 +327,11 @@ class TestOutputPins:
                 for x in range(n + 2)
             ]
         assert stdout_digest(capsys, invocations) == CONSTRUCT_AUDIT_SHA256[family]
+
+    @pytest.mark.parametrize("fmt", sorted(LEMMAS_SHA256))
+    def test_lemmas(self, capsys, fmt):
+        invocations = [("lemmas", "--n", "1..7", "--format", fmt)]
+        assert stdout_digest(capsys, invocations) == LEMMAS_SHA256[fmt]
 
 
 class TestLemmas:

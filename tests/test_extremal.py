@@ -3,6 +3,7 @@ import math
 import pytest
 
 from absindex import (
+    GraphInvariants,
     TuranDecomposition,
     abs_index,
     are_isomorphic,
@@ -30,6 +31,8 @@ from absindex.extremal import (
 )
 from absindex.graphs import GraphError
 from absindex.search import CONSTRAINT_KINDS
+
+import references
 
 EXACT = 1e-12
 
@@ -189,6 +192,30 @@ class TestPrintedBounds:
         with pytest.raises(GraphError):
             pendant_bound_printed(6, 6)
 
+    def test_chromatic_refuses_order_2(self):
+        # verbatim, the third radicand would be -1
+        with pytest.raises(GraphError, match=r"^need n >= 3, got n=2$"):
+            chromatic_bound_printed(2, 2)
+
+    @pytest.mark.parametrize(
+        "name",
+        ["chromatic_bound_printed", "independence_bound_printed", "pendant_bound_printed"],
+    )
+    def test_same_as_the_reference_body(self, name):
+        """The same float, or the same exception type and message, as the
+        bound's old body at every 3 <= n <= 40 and 0 <= k <= n + 1."""
+
+        def outcome(bound, n, k):
+            try:
+                return bound(n, k)
+            except Exception as e:
+                return type(e), str(e)
+
+        bound, reference = getattr(extremal, name), getattr(references, name)
+        for n in range(3, 41):
+            for k in range(n + 2):
+                assert outcome(bound, n, k) == outcome(reference, n, k), (n, k)
+
 
 class TestFormulaAudit:
     def test_chromatic_disagrees(self):
@@ -268,6 +295,22 @@ class TestClaimTable:
             [3, 4, 5], [1, 2, 3, 4, 5], [1, 2, 3, 4, 5], [1, 2, 3]
         ]
         assert [CASES[c].param for c in CASES] == ["chi", "alpha", "p", "p"]
+
+    def test_claims_match_the_constructions(self):
+        """From its first claimed order on, every maximizer has the claimed
+        value of its constraint; T3's has p pendants exactly from order 3 on."""
+        for theorem in THEOREMS:
+            case = CASES[theorem]
+            for n in range(1, 13):
+                for k in case.params(n):
+                    g = case.maximizer(n, k)
+                    if g is None:
+                        continue
+                    value = getattr(GraphInvariants.of(g), case.kind)
+                    if n >= case.claimed_from:
+                        assert value == k, (theorem, n, k)
+                    if theorem == "T3":
+                        assert (value == k) == (n >= 3), (n, k)
 
     def test_maximizer_outside_its_domain_is_none(self):
         assert CASES["T1"].maximizer(5, 1) is None

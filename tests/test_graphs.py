@@ -15,19 +15,11 @@ from absindex import search
 from absindex.graphs import from_packed_pairs, to_packed_pairs
 
 import references
+from references import cycle, random_graph
 
 
 def path(n):
     return from_edges(n, [(i, i + 1) for i in range(n - 1)])
-
-
-def cycle(n):
-    return from_edges(n, [(i, (i + 1) % n) for i in range(n)])
-
-
-def random_graph(n, rng):
-    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5]
-    return from_edges(n, edges)
 
 
 class TestConstruction:

@@ -13,21 +13,15 @@ from absindex import (
     from_edges,
     gain_contrast,
     shift_gain,
+    star,
     turan,
 )
 from absindex.index import _WEIGHT_BY_EDGE_DEGREE
 
 import references
+from references import cycle
 
 EXACT = 1e-12
-
-
-def cycle(n):
-    return from_edges(n, [(i, (i + 1) % n) for i in range(n)])
-
-
-def star(n):
-    return from_edges(n, [(0, v) for v in range(1, n)])
 
 
 class TestEdgeWeight:

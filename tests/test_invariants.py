@@ -14,6 +14,7 @@ from absindex import (
     independence_number,
     kite,
     pendant_count,
+    star,
     turan,
     GraphInvariants,
     enumerate_connected,
@@ -30,23 +31,11 @@ from absindex.invariants import (
 )
 
 import references
-
-
-def cycle(n):
-    return from_edges(n, [(i, (i + 1) % n) for i in range(n)])
-
-
-def star(n):
-    return from_edges(n, [(0, v) for v in range(1, n)])
+from references import cycle, random_graph
 
 
 def permuted(g, perm):
     return from_edges(g.order, [(perm[u], perm[v]) for u, v in g.edges()])
-
-
-def random_graph(n, rng):
-    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5]
-    return from_edges(n, edges)
 
 
 # -- independent slow oracles -----------------------------------------
