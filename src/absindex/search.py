@@ -1,32 +1,24 @@
 """Exhaustive search over connected isomorphism classes of small order.
 
-Two enumeration strategies produce one representative per isomorphism
-class of connected graphs:
-
-* a vertex-augmentation fast path (default): every connected graph on n
-  vertices arises from a connected graph on n - 1 vertices by attaching
-  a new vertex to a nonempty neighbor set.  This is McKay's canonical
-  construction path ("Isomorph-free exhaustive generation", J.
-  Algorithms 26, 1998): each (n-1)-class is extended by one neighbour
-  set per orbit of its automorphism group, and a child is kept only
-  if its new vertex lies in the orbit of a canonically chosen non-cut
-  vertex.  Each class then comes from exactly one parent class, once,
-  so the parents' outputs are disjoint and hold no repeats
-  (``_augment_parent`` has the argument);
-* a labeled sweep (oracle): decode every one of the 2^(n(n-1)/2) packed
-  pair strings with ``graphs.from_packed_pairs``, skip strings already
-  known via the relabeling orbit of a found class, canonicalize the
-  rest.  It runs serially, in this process.
-
-Both must agree exactly; the test suite pins the class counts.  On top
-of the enumeration sit the constrained ABS maximizer, the verifier of the
-theorems in the claim table ``extremal.CASES``, and the exhaustive
-monotonicity checks.
+One enumeration produces one representative per isomorphism class of
+connected graphs: every connected graph on n vertices arises from a
+connected graph on n - 1 vertices by attaching a new vertex to a
+nonempty neighbor set.  This is McKay's canonical construction path
+("Isomorph-free exhaustive generation", J. Algorithms 26, 1998): each
+(n-1)-class is extended by one neighbour set per orbit of its
+automorphism group, and a child is kept only if its new vertex lies in
+the orbit of a canonically chosen non-cut vertex.  Each class then comes
+from exactly one parent class, once, so the parents' outputs are
+disjoint and hold no repeats (``_augment_parent`` has the argument).
+The test suite checks it against a labeled sweep, against Pólya counts
+and against labeled counts weighted by automorphism group orders.  On
+top of the enumeration sit the constrained ABS maximizer, the verifier
+of the theorems in the claim table ``extremal.CASES``, and the
+exhaustive monotonicity checks.
 
 The library has one order limit, MAX_SEARCH_ORDER = 9, with no opt-in:
 ``connected_class_forms`` checks it, and every search goes through that
-function; the CLI keeps no limit of its own.  Only the labeled oracle
-has a lower cap of its own, order 7.
+function; the CLI keeps no limit of its own.
 
 Per-class facts are computed once per order: every augmentation job
 also computes χ, α, pendant count and the ABS value of each class it
@@ -53,7 +45,7 @@ for any worker count.
 
 from __future__ import annotations
 
-import itertools
+import functools
 import multiprocessing
 import os
 from array import array
@@ -61,8 +53,8 @@ from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, replace
 
 from .extremal import CASES, THEOREMS
-from .graphs import MAX_ORDER, Graph, encode_graph6, from_packed_pairs, reachable
-from .index import abs_index, edge_weight, gain_contrast, shift_gain
+from .graphs import MAX_ORDER, Graph, encode_graph6, reachable
+from .index import _WEIGHT_BY_EDGE_DEGREE, abs_index, edge_weight, gain_contrast, shift_gain
 from .invariants import (
     _labeling,
     _map_cells,
@@ -399,46 +391,6 @@ def enumerate_connected(n: int) -> list[Graph]:
     return [graph_from_canonical_form(f) for f in connected_class_forms(n)]
 
 
-# -- labeled sweep oracle ---------------------------------------------
-
-
-def connected_class_forms_labeled(n: int) -> tuple[bytes, ...]:
-    """Oracle enumeration by full labeled sweep; agrees with the fast path.
-
-    Every packed pair string of order n is decoded with
-    ``from_packed_pairs``; each connected graph whose string is not in the
-    relabeling orbit of one already found is canonicalized.
-    """
-    if not 1 <= n <= 7:  # order 8 would be 2^28 strings
-        raise ValueError(f"order {n} outside the labeled sweep's range 1..7")
-    nbits = n * (n - 1) // 2
-    # the edge at each bit, and each relabeling as the bit of each edge's image
-    edges = [from_packed_pairs(n, 1 << b).edges()[0] for b in range(nbits)]
-    bit_of = {}
-    for b, (i, j) in enumerate(edges):
-        bit_of[i, j] = bit_of[j, i] = 1 << b
-    images = [
-        [bit_of[perm[i], perm[j]] for i, j in edges]
-        for perm in itertools.permutations(range(n))
-    ]
-    seen: set[int] = set()
-    forms: set[bytes] = set()
-    for packed in range(1 << nbits):
-        if packed in seen:
-            continue
-        g = from_packed_pairs(n, packed)
-        if not g.is_connected():
-            continue
-        forms.add(canonical_form(g))
-        bits = [b for b in range(nbits) if packed >> b & 1]
-        for image in images:
-            relabeled = 0
-            for b in bits:
-                relabeled |= image[b]
-            seen.add(relabeled)
-    return tuple(sorted(forms))
-
-
 # -- constrained maximization -----------------------------------------
 
 
@@ -572,27 +524,51 @@ class EdgeAdditionReport:
 def check_edge_additions(n: int) -> EdgeAdditionReport:
     """Adding any edge to any connected class must strictly raise ABS.
 
-    Each class's own value is read from ``class_table(n)``, which holds
-    exactly ``abs_index`` of the class.
+    Each addition's margin comes from the class's degrees
+    (``_addition_margins``); its sign is checked numerically.
     """
     min_margin = None
     checks = 0
-    table = class_table(n)
-    for form, base in zip(table.forms, table.abs_value):
+    for form in class_table(n).forms:
         g = graph_from_canonical_form(form)
-        for u in range(n):
-            for v in range(u + 1, n):
-                if g.has_edge(u, v):
-                    continue
-                margin = abs_index(g.add_edge(u, v)) - base
-                checks += 1
-                if min_margin is None or margin < min_margin:
-                    min_margin = margin
-                if margin <= 0:
-                    return EdgeAdditionReport(
-                        n, False, checks, min_margin, encode_graph6(g)
-                    )
+        for margin in _addition_margins(g.rows):
+            checks += 1
+            if min_margin is None or margin < min_margin:
+                min_margin = margin
+            if margin <= 0:
+                return EdgeAdditionReport(n, False, checks, min_margin, encode_graph6(g))
     return EdgeAdditionReport(n, True, checks, min_margin, None)
+
+
+def _addition_margins(rows: Sequence[int]) -> list[float]:
+    """ABS(g + uv) - ABS(g) for each non-edge uv of the graph on ``rows``,
+    u < v, in lexicographic order.
+
+    Adding uv raises the degrees of u and v by one and no others, so only
+    the edges at u and v change weight.  With W the weight by edge degree
+    and d the degrees in g, the margin is W(d_u + d_v), the new edge's
+    weight, plus gain(u) + gain(v), where gain(u) is the sum over the
+    neighbours x of u of W(d_u + d_x - 1) - W(d_u + d_x - 2).  W(k) =
+    sqrt(k / (k + 2)) grows with k, so every gain term is >= 0; and in a
+    connected graph of order n >= 3 every degree is at least 1, so
+    W(d_u + d_v) > 0.  Adding an edge therefore strictly raises ABS.
+    """
+    weight = _WEIGHT_BY_EDGE_DEGREE
+    n = len(rows)
+    degrees = [row.bit_count() for row in rows]
+    gains = [0.0] * n
+    missing = []
+    for u, row in enumerate(rows):
+        du = degrees[u]
+        for v in range(u + 1, n):
+            if row >> v & 1:  # the edge uv adds to both gains
+                s = du + degrees[v]
+                step = weight[s - 1] - weight[s - 2]
+                gains[u] += step
+                gains[v] += step
+            else:
+                missing.append((u, v))
+    return [weight[degrees[u] + degrees[v]] + gains[u] + gains[v] for u, v in missing]
 
 
 # -- scalar finite-difference suites ----------------------------------
@@ -616,11 +592,14 @@ _CONTRAST_BOUNDS = tuple(range(1, 21))
 _CONTRAST_X = tuple(float(x) for x in range(1, 51))
 
 
-def check_scalar_properties() -> list[PropertyCheck]:
+@functools.cache
+def check_scalar_properties() -> tuple[PropertyCheck, ...]:
     """Sign checks for the monotonicity/convexity claims on f, g and h.
 
     Strict positivity is required everywhere except the contrast check
-    at equal bounds, where the function is identically zero.
+    at equal bounds, where the function is identically zero.  The grids
+    are fixed, so the checks run once per process and later calls return
+    the same tuple.
     """
     results = []
 
@@ -671,7 +650,7 @@ def check_scalar_properties() -> list[PropertyCheck]:
             "gain_contrast constant at equal bounds", zero_ok, zero_checks, 0.0
         )
     )
-    return results
+    return tuple(results)
 
 
 def _verdict(name: str, margins: list[float]) -> PropertyCheck:

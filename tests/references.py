@@ -4,22 +4,28 @@ encoder as it was before it wrote the packed pair string, the
 augmentation's max-key test as it was before it was answered from the
 parent, the canonical labeling search as it was before it packed the
 columns, the isomorphism search as it was before it mapped vertex to
-vertex, the theorem verifier as it was before it read the claim table,
-and the printed bounds as they were before each term was written once.
+vertex, the labeled sweep that the augmentation replaced, the
+edge-addition check as it was before its margins came from degrees, the
+theorem verifier as it was before it read the claim table, and the
+printed bounds as they were before each term was written once.
 
 Each function here is the old body of the library function with the same
 name, kept unchanged as the reference the rewritten kernels must match
 exactly: same integers, same floats (``==``), same graphs, the same
 ``Graph6Error`` messages, the same tied vertices, the same
-canonical triangle and vertex order, and the same vertex maps.
+canonical triangle and vertex order, and the same vertex maps.  The
+labeled sweep must give the same forms, and the edge-addition check the
+same counts, with margins within 1e-12.
 
 The last two sections are not old bodies.  One counts the connected
-classes of each order by edge count (Pólya counting), using neither the
-enumeration nor any canonical form, so the class tables can be checked
-against it.  The other builds the cycles and seeded random graphs that
-the test modules share.
+graphs of each order by edge count, up to isomorphism (Pólya counting)
+and labeled, using neither the enumeration nor any canonical form, so
+the class tables and their automorphism groups can be checked against
+them.  The other builds the cycles and seeded random graphs that the
+test modules share.
 """
 
+import itertools
 import math
 from collections import Counter
 from collections.abc import Sequence
@@ -27,12 +33,14 @@ from dataclasses import replace
 
 from absindex import (
     Constraint,
+    EdgeAdditionReport,
     EdgeContribution,
     Graph,
     Graph6Error,
     GraphError,
     TuranDecomposition,
     are_isomorphic,
+    canonical_form,
     complete_split,
     edge_weight,
     from_edges,
@@ -41,8 +49,9 @@ from absindex import (
     pendant_maximizer,
     turan,
 )
-from absindex.graphs import _G6_HEADER, MAX_ORDER
-from absindex.invariants import _refined_cells
+from absindex.graphs import _G6_HEADER, MAX_ORDER, from_packed_pairs
+from absindex.invariants import _refined_cells, automorphism_generators
+from absindex.search import class_table
 
 
 # -- graphs -----------------------------------------------------------
@@ -436,6 +445,69 @@ def _connected_without(rows, v):
     return seen == full
 
 
+def connected_class_forms_labeled(n: int) -> tuple[bytes, ...]:
+    """Oracle enumeration by full labeled sweep; agrees with the fast path.
+
+    Every packed pair string of order n is decoded with
+    ``from_packed_pairs``; each connected graph whose string is not in the
+    relabeling orbit of one already found is canonicalized.
+    """
+    if not 1 <= n <= 7:  # order 8 would be 2^28 strings
+        raise ValueError(f"order {n} outside the labeled sweep's range 1..7")
+    nbits = n * (n - 1) // 2
+    # the edge at each bit, and each relabeling as the bit of each edge's image
+    edges = [from_packed_pairs(n, 1 << b).edges()[0] for b in range(nbits)]
+    bit_of = {}
+    for b, (i, j) in enumerate(edges):
+        bit_of[i, j] = bit_of[j, i] = 1 << b
+    images = [
+        [bit_of[perm[i], perm[j]] for i, j in edges]
+        for perm in itertools.permutations(range(n))
+    ]
+    seen: set[int] = set()
+    forms: set[bytes] = set()
+    for packed in range(1 << nbits):
+        if packed in seen:
+            continue
+        g = from_packed_pairs(n, packed)
+        if not g.is_connected():
+            continue
+        forms.add(canonical_form(g))
+        bits = [b for b in range(nbits) if packed >> b & 1]
+        for image in images:
+            relabeled = 0
+            for b in bits:
+                relabeled |= image[b]
+            seen.add(relabeled)
+    return tuple(sorted(forms))
+
+
+def check_edge_additions(n: int) -> EdgeAdditionReport:
+    """Adding any edge to any connected class must strictly raise ABS.
+
+    Each class's own value is read from ``class_table(n)``, which holds
+    exactly ``abs_index`` of the class.
+    """
+    min_margin = None
+    checks = 0
+    table = class_table(n)
+    for form, base in zip(table.forms, table.abs_value):
+        g = graph_from_canonical_form(form)
+        for u in range(n):
+            for v in range(u + 1, n):
+                if g.has_edge(u, v):
+                    continue
+                margin = abs_index(g.add_edge(u, v)) - base
+                checks += 1
+                if min_margin is None or margin < min_margin:
+                    min_margin = margin
+                if margin <= 0:
+                    return EdgeAdditionReport(
+                        n, False, checks, min_margin, encode_graph6(g)
+                    )
+    return EdgeAdditionReport(n, True, checks, min_margin, None)
+
+
 # -- theorem verification ---------------------------------------------
 
 
@@ -525,7 +597,7 @@ def pendant_bound_printed(n: int, p: int) -> float:
     )
 
 
-# -- class counts by Pólya counting -----------------------------------
+# -- connected counts by edge count ----------------------------------
 
 
 def _partitions(n, largest):
@@ -605,6 +677,47 @@ def connected_counts_by_edges(n_max):
         connected.append([x // n for x in c])
     return connected
 
+
+def labeled_connected_counts_by_edges(n_max):
+    """Labeled connected graphs by edge count, for n = 1..n_max: index n
+    holds the list of counts for e = 0..n(n - 1)/2 edges.
+
+    Of the C(C(n, 2), e) labeled graphs with n vertices and e edges, those
+    whose vertex 1 lies in a component of k vertices and j edges number
+    C(n - 1, k - 1) times the connected ones of order k with j edges times
+    all graphs on the other n - k vertices with e - j edges.  The k = n
+    term is the connected count (Harary and Palmer, *Graphical
+    Enumeration*, 1973, ch. 1); the totals are OEIS A001187.
+    """
+    connected = [None]
+    for n in range(1, n_max + 1):
+        pairs = n * (n - 1) // 2
+        counts = [math.comb(pairs, e) for e in range(pairs + 1)]
+        for k in range(1, n):
+            ways = math.comb(n - 1, k - 1)
+            rest = (n - k) * (n - k - 1) // 2
+            for j, c in enumerate(connected[k]):
+                for i in range(rest + 1):
+                    counts[i + j] -= ways * c * math.comb(rest, i)
+        connected.append(counts)
+    return connected
+
+
+def automorphism_group_order(g):
+    """|Aut(g)| from the library's own stabilizer chain.
+
+    ``automorphism_generators`` visits b_1, ..., b_n in refined-cell order
+    and keeps one automorphism fixing b_1, ..., b_(i-1) for each image x
+    of b_i it finds, so b_i is the first vertex in that order that each
+    map kept at level i moves.  Those images and b_i itself are the orbit
+    of b_i under the stabilizer of b_1, ..., b_(i-1), so |Aut(g)| is the
+    product over the levels of 1 + the maps kept there.
+    """
+    base = [v for cell in _refined_cells(g) for v in cell]
+    kept = Counter(
+        next(v for v in base if sigma[v] != v) for sigma in automorphism_generators(g)
+    )
+    return math.prod(1 + kept[v] for v in base)
 
 def _mobius(d):
     """The Möbius function: 0 if a square divides d, else (-1)^(prime factors)."""

@@ -16,7 +16,6 @@ from absindex import (
     complete_graph,
     complete_split,
     connected_class_forms,
-    connected_class_forms_labeled,
     double_star_split_value,
     formula_audit,
     from_edges,
@@ -25,6 +24,7 @@ from absindex import (
     turan,
     verify_theorem,
 )
+from references import connected_class_forms_labeled
 
 SUM_TOL = 1e-12
 TIE_TOL = 1e-9

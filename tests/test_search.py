@@ -13,7 +13,6 @@ from absindex import (
     check_scalar_properties,
     complete_split,
     connected_class_forms,
-    connected_class_forms_labeled,
     decode_graph6,
     encode_graph6,
     enumerate_connected,
@@ -22,7 +21,7 @@ from absindex import (
     turan,
     verify_theorem,
 )
-from absindex import GraphError, invariants, search
+from absindex import GraphError, index, invariants, search
 from absindex.invariants import (
     GraphInvariants,
     chromatic_number,
@@ -57,7 +56,7 @@ class TestEnumeration:
     def test_labeled_sweep_agrees(self):
         # n = 4..7 are compared in acceptance criterion 7
         for n in range(1, 4):
-            assert connected_class_forms_labeled(n) == connected_class_forms(n)
+            assert references.connected_class_forms_labeled(n) == connected_class_forms(n)
 
     def test_representatives_are_connected_and_distinct(self):
         for n in range(2, 7):
@@ -77,9 +76,6 @@ class TestEnumeration:
         assert len(class_table(8).forms) == A001349[7]
         assert max_abs_under(Constraint(8, "chromatic", 3)).unique
         assert verify_theorem("T1", 8, 3).construction_match
-        # the labeled oracle keeps its own cap
-        with pytest.raises(ValueError, match=r"^order 8 outside the labeled sweep's"):
-            connected_class_forms_labeled(8)
 
     def test_invariant_partition(self):
         # every class lands in exactly one bucket per invariant
@@ -114,6 +110,57 @@ class TestPolyaCounts:
     def test_order_9_edge_histogram(self, order_9):
         forms = class_table(9, workers=2).forms
         assert edge_histogram(9, forms) == references.connected_counts_by_edges(9)[9]
+
+
+def orbit_weighted_counts(n, forms):
+    """Labeled graphs by edge count: a class G of order n stands for
+    n!/|Aut(G)| of them."""
+    counts = [0] * (n * (n - 1) // 2 + 1)
+    for form in forms:
+        g = search.graph_from_canonical_form(form)
+        counts[g.edge_count] += math.factorial(n) // references.automorphism_group_order(g)
+    return counts
+
+
+class TestLabeledCounts:
+    """Labeled connected graphs by edge count, from a recurrence that uses
+    neither the enumeration nor a canonical form, against the classes
+    weighted by the automorphism groups the enumeration's orbit leaders
+    come from."""
+
+    def test_orbit_weighted_counts_match_to_8(self):
+        counts = references.labeled_connected_counts_by_edges(8)
+        # OEIS A001187
+        assert [sum(counts[n]) for n in range(1, 9)] == [
+            1, 1, 4, 38, 728, 26704, 1866256, 251548592
+        ]
+        for n in range(1, 9):
+            assert orbit_weighted_counts(n, class_table(n).forms) == counts[n], n
+
+    def test_order_9_orbit_weighted_counts(self, order_9):
+        forms = class_table(9, workers=2).forms
+        assert orbit_weighted_counts(9, forms) == (
+            references.labeled_connected_counts_by_edges(9)[9]
+        )
+
+    def test_a_swapped_class_fails_only_the_weighted_counts(self):
+        # one order-7 class replaced by a copy of another with as many
+        # edges and a different group keeps every bucket's class count
+        forms = list(class_table(7).forms)
+        groups = {}
+        for i, form in enumerate(forms):
+            g = search.graph_from_canonical_form(form)
+            groups.setdefault(g.edge_count, {})[
+                references.automorphism_group_order(g)
+            ] = i
+        kept, lost = next(
+            list(by_group.values())[:2] for by_group in groups.values() if len(by_group) > 1
+        )
+        forms[lost] = forms[kept]
+        assert edge_histogram(7, forms) == references.connected_counts_by_edges(7)[7]
+        assert orbit_weighted_counts(7, forms) != (
+            references.labeled_connected_counts_by_edges(7)[7]
+        )
 
 
 class TestMaxAbsUnder:
@@ -227,6 +274,39 @@ class TestEdgeAddition:
         with pytest.raises(ValueError, match=r"^order 10 outside the supported range"):
             check_edge_additions(10)
 
+    def test_margins_from_degrees_match_the_reference(self):
+        # each margin is the change of the whole sum within 1e-12, and the
+        # report counts what the per-addition check counted
+        for n in range(1, 8):
+            for g in enumerate_connected(n):
+                direct = [
+                    abs_index(g.add_edge(u, v)) - abs_index(g)
+                    for u in range(n)
+                    for v in range(u + 1, n)
+                    if not g.has_edge(u, v)
+                ]
+                assert search._addition_margins(g.rows) == pytest.approx(
+                    direct, rel=0, abs=1e-12
+                )
+            report, want = check_edge_additions(n), references.check_edge_additions(n)
+            assert (report.passed, report.checks) == (want.passed, want.checks)
+            if want.min_margin is not None:
+                assert report.min_margin == pytest.approx(want.min_margin, rel=0, abs=1e-12)
+
+    def test_a_nonpositive_margin_fails(self, monkeypatch):
+        # W(4) = 0.6 < 0.8 W(3) makes adding the missing edge of K4 - e the
+        # one addition at order 4 that lowers ABS: 5 W(4) - 4 W(3) < 0
+        weights = list(index._WEIGHT_BY_EDGE_DEGREE)
+        weights[4] = 0.6
+        monkeypatch.setattr(search, "_WEIGHT_BY_EDGE_DEGREE", tuple(weights))
+        graphs = enumerate_connected(4)
+        diamond = next(i for i, g in enumerate(graphs) if g.edge_count == 5)
+        report = check_edge_additions(4)
+        assert not report.passed
+        assert report.counterexample == encode_graph6(graphs[diamond])
+        assert report.checks == 1 + sum(6 - g.edge_count for g in graphs[:diamond])
+        assert report.min_margin == pytest.approx(3.0 - 4 * math.sqrt(3 / 5), abs=1e-12)
+
 
 class TestScalarProperties:
     def test_all_pass(self):
@@ -239,6 +319,11 @@ class TestScalarProperties:
         for prop in check_scalar_properties():
             if "constant" not in prop.name:
                 assert prop.min_margin > 0
+
+    def test_grid_runs_once(self, monkeypatch):
+        first = check_scalar_properties()
+        monkeypatch.setattr(search, "edge_weight", lambda x, y: pytest.fail("grid rerun"))
+        assert check_scalar_properties() is first
 
 
 def brute_force_max(constraint):
@@ -501,7 +586,6 @@ class TestWorkerPool:
     def test_one_worker_forks_nothing(self, cold_caches, fake_pool):
         seen = fake_pool(cores=8)
         class_table(7)
-        connected_class_forms_labeled(4)
         assert seen.sizes == []
 
     def test_pooled_table_matches_serial(self, cold_caches, fake_pool):
