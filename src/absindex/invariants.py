@@ -12,12 +12,14 @@ refinement, whose rounds count each vertex's neighbours only in the
 cells that the round before split off; it decodes through the same
 packed pair decoder as graph6 (``graphs.from_packed_pairs``).  The
 search packs the vertices' columns into one int and compares them
-position by position, visiting the nodes a whole-prefix comparison
-visits, in the same order; a discrete partition's one order is written
-by ``graphs.packed_pairs``.  Two given graphs are compared by a direct
-search for an isomorphism between their refined cells, which maps g's
-vertices one at a time to h's and is much cheaper than two canonical
-forms on symmetric graphs.
+position by position, pruning as a whole-prefix comparison would, and
+places each class of twins (vertices with the same neighbours apart
+from each other) only in ascending order; it returns the minimum and
+the first order reaching it that the unpruned search returns.  A
+discrete partition's one order is written by ``graphs.packed_pairs``.
+Two given graphs are compared by a direct search for an isomorphism
+between their refined cells, which maps g's vertices one at a time to
+h's and is much cheaper than two canonical forms on symmetric graphs.
 """
 
 from __future__ import annotations
@@ -271,31 +273,65 @@ def _labeling(g: Graph, cells: list[list[int]]) -> tuple[int, list[int]]:
 
     A discrete partition admits one order, which is returned without
     the search (that would walk the one path).  Otherwise ``place``
-    extends the order, trying the unplaced vertices of each position's
-    cell (a bitmask) in ascending order.  Every vertex's column against
-    the placed prefix lives in a 16-bit field of one int: placing v
-    shifts it left by one and ors in ``spread[v]`` (bit 16 w for each
+    extends the order, trying the free vertices of each position's cell
+    (a bitmask) in ascending order.  Every vertex's column against the
+    placed prefix lives in a 16-bit field of one int: placing v shifts
+    it left by one and ors in ``spread[v]`` (bit 16 w for each
     neighbour w).  The string is the columns in turn, so while a prefix
     equals the best order's, a candidate is pruned iff its column
     exceeds the best order's column at that position, and a child is
     equal iff the columns are; a strictly smaller prefix prunes nothing
     until its first leaf, a new best, makes it equal again.  These are
-    the prunings of the whole-prefix comparison, so the same nodes are
-    visited in the same order and the first minimal order is kept.
+    the prunings of the whole-prefix comparison.
+
+    Twins prune the rest.  Vertices u < v are twins when
+    N(u) - {v} = N(v) - {u}; this is an equivalence, and swapping u and
+    v is an automorphism that fixes every other vertex, so twins share
+    a refined cell.  A vertex is free once it is unplaced and every
+    lower twin of it is placed: ``free`` starts as the vertices with no
+    lower twin, and placing v frees ``next_twin[v]``, the bit of v's
+    next larger twin (0 if none).  The search thus walks only the
+    orders that place each twin class in ascending order, and still
+    returns the first minimal order of the whole search, with its
+    string:
+
+    - That order places no twin v before a lower twin u.  Swapping them
+      gives an order that reaches the same string (the swap is an
+      automorphism), respects the cells and comes first in the search
+      (u where v was, at the first position they differ), so it would
+      be the first minimal order instead.  So it lies in no pruned
+      subtree; the column prunings never cut a minimal order, and every
+      leaf before it is a leaf of the whole search, above the minimum.
+    - Skipping an unfree v leaves ``bound`` as it was.  The lowest
+      unplaced twin of v is free, in the same cell, tried before v, and
+      its column against the prefix equals v's (neither is placed), so
+      the whole search would have pruned v after it, or tried v as an
+      equal child with ``bound`` already at that column.
+
+    Twin-free graphs are searched exactly as before.
     """
     n = g.order
     if len(cells) == n:
         order = [cell[0] for cell in cells]
         return packed_pairs(g.rows, order), order
+    rows = g.rows
     cell_at: list[int] = []  # the vertex mask of each position's cell
+    next_twin = [0] * n
+    free = (1 << n) - 1
     for cell in cells:
         cell_at.extend([sum(1 << v for v in cell)] * len(cell))
-    spread = [_SPREAD[row & 0xFF] | _SPREAD[row >> 8] << 128 for row in g.rows]
+        for i, u in enumerate(cell):
+            for v in cell[i + 1:]:
+                if not (rows[u] ^ rows[v]) & ~(1 << u | 1 << v):
+                    next_twin[u] = 1 << v
+                    free ^= 1 << v  # v's previous twin is u alone
+                    break
+    spread = [_SPREAD[row & 0xFF] | _SPREAD[row >> 8] << 128 for row in rows]
     best_cols = [0] * n
     best_perm: list[int] = []
     perm = [0] * n
 
-    def place(pos: int, cols: int, placed: int, equal: bool) -> None:
+    def place(pos: int, cols: int, free: int, equal: bool) -> None:
         nonlocal best_perm
         if pos == n:
             if not equal:
@@ -305,13 +341,13 @@ def _labeling(g: Graph, cells: list[list[int]]) -> tuple[int, list[int]]:
                 for i, v in enumerate(perm):
                     best_cols[i] = (cols >> 16 * v & 0xFFFF) >> n - i
             return
-        candidates = cell_at[pos] & ~placed
+        candidates = cell_at[pos] & free
         if not equal:
             low = candidates & -candidates
             candidates ^= low
             v = low.bit_length() - 1
             perm[pos] = v
-            place(pos + 1, cols << 1 | spread[v], placed | low, False)
+            place(pos + 1, cols << 1 | spread[v], free ^ low | next_twin[v], False)
         bound = best_cols[pos]
         while candidates:
             low = candidates & -candidates
@@ -321,10 +357,10 @@ def _labeling(g: Graph, cells: list[list[int]]) -> tuple[int, list[int]]:
             if col > bound:
                 continue
             perm[pos] = v
-            place(pos + 1, cols << 1 | spread[v], placed | low, col == bound)
+            place(pos + 1, cols << 1 | spread[v], free ^ low | next_twin[v], col == bound)
             bound = col  # the best order's column here, if it changed
 
-    place(0, 0, 0, False)
+    place(0, 0, free, False)
     tri = 0
     for pos, col in enumerate(best_cols):
         tri = tri << pos | col

@@ -46,7 +46,6 @@ for any worker count.
 from __future__ import annotations
 
 import functools
-import multiprocessing
 import os
 from array import array
 from collections.abc import Iterator, Sequence
@@ -78,9 +77,18 @@ _table_cache: dict[int, ClassTable] = {}
 
 # -- worker pool ------------------------------------------------------
 
-# Forked workers start in about 0.03 s where spawned ones take 0.4 s, and
-# the search runs no threads of its own for fork to break.
-_POOL_CONTEXT = multiprocessing.get_context("fork")
+
+def _pool(size: int):
+    """A pool of ``size`` forked workers.
+
+    Forked workers start in about 0.03 s where spawned ones take 0.4 s,
+    and the search runs no threads of its own for fork to break.  The
+    first pool imports ``multiprocessing``, so importing the library
+    does not.
+    """
+    import multiprocessing
+
+    return multiprocessing.get_context("fork").Pool(size)
 
 
 def _usable_cores() -> int:
@@ -102,7 +110,7 @@ def _map(fn, jobs: list, workers: int) -> Iterator:
     if not 1 < size <= len(jobs):
         yield from map(fn, jobs)
         return
-    pool = _POOL_CONTEXT.Pool(size)
+    pool = _pool(size)
     try:
         # about eight messages per worker: sent one job at a time, the
         # pickling round trips cost more than uneven chunks lose
@@ -368,11 +376,8 @@ def connected_class_forms(n: int, workers: int = 1) -> tuple[bytes, ...]:
         parts = [([canonical_form(Graph(1, (0,)))], [1], [1], [0], [0.0])]
     else:
         parents = class_table(n - 1)
-        # greatest form first: K_(n-1), whose child K_n has the costliest
-        # canonical search, then starts the batch instead of ending it
-        # alone in the pool's last chunk
-        jobs = zip(parents.forms, parents.chromatic, parents.independence)
-        parts = _map(_augment_parent, list(jobs)[::-1], workers)
+        jobs = list(zip(parents.forms, parents.chromatic, parents.independence))
+        parts = _map(_augment_parent, jobs, workers)
     columns = _new_columns()
     for part in parts:
         for column, piece in zip(columns, part):

@@ -79,7 +79,7 @@ def fake_pool(monkeypatch):
         def terminate(self):
             seen.terminated += 1
 
-    monkeypatch.setattr(search, "_POOL_CONTEXT", types.SimpleNamespace(Pool=Pool))
+    monkeypatch.setattr(search, "_pool", Pool)
 
     def with_cores(cores):
         cpus = set(range(cores))

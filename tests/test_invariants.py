@@ -2,6 +2,8 @@ import itertools
 import random
 import sys
 
+import pytest
+
 from absindex import (
     are_isomorphic,
     canonical_form,
@@ -358,13 +360,17 @@ def _inner_code(fn, name):
     return next(c for c in fn.__code__.co_consts if getattr(c, "co_name", None) == name)
 
 
-def _count_calls(codes, work) -> tuple[int, ...]:
-    """Calls of each code object while ``work()`` runs, counted by a profile hook."""
+def _count_calls(codes, work, limit=None) -> tuple[int, ...]:
+    """Calls of each code object while ``work()`` runs, counted by a profile
+    hook; the hook raises once one code passes ``limit`` calls, so a search
+    gone exponential fails at once instead of running for minutes."""
     counts = dict.fromkeys(codes, 0)
 
     def hook(frame, event, arg):
         if event == "call" and frame.f_code in counts:
             counts[frame.f_code] += 1
+            if limit is not None and counts[frame.f_code] > limit:
+                raise AssertionError(f"{frame.f_code.co_name} called over {limit} times")
 
     previous = sys.getprofile()
     sys.setprofile(hook)
@@ -411,18 +417,56 @@ def reference_place_nodes(graphs) -> int:
 class TestSearchNodes:
     """α and χ are exact under any branching rule, so only the node counts
     see the rule: α branches on its lowest candidate, taken or left out.
-    The labeling's count is the reference's on the graphs it searches, so
-    the packed-column search visits as many nodes as the old one."""
+    The labeling's count is pinned beside the unpruned reference's on the
+    graphs it searches; twin pruning keeps about a quarter of its nodes."""
 
     def test_every_class_up_to_7(self, small_classes):
-        nodes = search_nodes(small_classes)
-        assert nodes == (16826, 1430, 47071)
-        assert reference_place_nodes(small_classes) == nodes[2]
+        assert search_nodes(small_classes) == (16826, 1430, 10043)
+        assert reference_place_nodes(small_classes) == 47071
 
     def test_gnp_graphs_9_to_12(self, gnp_graphs):
-        nodes = search_nodes(gnp_graphs)
-        assert nodes == (14156, 1981, 7128)
-        assert reference_place_nodes(gnp_graphs) == nodes[2]
+        assert search_nodes(gnp_graphs) == (14156, 1981, 2057)
+        assert reference_place_nodes(gnp_graphs) == 7128
+
+
+TWIN_FAMILIES = {
+    # each graph's place count, then those of three seeded relabelings
+    "star(12)": (star(12), (13, 13, 13, 13)),
+    "K12": (complete_graph(12), (13, 13, 13, 13)),
+    "complete_split(12,3)": (complete_split(12, 3), (13, 13, 13, 13)),
+    "kite(12,2)": (kite(12, 2), (13, 13, 13, 13)),
+    "turan(12,2)": (turan(12, 2), (25, 601, 108, 357)),
+    "turan(12,4)": (turan(12, 4), (193, 611, 2476, 730)),
+    "double_star(12,5)": (double_star(12, 5), (13, 13, 13, 13)),
+}
+
+
+class TestTwinPruning:
+    """Families made of twin classes, whose unpruned searches visit one
+    minimal leaf per automorphism (11! on star(12), which took 223 s), too
+    many for the reference to check.  Each gets one form under
+    relabelings, decoding to a graph isomorphic to it.  The count hook
+    stops a search past 10 000 nodes, so a lost pruning fails in
+    milliseconds."""
+
+    @pytest.mark.parametrize("name", TWIN_FAMILIES)
+    def test_one_form_under_relabelings(self, name):
+        g, pinned = TWIN_FAMILIES[name]
+        rng = random.Random(41)
+        graphs = [g]
+        for _ in range(3):
+            perm = list(range(g.order))
+            rng.shuffle(perm)
+            graphs.append(permuted(g, perm))
+        place = _inner_code(invariants._labeling, "place")
+        forms = []
+        counts = tuple(
+            _count_calls((place,), lambda: forms.append(canonical_form(h)), limit=10_000)[0]
+            for h in graphs
+        )
+        assert counts == pinned
+        assert len(set(forms)) == 1
+        assert are_isomorphic(graph_from_canonical_form(forms[0]), g)
 
 
 class TestIsomorphism:
@@ -474,7 +518,6 @@ class TestIsomorphism:
                             assert permuted(g, sigma) == g
 
     def test_relabelings_of_symmetric_families_at_12(self):
-        # each of these takes seconds to minutes as two canonical forms
         rng = random.Random(31)
         for g in (star(12), turan(12, 2), complete_split(12, 3), kite(12, 2)):
             perm = list(range(12))

@@ -1,6 +1,10 @@
 import hashlib
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -587,6 +591,16 @@ class TestWorkerPool:
         seen = fake_pool(cores=8)
         class_table(7)
         assert seen.sizes == []
+
+    def test_importing_the_library_loads_no_multiprocessing(self):
+        # the first pool imports it; -S keeps site hooks from loading it
+        code = "import sys, absindex, absindex.cli; print('multiprocessing' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"))
+        done = subprocess.run(
+            [sys.executable, "-S", "-c", code],
+            env=env, capture_output=True, text=True, timeout=60, check=True,
+        )
+        assert done.stdout == "False\n"
 
     def test_pooled_table_matches_serial(self, cold_caches, fake_pool):
         fake_pool(cores=2)
