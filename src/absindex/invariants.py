@@ -17,9 +17,12 @@ places each class of twins (vertices with the same neighbours apart
 from each other) only in ascending order; it returns the minimum and
 the first order reaching it that the unpruned search returns.  A
 discrete partition's one order is written by ``graphs.packed_pairs``.
-Two given graphs are compared by a direct search for an isomorphism
-between their refined cells, which maps g's vertices one at a time to
-h's and is much cheaper than two canonical forms on symmetric graphs.
+The same search gives generators of the automorphism group: twin swaps
+and a map from the first minimal order to each later one (McKay and
+Piperno, "Practical graph isomorphism, II", 2014).  Two given graphs are
+compared by a direct search for an isomorphism between their refined
+cells, which maps g's vertices one at a time to h's: C12 and a
+relabeling take 0.1 ms, where their two canonical forms take 105 ms.
 """
 
 from __future__ import annotations
@@ -254,11 +257,20 @@ del _bit
 def canonical_labeling(g: Graph) -> tuple[int, list[int]]:
     """The minimal upper-triangle bit-string over relabelings, and the
     first vertex order that reaches it (see ``_labeling``)."""
-    return _labeling(g, _refined_cells(g))
+    return _labeling(g, _refined_cells(g))[:2]
 
 
-def _labeling(g: Graph, cells: list[list[int]]) -> tuple[int, list[int]]:
-    """``canonical_labeling`` of g, given ``cells = _refined_cells(g)``.
+def automorphism_generators(g: Graph) -> list[list[int]]:
+    """Automorphisms that generate Aut(g), from the canonical-labeling
+    search (``_labeling``).  That search walks every minimal leaf of a
+    twin-free symmetric graph, C12's 24 in about 80 ms; ``search`` calls
+    this on at most 8 vertices."""
+    return _labeling(g, _refined_cells(g))[2]
+
+
+def _labeling(g: Graph, cells: list[list[int]]) -> tuple[int, list[int], list[list[int]]]:
+    """``canonical_labeling`` of g, given ``cells = _refined_cells(g)``,
+    and automorphisms that generate Aut(g).
 
     The string is read pair-by-pair in the graph6 column order and
     packed so that earlier pairs land in more significant bits; the
@@ -271,10 +283,11 @@ def _labeling(g: Graph, cells: list[list[int]]) -> tuple[int, list[int]]:
     so a vertex chosen by its canonical position is defined up to its
     orbit.
 
-    A discrete partition admits one order, which is returned without
-    the search (that would walk the one path).  Otherwise ``place``
-    extends the order, trying the free vertices of each position's cell
-    (a bitmask) in ascending order.  Every vertex's column against the
+    A discrete partition admits one order, returned without the search
+    (that would walk the one path), and as every automorphism keeps each
+    cell, no automorphism but the identity.  Otherwise ``place`` extends
+    the order, trying the free vertices of each position's cell (a
+    bitmask) in ascending order.  Every vertex's column against the
     placed prefix lives in a 16-bit field of one int: placing v shifts
     it left by one and ors in ``spread[v]`` (bit 16 w for each
     neighbour w).  The string is the columns in turn, so while a prefix
@@ -309,15 +322,24 @@ def _labeling(g: Graph, cells: list[list[int]]) -> tuple[int, list[int]]:
       equal child with ``bound`` already at that column.
 
     Twin-free graphs are searched exactly as before.
+
+    The generators are the swap of each twin with its next larger twin,
+    and one map per leaf that ``place`` reaches with ``equal``: best[i] to
+    perm[i], an automorphism as both orders reach one string.  A new best
+    drops the maps.  An automorphism s keeps the cells, so s(best) is a
+    minimal order, and twin swaps t make t s(best) place each twin class
+    in ascending order; neither pruning cuts that order, so the search
+    reaches it at or after the best, and t s is the identity or a map.
     """
     n = g.order
     if len(cells) == n:
         order = [cell[0] for cell in cells]
-        return packed_pairs(g.rows, order), order
+        return packed_pairs(g.rows, order), order, []
     rows = g.rows
     cell_at: list[int] = []  # the vertex mask of each position's cell
     next_twin = [0] * n
     free = (1 << n) - 1
+    generators: list[list[int]] = []
     for cell in cells:
         cell_at.extend([sum(1 << v for v in cell)] * len(cell))
         for i, u in enumerate(cell):
@@ -325,7 +347,11 @@ def _labeling(g: Graph, cells: list[list[int]]) -> tuple[int, list[int]]:
                 if not (rows[u] ^ rows[v]) & ~(1 << u | 1 << v):
                     next_twin[u] = 1 << v
                     free ^= 1 << v  # v's previous twin is u alone
+                    swap = list(range(n))
+                    swap[u], swap[v] = v, u
+                    generators.append(swap)
                     break
+    twin_swaps = len(generators)
     spread = [_SPREAD[row & 0xFF] | _SPREAD[row >> 8] << 128 for row in rows]
     best_cols = [0] * n
     best_perm: list[int] = []
@@ -334,7 +360,13 @@ def _labeling(g: Graph, cells: list[list[int]]) -> tuple[int, list[int]]:
     def place(pos: int, cols: int, free: int, equal: bool) -> None:
         nonlocal best_perm
         if pos == n:
-            if not equal:
+            if equal:
+                image = [0] * n
+                for u, v in zip(best_perm, perm):
+                    image[u] = v
+                generators.append(image)
+            else:
+                del generators[twin_swaps:]
                 # field v ends in v's adjacency to the n - i - 1 vertices
                 # placed after it, and one zero bit for v itself
                 best_perm = perm[:]
@@ -364,7 +396,7 @@ def _labeling(g: Graph, cells: list[list[int]]) -> tuple[int, list[int]]:
     tri = 0
     for pos, col in enumerate(best_cols):
         tri = tri << pos | col
-    return tri, best_perm
+    return tri, best_perm, generators
 
 
 def find_isomorphism(g: Graph, h: Graph) -> list[int] | None:
@@ -375,45 +407,7 @@ def find_isomorphism(g: Graph, h: Graph) -> list[int] | None:
     sizes, so no map is tried.  The search backtracks over vertex images
     and stops at the first map that fits.  Vertices are mapped in an
     order where each next one has the most neighbours already mapped
-    (then the smallest cell), so the adjacency test prunes early; with
-    g = h it finds automorphisms.
-    """
-    g_cells = _refined_cells(g)
-    h_cells = g_cells if h is g else _refined_cells(h)
-    return _map_cells(g, g_cells, h, h_cells, ())
-
-
-def automorphism_generators(g: Graph) -> list[list[int]]:
-    """Automorphisms that generate Aut(g), from a stabilizer chain.
-
-    With the vertices b_1, ..., b_n in refined-cell order and G_i the
-    automorphisms fixing b_1, ..., b_(i-1), one t in G_i is kept for each
-    i and each later vertex x of b_i's cell with t(b_i) = x, where one
-    exists.  By induction from i = n down, the kept maps generate G_i: an
-    s in G_i maps b_i into its cell but onto no earlier vertex, so s, or
-    t^-1 s for the kept t with t(b_i) = s(b_i), lies in G_(i+1).
-    """
-    cells = _refined_cells(g)
-    found = []
-    fixed: list[tuple[int, int]] = []
-    for cell in cells:
-        for i, b in enumerate(cell):
-            for x in cell[i + 1:]:
-                sigma = _map_cells(g, cells, g, cells, [*fixed, (b, x)])
-                if sigma is not None:
-                    found.append(sigma)
-            fixed.append((b, b))
-    return found
-
-
-def _map_cells(
-    g: Graph,
-    g_cells: list[list[int]],
-    h: Graph,
-    h_cells: list[list[int]],
-    pins: Sequence[tuple[int, int]],
-) -> list[int] | None:
-    """``find_isomorphism`` given both refined cells; pin (u, w) maps u to w.
+    (then the smallest cell), so the adjacency test prunes early.
 
     ``image[v]`` is the h vertex that g vertex v maps to.  A candidate x
     for the next vertex v fits iff it is unmapped and its mapped
@@ -421,6 +415,7 @@ def _map_cells(
     map is one-to-one, that is the adjacency test against every vertex
     mapped so far.
     """
+    g_cells, h_cells = _refined_cells(g), _refined_cells(h)
     n = g.order
     if [len(c) for c in g_cells] != [len(c) for c in h_cells]:
         return None
@@ -430,12 +425,7 @@ def _map_cells(
             targets[v] = h_cell
     g_rows, h_rows = g.rows, h.rows
     order: list[int] = []
-    for u, w in pins:
-        if w not in targets[u]:
-            return None
-        targets[u] = [w]
-        order.append(u)
-    placed = sum(1 << v for v in order)
+    placed = 0
     while len(order) < n:
         v = min(
             (v for v in range(n) if not placed >> v & 1),

@@ -56,9 +56,7 @@ from .graphs import MAX_ORDER, Graph, encode_graph6, reachable
 from .index import _WEIGHT_BY_EDGE_DEGREE, abs_index, edge_weight, gain_contrast, shift_gain
 from .invariants import (
     _labeling,
-    _map_cells,
     _refined_cells,
-    are_isomorphic,
     canonical_form,
     automorphism_generators,
     form_from_triangle,
@@ -270,9 +268,9 @@ def _augment_parent(
     m(G) gives G back with m(G) as the new vertex, and any other
     accepted parent is G - v for a v in the orbit of m(G), which is
     isomorphic to G - m(G).  So the outputs of different parents are
-    disjoint.  The child is refined once (``_refined_cells``), and those
-    cells serve both its canonical labeling and the search for an
-    automorphism that maps the new vertex to m(child).
+    disjoint.  The child is refined once and labeled once
+    (``_labeling``): the labeling gives m(child), and the automorphism
+    generators found by the same search give the new vertex's orbit.
 
     Parent side.  A parent automorphism s extends, fixing the new vertex,
     to an isomorphism from the child on S onto the child on s(S), so the
@@ -315,9 +313,9 @@ def _augment_parent(
         rows.append(nbrs)
         child = Graph(new + 1, tuple(rows))
         cells = _refined_cells(child)
-        tri, order = _labeling(child, cells)
+        tri, order, generators = _labeling(child, cells)
         last = max(tied, key=order.index)  # m(child)
-        if last != new and _map_cells(child, cells, child, cells, [(new, last)]) is None:
+        if last != new and not _orbit(generators, new) >> last & 1:
             continue
         form = form_from_triangle(new + 1, tri)
         for column, value in zip(columns, (form, *_child_row(parent, child, nbrs))):
@@ -328,6 +326,17 @@ def _augment_parent(
 def _new_columns() -> tuple[list[bytes], array, array, array, array]:
     """Empty form, χ, α, pendant and ABS columns, in ``ClassTable`` order."""
     return [], array("b"), array("b"), array("b"), array("d")
+
+
+def _orbit(generators: list[list[int]], v: int) -> int:
+    """The vertex mask of v's orbit under the group the maps generate."""
+    orbit, reached = 1 << v, [v]
+    for u in reached:  # grows as it is read
+        for sigma in generators:
+            if not orbit >> sigma[u] & 1:
+                orbit |= 1 << sigma[u]
+                reached.append(sigma[u])
+    return orbit
 
 
 def _orbit_leaders(g: Graph) -> list[int]:
@@ -504,9 +513,7 @@ def verify_theorem(theorem: str, n: int, k: int) -> SearchReport:
     return replace(
         report,
         construction_match=report.unique
-        and are_isomorphic(
-            graph_from_canonical_form(report.maximizer_forms[0]), expected
-        ),
+        and report.maximizer_forms[0] == canonical_form(expected),
         in_hypothesis=n >= case.claimed_from and k in case.params(n),
         expected_graph6=encode_graph6(expected),
     )

@@ -4,10 +4,11 @@ encoder as it was before it wrote the packed pair string, the
 augmentation's max-key test as it was before it was answered from the
 parent, the canonical labeling search as it was before it packed the
 columns, the isomorphism search as it was before it mapped vertex to
-vertex, the labeled sweep that the augmentation replaced, the
-edge-addition check as it was before its margins came from degrees, the
-theorem verifier as it was before it read the claim table, and the
-printed bounds as they were before each term was written once.
+vertex, the automorphism generators as they were before the canonical
+labeling search found them, the labeled sweep that the augmentation
+replaced, the edge-addition check as it was before its margins came from
+degrees, the theorem verifier as it was before it read the claim table,
+and the printed bounds as they were before each term was written once.
 
 Each function here is the old body of the library function with the same
 name, kept unchanged as the reference the rewritten kernels must match
@@ -50,7 +51,7 @@ from absindex import (
     turan,
 )
 from absindex.graphs import _G6_HEADER, MAX_ORDER, from_packed_pairs
-from absindex.invariants import _refined_cells, automorphism_generators
+from absindex.invariants import _refined_cells
 from absindex.search import class_table
 
 
@@ -396,6 +397,33 @@ def _map_cells(
     return [image[pos[v]] for v in range(n)]
 
 
+def find_isomorphism(g: Graph, h: Graph) -> list[int] | None:
+    return _map_cells(g, _refined_cells(g), h, _refined_cells(h), ())
+
+
+def automorphism_generators(g: Graph) -> list[list[int]]:
+    """Automorphisms that generate Aut(g), from a stabilizer chain.
+
+    With the vertices b_1, ..., b_n in refined-cell order and G_i the
+    automorphisms fixing b_1, ..., b_(i-1), one t in G_i is kept for each
+    i and each later vertex x of b_i's cell with t(b_i) = x, where one
+    exists.  By induction from i = n down, the kept maps generate G_i: an
+    s in G_i maps b_i into its cell but onto no earlier vertex, so s, or
+    t^-1 s for the kept t with t(b_i) = s(b_i), lies in G_(i+1).
+    """
+    cells = _refined_cells(g)
+    found = []
+    fixed: list[tuple[int, int]] = []
+    for cell in cells:
+        for i, b in enumerate(cell):
+            for x in cell[i + 1:]:
+                sigma = _map_cells(g, cells, g, cells, [*fixed, (b, x)])
+                if sigma is not None:
+                    found.append(sigma)
+            fixed.append((b, b))
+    return found
+
+
 # -- search -----------------------------------------------------------
 
 
@@ -704,7 +732,8 @@ def labeled_connected_counts_by_edges(n_max):
 
 
 def automorphism_group_order(g):
-    """|Aut(g)| from the library's own stabilizer chain.
+    """|Aut(g)| from the stabilizer chain of ``automorphism_generators``
+    here, which shares no search with the library's generators.
 
     ``automorphism_generators`` visits b_1, ..., b_n in refined-cell order
     and keeps one automorphism fixing b_1, ..., b_(i-1) for each image x

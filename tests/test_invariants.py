@@ -21,7 +21,7 @@ from absindex import (
     GraphInvariants,
     enumerate_connected,
 )
-from absindex import invariants
+from absindex import invariants, search
 from absindex.invariants import (
     _colorable,
     _refined_cells,
@@ -298,7 +298,7 @@ class TestCanonicalLabelingReference:
             assert canonical_labeling(g) == references.canonical_labeling(g)
             pairs.append((base, g))
         ours, old = on_both_searches(
-            monkeypatch, lambda: [find_isomorphism(base, g) for base, g in pairs]
+            monkeypatch, lambda: [invariants.find_isomorphism(base, g) for base, g in pairs]
         )
         assert ours == old
 
@@ -313,22 +313,20 @@ class TestCanonicalLabelingReference:
 
 
 class TestIsomorphismReference:
-    """The vertex-to-vertex search returns exactly the maps and generators
-    of the old position-indexed search, not just the same verdicts."""
+    """The vertex-to-vertex search returns exactly the maps of the old
+    position-indexed search, not just the same verdicts; the generators
+    give the orbits of the old stabilizer chain built on it."""
 
-    def test_every_class_up_to_7_with_every_pin_in_a_cell(self, small_classes, monkeypatch):
+    def test_every_class_up_to_7_relabeled(self, small_classes, monkeypatch):
+        rng = random.Random(67)
+        pairs = []
+        for g in small_classes:
+            perm = list(range(g.order))
+            rng.shuffle(perm)
+            pairs += [(g, g), (g, permuted(g, perm))]
+
         def maps():
-            found = []
-            for g in small_classes:
-                found += [automorphism_generators(g), find_isomorphism(g, g)]
-                cells = _refined_cells(g)
-                for cell in cells:
-                    found += [
-                        invariants._map_cells(g, cells, g, cells, [(u, w)])
-                        for u in cell
-                        for w in cell
-                    ]
-            return found
+            return [invariants.find_isomorphism(g, h) for g, h in pairs]
 
         ours, old = on_both_searches(monkeypatch, maps)
         assert ours == old
@@ -342,17 +340,27 @@ class TestIsomorphismReference:
             pairs.append((g, permuted(g, perm)))
 
         def maps():
-            return [(find_isomorphism(g, h), automorphism_generators(g)) for g, h in pairs]
+            return [invariants.find_isomorphism(g, h) for g, h in pairs]
 
         ours, old = on_both_searches(monkeypatch, maps)
         assert ours == old
 
+    def test_generator_orbits_of_gnp_graphs_9_to_12(self, gnp_graphs):
+        # the labeling search's generators and the old stabilizer chain
+        # give every vertex the same orbit
+        for g in gnp_graphs:
+            ours = automorphism_generators(g)
+            old = references.automorphism_generators(g)
+            for v in range(g.order):
+                assert search._orbit(ours, v) == search._orbit(old, v)
+
 
 def on_both_searches(monkeypatch, work):
-    """``work()`` on the library ``_map_cells``, then on the reference one."""
+    """``work()`` on the library ``find_isomorphism``, then on the reference
+    one; ``work`` looks it up on the module."""
     ours = work()
     with monkeypatch.context() as m:
-        m.setattr(invariants, "_map_cells", references._map_cells)
+        m.setattr(invariants, "find_isomorphism", references.find_isomorphism)
         return ours, work()
 
 
@@ -496,12 +504,11 @@ class TestIsomorphism:
         assert not are_isomorphic(cycle(4), cycle(5))
         assert find_isomorphism(cycle(4), cycle(5)) is None
 
-    def test_pinned_search_finds_exactly_the_orbit_pairs(self):
-        # u and w share an orbit iff some automorphism, found by brute
-        # force over all permutations, maps u onto w
+    def test_generators_find_exactly_the_orbit_pairs(self):
+        # w lies in u's orbit under the generators iff some automorphism,
+        # found by brute force over all permutations, maps u onto w
         for n in range(1, 7):
             for g in enumerate_connected(n):
-                cells = _refined_cells(g)
                 edges = g.edges()
                 orbit_pairs = {
                     (u, p[u])
@@ -509,13 +516,13 @@ class TestIsomorphism:
                     if all(g.has_edge(p[u], p[v]) for u, v in edges)
                     for u in range(n)
                 }
+                generators = automorphism_generators(g)
+                for sigma in generators:
+                    assert permuted(g, sigma) == g
                 for u in range(n):
+                    orbit = search._orbit(generators, u)
                     for w in range(n):
-                        sigma = invariants._map_cells(g, cells, g, cells, [(u, w)])
-                        assert (sigma is not None) == ((u, w) in orbit_pairs)
-                        if sigma is not None:
-                            assert sigma[u] == w
-                            assert permuted(g, sigma) == g
+                        assert bool(orbit >> w & 1) == ((u, w) in orbit_pairs)
 
     def test_relabelings_of_symmetric_families_at_12(self):
         rng = random.Random(31)

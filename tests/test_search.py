@@ -513,8 +513,8 @@ class TestAcceptRule:
         assert order_8_job_calls["labeling"] == 11987  # of 853 * 127 = 108,331 children
 
     def test_order_8_refines_each_labeled_child_once(self, order_8_job_calls):
-        # the labeling and the orbit test share one refinement of the
-        # child; the rest refine the parents for their automorphisms
+        # one refinement per labeled child, whose labeling also gives the
+        # orbit test its automorphisms; the rest refine the parents for theirs
         assert order_8_job_calls["refinement"] == 12840  # 11,987 children, 853 parents
 
     def test_order_8_tries_one_neighbour_set_per_orbit(self):
