@@ -18,22 +18,24 @@ from .graphs import MAX_ORDER, Graph
 
 
 def edge_weight(x: float, y: float) -> float:
-    """sqrt((x + y - 2)/(x + y)) for x, y >= 1; lies in [0, 1)."""
-    if x < 1 or y < 1:
-        raise ValueError(f"edge_weight arguments must be >= 1, got ({x}, {y})")
+    """sqrt((x + y - 2)/(x + y)) for finite x, y >= 1; lies in [0, 1)."""
+    # each domain check here is written so that NaN fails it: every
+    # comparison with NaN is False
+    if not (1 <= x < math.inf and 1 <= y < math.inf):
+        raise ValueError(f"edge_weight arguments must be finite and >= 1, got ({x}, {y})")
     return math.sqrt((x + y - 2) / (x + y))
 
 
 def shift_gain(s: float, x: float, y: float) -> float:
     """Increase of edge_weight when x grows by s > 0; strictly positive."""
-    if s <= 0:
+    if not s > 0:
         raise ValueError(f"shift must be positive, got {s}")
     return edge_weight(x + s, y) - edge_weight(x, y)
 
 
 def gain_contrast(s: float, lo: float, hi: float, x: float) -> float:
     """shift_gain at second argument lo minus shift_gain at hi, 1 <= lo <= hi."""
-    if lo < 1 or lo > hi:
+    if not 1 <= lo <= hi:
         raise ValueError(f"need 1 <= lo <= hi, got ({lo}, {hi})")
     return shift_gain(s, x, lo) - shift_gain(s, x, hi)
 

@@ -19,10 +19,7 @@ the first order reaching it that the unpruned search returns.  A
 discrete partition's one order is written by ``graphs.packed_pairs``.
 The same search gives generators of the automorphism group: twin swaps
 and a map from the first minimal order to each later one (McKay and
-Piperno, "Practical graph isomorphism, II", 2014).  Two given graphs are
-compared by a direct search for an isomorphism between their refined
-cells, which maps g's vertices one at a time to h's: C12 and a
-relabeling take 0.1 ms, where their two canonical forms take 105 ms.
+Piperno, "Practical graph isomorphism, II", 2014).
 """
 
 from __future__ import annotations
@@ -399,62 +396,6 @@ def _labeling(g: Graph, cells: list[list[int]]) -> tuple[int, list[int], list[li
     return tri, best_perm, generators
 
 
-def find_isomorphism(g: Graph, h: Graph) -> list[int] | None:
-    """A map m with h.has_edge(m[u], m[v]) == g.has_edge(u, v), or None.
-
-    The map sends refined cell i of g onto cell i of h, which every
-    isomorphism does; graphs of different orders have different cell
-    sizes, so no map is tried.  The search backtracks over vertex images
-    and stops at the first map that fits.  Vertices are mapped in an
-    order where each next one has the most neighbours already mapped
-    (then the smallest cell), so the adjacency test prunes early.
-
-    ``image[v]`` is the h vertex that g vertex v maps to.  A candidate x
-    for the next vertex v fits iff it is unmapped and its mapped
-    neighbours are exactly the images of v's mapped neighbours: as the
-    map is one-to-one, that is the adjacency test against every vertex
-    mapped so far.
-    """
-    g_cells, h_cells = _refined_cells(g), _refined_cells(h)
-    n = g.order
-    if [len(c) for c in g_cells] != [len(c) for c in h_cells]:
-        return None
-    targets: list[list[int]] = [[]] * n
-    for g_cell, h_cell in zip(g_cells, h_cells):
-        for v in g_cell:
-            targets[v] = h_cell
-    g_rows, h_rows = g.rows, h.rows
-    order: list[int] = []
-    placed = 0
-    while len(order) < n:
-        v = min(
-            (v for v in range(n) if not placed >> v & 1),
-            key=lambda v: (-(g_rows[v] & placed).bit_count(), len(targets[v])),
-        )
-        order.append(v)
-        placed |= 1 << v
-    image = [0] * n
-
-    def extend(k: int, before: int, mapped: int) -> bool:
-        if k == n:
-            return True
-        v = order[k]
-        want = 0
-        rest = g_rows[v] & before
-        while rest:
-            low = rest & -rest
-            want |= 1 << image[low.bit_length() - 1]
-            rest ^= low
-        for x in targets[v]:
-            if not mapped >> x & 1 and h_rows[x] & mapped == want:
-                image[v] = x
-                if extend(k + 1, before | 1 << v, mapped | 1 << x):
-                    return True
-        return False
-
-    return image if extend(0, 0, 0) else None
-
-
 def canonical_form(g: Graph) -> bytes:
     """Byte string equal for two graphs iff they are isomorphic."""
     return form_from_triangle(g.order, canonical_labeling(g)[0])
@@ -471,6 +412,7 @@ def graph_from_canonical_form(form: bytes) -> Graph:
 
 
 def are_isomorphic(g: Graph, h: Graph) -> bool:
+    """Whether the canonical forms are equal (C12 and a relabeling: about 70 ms)."""
     if sorted(g.degrees()) != sorted(h.degrees()):
         return False
-    return find_isomorphism(g, h) is not None
+    return canonical_form(g) == canonical_form(h)

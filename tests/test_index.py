@@ -41,10 +41,10 @@ class TestEdgeWeight:
                 assert 0 <= edge_weight(x, y) < 1
 
     def test_domain_rejection(self):
-        with pytest.raises(ValueError):
-            edge_weight(0.5, 2)
-        with pytest.raises(ValueError):
-            edge_weight(2, 0.99)
+        bad = (0.5, 0.99, math.nan, math.inf)
+        for x, y in [(x, 2) for x in bad] + [(2, y) for y in bad]:
+            with pytest.raises(ValueError):
+                edge_weight(x, y)
 
 
 class TestShiftGain:
@@ -64,8 +64,11 @@ class TestShiftGain:
             assert shift_gain(s, x, y) > 0
 
     def test_rejects_nonpositive_shift(self):
+        for s in (0, -1, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                shift_gain(s, 2, 2)
         with pytest.raises(ValueError):
-            shift_gain(0, 2, 2)
+            shift_gain(1, math.nan, 2)
 
 
 class TestGainContrast:
@@ -81,10 +84,9 @@ class TestGainContrast:
         assert gain_contrast(1, 1, 3, 2) > gain_contrast(1, 1, 3, 5)
 
     def test_rejects_bad_bounds(self):
-        with pytest.raises(ValueError):
-            gain_contrast(1, 3, 2, 1)
-        with pytest.raises(ValueError):
-            gain_contrast(1, 0.5, 2, 1)
+        for lo, hi in ((3, 2), (0.5, 2), (math.nan, 3), (1, math.nan), (1, math.inf)):
+            with pytest.raises(ValueError):
+                gain_contrast(1, lo, hi, 1)
 
 
 class TestAbsIndex:

@@ -27,7 +27,6 @@ from absindex.invariants import (
     _refined_cells,
     automorphism_generators,
     canonical_labeling,
-    find_isomorphism,
     graph_from_canonical_form,
     independence_within,
 )
@@ -213,14 +212,6 @@ class TestRefinement:
         for g in gnp_graphs:
             assert _refined_cells(g) == reference_refined_cells(g)
 
-    def test_matches_reference_on_every_order_8_class_relabeled(self):
-        rng = random.Random(47)
-        perm = list(range(8))
-        for form in connected_class_forms(8):
-            rng.shuffle(perm)
-            g = permuted(graph_from_canonical_form(form), perm)
-            assert _refined_cells(g) == reference_refined_cells(g)
-
     def test_single_cell_graphs(self):
         # vertex-transitive, so no round splits the one degree class
         petersen = from_edges(
@@ -285,22 +276,15 @@ class TestCanonicalLabelingReference:
         for g in small_classes:
             assert canonical_labeling(g) == references.canonical_labeling(g)
 
-    def test_every_order_8_class_relabeled(self, monkeypatch):
-        # and the isomorphism search maps each class onto its relabeling
-        # as the reference search does
+    def test_every_order_8_class_relabeled(self):
+        # and the refined cells match the sorted-signature refinement
         rng = random.Random(61)
         perm = list(range(8))
-        pairs = []
         for form in connected_class_forms(8):
             rng.shuffle(perm)
-            base = graph_from_canonical_form(form)
-            g = permuted(base, perm)
+            g = permuted(graph_from_canonical_form(form), perm)
+            assert _refined_cells(g) == reference_refined_cells(g)
             assert canonical_labeling(g) == references.canonical_labeling(g)
-            pairs.append((base, g))
-        ours, old = on_both_searches(
-            monkeypatch, lambda: [invariants.find_isomorphism(base, g) for base, g in pairs]
-        )
-        assert ours == old
 
     def test_gnp_graphs_9_to_12(self, gnp_graphs):
         for g in gnp_graphs:
@@ -313,37 +297,8 @@ class TestCanonicalLabelingReference:
 
 
 class TestIsomorphismReference:
-    """The vertex-to-vertex search returns exactly the maps of the old
-    position-indexed search, not just the same verdicts; the generators
-    give the orbits of the old stabilizer chain built on it."""
-
-    def test_every_class_up_to_7_relabeled(self, small_classes, monkeypatch):
-        rng = random.Random(67)
-        pairs = []
-        for g in small_classes:
-            perm = list(range(g.order))
-            rng.shuffle(perm)
-            pairs += [(g, g), (g, permuted(g, perm))]
-
-        def maps():
-            return [invariants.find_isomorphism(g, h) for g, h in pairs]
-
-        ours, old = on_both_searches(monkeypatch, maps)
-        assert ours == old
-
-    def test_gnp_graphs_9_to_12_relabeled(self, gnp_graphs, monkeypatch):
-        rng = random.Random(71)
-        pairs = []
-        for g in gnp_graphs:
-            perm = list(range(g.order))
-            rng.shuffle(perm)
-            pairs.append((g, permuted(g, perm)))
-
-        def maps():
-            return [invariants.find_isomorphism(g, h) for g, h in pairs]
-
-        ours, old = on_both_searches(monkeypatch, maps)
-        assert ours == old
+    """The labeling search's generators give the orbits of the stabilizer
+    chain built on the reference isomorphism search."""
 
     def test_generator_orbits_of_gnp_graphs_9_to_12(self, gnp_graphs):
         # the labeling search's generators and the old stabilizer chain
@@ -353,15 +308,6 @@ class TestIsomorphismReference:
             old = references.automorphism_generators(g)
             for v in range(g.order):
                 assert search._orbit(ours, v) == search._orbit(old, v)
-
-
-def on_both_searches(monkeypatch, work):
-    """``work()`` on the library ``find_isomorphism``, then on the reference
-    one; ``work`` looks it up on the module."""
-    ours = work()
-    with monkeypatch.context() as m:
-        m.setattr(invariants, "find_isomorphism", references.find_isomorphism)
-        return ours, work()
 
 
 def _inner_code(fn, name):
@@ -474,7 +420,8 @@ class TestTwinPruning:
         )
         assert counts == pinned
         assert len(set(forms)) == 1
-        assert are_isomorphic(graph_from_canonical_form(forms[0]), g)
+        decoded = graph_from_canonical_form(forms[0])
+        assert references.find_isomorphism(decoded, g) is not None
 
 
 class TestIsomorphism:
@@ -502,7 +449,6 @@ class TestIsomorphism:
 
     def test_order_mismatch(self):
         assert not are_isomorphic(cycle(4), cycle(5))
-        assert find_isomorphism(cycle(4), cycle(5)) is None
 
     def test_generators_find_exactly_the_orbit_pairs(self):
         # w lies in u's orbit under the generators iff some automorphism,
@@ -531,13 +477,29 @@ class TestIsomorphism:
             rng.shuffle(perm)
             h = permuted(g, perm)
             assert are_isomorphic(g, h)
-            assert permuted(g, find_isomorphism(g, h)) == h
 
-    def test_found_map_is_an_isomorphism(self):
-        rng = random.Random(37)
-        for _ in range(200):
-            g = random_graph(rng.randint(1, 12), rng)
-            perm = list(range(g.order))
+    def test_two_regular_graphs_of_order_12(self):
+        # one disjoint union of cycles per partition of 12 into parts >= 3;
+        # refinement leaves each one cell, so only the labeling search
+        # tells them apart
+        def partitions(total, least):
+            if total == 0:
+                yield ()
+            for part in range(least, total + 1):
+                for rest in partitions(total - part, part):
+                    yield (part, *rest)
+
+        rng = random.Random(43)
+        forms = set()
+        for lengths in partitions(12, 3):
+            edges, start = [], 0
+            for k in lengths:
+                edges += [(start + i, start + (i + 1) % k) for i in range(k)]
+                start += k
+            g = from_edges(12, edges)
+            assert _refined_cells(g) == [list(range(12))]
+            perm = list(range(12))
             rng.shuffle(perm)
-            h = permuted(g, perm)
-            assert permuted(g, find_isomorphism(g, h)) == h
+            assert are_isomorphic(g, permuted(g, perm))
+            forms.add(canonical_form(g))
+        assert len(forms) == 9
