@@ -212,6 +212,14 @@ class TestRefinement:
         for g in gnp_graphs:
             assert _refined_cells(g) == reference_refined_cells(g)
 
+    def test_matches_reference_on_every_order_8_class_relabeled(self):
+        rng = random.Random(47)
+        perm = list(range(8))
+        for form in connected_class_forms(8):
+            rng.shuffle(perm)
+            g = permuted(graph_from_canonical_form(form), perm)
+            assert _refined_cells(g) == reference_refined_cells(g)
+
     def test_single_cell_graphs(self):
         # vertex-transitive, so no round splits the one degree class
         petersen = from_edges(
@@ -277,13 +285,11 @@ class TestCanonicalLabelingReference:
             assert canonical_labeling(g) == references.canonical_labeling(g)
 
     def test_every_order_8_class_relabeled(self):
-        # and the refined cells match the sorted-signature refinement
         rng = random.Random(61)
         perm = list(range(8))
         for form in connected_class_forms(8):
             rng.shuffle(perm)
             g = permuted(graph_from_canonical_form(form), perm)
-            assert _refined_cells(g) == reference_refined_cells(g)
             assert canonical_labeling(g) == references.canonical_labeling(g)
 
     def test_gnp_graphs_9_to_12(self, gnp_graphs):
