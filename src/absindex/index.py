@@ -27,7 +27,14 @@ def edge_weight(x: float, y: float) -> float:
 
 
 def shift_gain(s: float, x: float, y: float) -> float:
-    """Increase of edge_weight when x grows by s > 0; strictly positive."""
+    """Increase of edge_weight when x grows by s > 0.
+
+    Positive in exact arithmetic.  In floating point it is >= 0 while
+    x + s + y < 2**54, where x + y - 2 is exact, and 0.0 where x + s
+    rounds back to x (``shift_gain(1e-20, 2, 2)``) or both weights round
+    to one float; beyond 2**54 the rounding of x + y - 2 can make it
+    -1.1e-16.
+    """
     if not s > 0:
         raise ValueError(f"shift must be positive, got {s}")
     return edge_weight(x + s, y) - edge_weight(x, y)

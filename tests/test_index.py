@@ -63,6 +63,19 @@ class TestShiftGain:
             y = rng.uniform(1, 30)
             assert shift_gain(s, x, y) > 0
 
+    def test_zero_where_the_shift_rounds_away(self):
+        # x + s rounds back to x, so both weights are one float
+        assert shift_gain(1e-20, 2, 2) == 0.0
+        assert shift_gain(1e-300, 1, 1) == 0.0
+
+    def test_nonnegative_below_2_to_54(self):
+        # x + y - 2 is exact below 2**54, so the rounded weight cannot fall
+        rng = random.Random(7)
+        for _ in range(2000):
+            x, y = 10 ** rng.uniform(0, 15.7), 10 ** rng.uniform(0, 15.7)
+            s = 10 ** rng.uniform(-20, 15.7)
+            assert shift_gain(s, x, y) >= 0
+
     def test_rejects_nonpositive_shift(self):
         for s in (0, -1, math.nan, math.inf):
             with pytest.raises(ValueError):

@@ -39,6 +39,14 @@ def permuted(g, perm):
     return from_edges(g.order, [(perm[u], perm[v]) for u, v in g.edges()])
 
 
+PETERSEN = from_edges(
+    10,
+    [(i, (i + 1) % 5) for i in range(5)]
+    + [(i, i + 5) for i in range(5)]
+    + [(5 + i, 5 + (i + 2) % 5) for i in range(5)],
+)
+
+
 # -- independent slow oracles -----------------------------------------
 
 
@@ -222,14 +230,8 @@ class TestRefinement:
 
     def test_single_cell_graphs(self):
         # vertex-transitive, so no round splits the one degree class
-        petersen = from_edges(
-            10,
-            [(i, (i + 1) % 5) for i in range(5)]
-            + [(i, i + 5) for i in range(5)]
-            + [(5 + i, 5 + (i + 2) % 5) for i in range(5)],
-        )
         rng = random.Random(53)
-        for g in (cycle(12), turan(12, 2), petersen):
+        for g in (cycle(12), turan(12, 2), PETERSEN):
             perm = list(range(g.order))
             rng.shuffle(perm)
             for h in (g, permuted(g, perm)):
@@ -302,18 +304,22 @@ class TestCanonicalLabelingReference:
             assert canonical_labeling(g) == references.canonical_labeling(g)
 
 
+def assert_reference_orbits(graphs):
+    """The labeling search's generators and the old stabilizer chain give
+    every vertex the same orbit."""
+    for g in graphs:
+        ours = automorphism_generators(g)
+        old = references.automorphism_generators(g)
+        for v in range(g.order):
+            assert search._orbit(ours, v) == search._orbit(old, v)
+
+
 class TestIsomorphismReference:
     """The labeling search's generators give the orbits of the stabilizer
     chain built on the reference isomorphism search."""
 
     def test_generator_orbits_of_gnp_graphs_9_to_12(self, gnp_graphs):
-        # the labeling search's generators and the old stabilizer chain
-        # give every vertex the same orbit
-        for g in gnp_graphs:
-            ours = automorphism_generators(g)
-            old = references.automorphism_generators(g)
-            for v in range(g.order):
-                assert search._orbit(ours, v) == search._orbit(old, v)
+        assert_reference_orbits(gnp_graphs)
 
 
 def _inner_code(fn, name):
@@ -378,14 +384,16 @@ class TestSearchNodes:
     """α and χ are exact under any branching rule, so only the node counts
     see the rule: α branches on its lowest candidate, taken or left out.
     The labeling's count is pinned beside the unpruned reference's on the
-    graphs it searches; twin pruning keeps about a quarter of its nodes."""
+    graphs it searches: twin pruning and descending only the candidates of
+    least column keep about a quarter of its nodes.  The column rule cuts
+    most on one-cell graphs (``TestOneCellSearch``)."""
 
     def test_every_class_up_to_7(self, small_classes):
         assert search_nodes(small_classes) == (16826, 1430, 10043)
         assert reference_place_nodes(small_classes) == 47071
 
     def test_gnp_graphs_9_to_12(self, gnp_graphs):
-        assert search_nodes(gnp_graphs) == (14156, 1981, 2057)
+        assert search_nodes(gnp_graphs) == (14156, 1981, 1930)
         assert reference_place_nodes(gnp_graphs) == 7128
 
 
@@ -395,8 +403,8 @@ TWIN_FAMILIES = {
     "K12": (complete_graph(12), (13, 13, 13, 13)),
     "complete_split(12,3)": (complete_split(12, 3), (13, 13, 13, 13)),
     "kite(12,2)": (kite(12, 2), (13, 13, 13, 13)),
-    "turan(12,2)": (turan(12, 2), (25, 601, 108, 357)),
-    "turan(12,4)": (turan(12, 4), (193, 611, 2476, 730)),
+    "turan(12,2)": (turan(12, 2), (25, 25, 25, 25)),
+    "turan(12,4)": (turan(12, 4), (193, 193, 193, 193)),
     "double_star(12,5)": (double_star(12, 5), (13, 13, 13, 13)),
 }
 
@@ -428,6 +436,69 @@ class TestTwinPruning:
         assert len(set(forms)) == 1
         decoded = graph_from_canonical_form(forms[0])
         assert references.find_isomorphism(decoded, g) is not None
+
+
+def random_regular(n, d, rng):
+    """A seeded d-regular graph on n vertices (n * d even, d < n): the
+    circulant joining each vertex to the d // 2 nearest on each side, and
+    to the opposite vertex if d is odd, then random edge swaps (a-b, c-e
+    to a-e, c-b), each keeping every degree and the graph simple."""
+    edges = {tuple(sorted((u, (u + k) % n))) for u in range(n) for k in range(1, d // 2 + 1)}
+    if d % 2:
+        edges |= {(u, u + n // 2) for u in range(n // 2)}
+    edges = sorted(edges)
+    for _ in range(10 * len(edges)):
+        i, j = rng.sample(range(len(edges)), 2)
+        (a, b), (c, e) = edges[i], edges[j]
+        if rng.random() < 0.5:
+            c, e = e, c
+        swapped = [tuple(sorted(pair)) for pair in ((a, e), (c, b))]
+        if a != e and c != b and not any(pair in edges for pair in swapped):
+            edges[i], edges[j] = swapped
+    return from_edges(n, edges)
+
+
+REGULAR_GRAPHS = [
+    random_regular(n, d, random.Random(100 * n + d))
+    for n in range(10, 13)
+    for d in range(3, 7)
+    if n * d % 2 == 0
+]
+
+
+class TestOneCellSearch:
+    """Regular graphs, which refinement leaves one cell, so the labeling
+    search alone orders their vertices.  Only candidates of least column
+    are descended; the count hook stops a search past 20 000 nodes, so a
+    lost pruning fails in milliseconds (C12 took 52 063 without it)."""
+
+    def test_random_regular_graphs_match_the_references(self):
+        rng = random.Random(53)
+        graphs = []
+        for g in REGULAR_GRAPHS:
+            assert _refined_cells(g) == [list(range(g.order))]
+            perm = list(range(g.order))
+            rng.shuffle(perm)
+            graphs += [g, permuted(g, perm)]
+        place = _inner_code(invariants._labeling, "place")
+        labelings = []
+        count = _count_calls(
+            (place,), lambda: labelings.extend(map(canonical_labeling, graphs)), limit=20_000
+        )[0]
+        assert count == 12048
+        for g, labeling in zip(graphs, labelings):
+            assert labeling == references.canonical_labeling(g)
+        assert_reference_orbits(REGULAR_GRAPHS)
+
+    @pytest.mark.parametrize(
+        "g, pinned", [(cycle(12), 9925), (PETERSEN, 1105)], ids=["C12", "Petersen"]
+    )
+    def test_symmetric_graphs(self, g, pinned):
+        place = _inner_code(invariants._labeling, "place")
+        labeling = []
+        count = _count_calls((place,), lambda: labeling.append(canonical_labeling(g)), limit=20_000)[0]
+        assert count == pinned
+        assert labeling[0] == references.canonical_labeling(g)
 
 
 class TestIsomorphism:
