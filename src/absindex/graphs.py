@@ -17,8 +17,8 @@ form) used for input and output of graphs.  The graph6 body and a
 canonical form's body are the same packed pair string: pair k, in graph6
 column order, is bit nbits-1-k.  This module alone turns rows into that
 string (``packed_pairs``, under any vertex order) and back
-(``from_packed_pairs``); graph6 is encoded and decoded through it, and a
-canonical labeling writes its discrete case with it.  It also holds the
+(``from_packed_pairs``); graph6 is encoded and decoded through it, and
+``canonical_labeling`` writes its discrete case with it.  It also holds the
 one breadth-first walk over bit rows (``reachable``), which connectivity
 and the enumeration's cut-vertex test share.
 """

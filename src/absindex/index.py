@@ -7,6 +7,23 @@ weight under a shift of one argument, and the contrast of that gain
 between two second arguments.  All arithmetic is double precision.
 The graph-level sums walk the upper-triangle bits of the adjacency rows
 and read each edge's weight from a table indexed by its edge degree.
+
+The grid claims of ``search.check_scalar_properties`` hold for all real
+x, y >= 1.  f(x, y) = phi(x + y) with phi(t) = sqrt(1 - 2/t); for
+u = x + y - 2 > 0,
+
+    phi'   = u^(-1/2) (u + 2)^(-3/2)                    > 0,
+    phi''  = -(2u + 1) u^(-3/2) (u + 2)^(-5/2)          < 0,
+    phi''' = 3(2u^2 + 2u + 1) u^(-5/2) (u + 2)^(-7/2)   > 0,
+
+and phi is continuous at u = 0, so the mean value theorem carries each
+sign to differences over t >= 2.  By phi' > 0, edge_weight increases in
+x (``search._addition_margins`` needs only this).  shift_gain(s, x, y)
+is G(x + y) with G(t) = phi(t + s) - phi(t): G' = s phi''(r) < 0, so it
+decreases in x, and G'' = s phi'''(r) > 0, so it is convex in x and G'
+increases.  Hence gain_contrast(s, lo, hi, x) = G(x + lo) - G(x + hi),
+whose derivative is G'(x + lo) - G'(x + hi), decreases in x for lo < hi;
+at lo = hi it is 0.
 """
 
 from __future__ import annotations

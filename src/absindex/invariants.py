@@ -17,10 +17,11 @@ twins (vertices with the same neighbours apart from each other) only in
 ascending order; both cuts keep every minimal order, so it returns the
 minimum and the first order reaching it that the unpruned search
 returns.  A discrete partition's one order is written by
-``graphs.packed_pairs``.
-The same search gives generators of the automorphism group: twin swaps
-and a map from the first minimal order to each later one (McKay and
-Piperno, "Practical graph isomorphism, II", 2014).
+``graphs.packed_pairs``.  The one labeling call, ``canonical_labeling``,
+refines and searches once, and the search also gives generators of the
+automorphism group: twin swaps and a map from the first minimal order
+to each later one (McKay and Piperno, "Practical graph isomorphism, II",
+2014).
 """
 
 from __future__ import annotations
@@ -252,29 +253,15 @@ for _bit in range(8):
 del _bit
 
 
-def canonical_labeling(g: Graph) -> tuple[int, list[int]]:
-    """The minimal upper-triangle bit-string over relabelings, and the
-    first vertex order that reaches it (see ``_labeling``)."""
-    return _labeling(g, _refined_cells(g))[:2]
-
-
-def automorphism_generators(g: Graph) -> list[list[int]]:
-    """Automorphisms that generate Aut(g), from the canonical-labeling
-    search (``_labeling``).  That search walks every minimal leaf of a
-    twin-free symmetric graph, C12's 24 in about 20 ms; ``search`` calls
-    this on at most 8 vertices."""
-    return _labeling(g, _refined_cells(g))[2]
-
-
-def _labeling(g: Graph, cells: list[list[int]]) -> tuple[int, list[int], list[list[int]]]:
-    """``canonical_labeling`` of g, given ``cells = _refined_cells(g)``,
-    and automorphisms that generate Aut(g).
+def canonical_labeling(g: Graph) -> tuple[int, list[int], list[list[int]]]:
+    """The minimal upper-triangle bit-string over relabelings, the first
+    vertex order that reaches it, and automorphisms that generate Aut(g).
 
     The string is read pair-by-pair in the graph6 column order and
     packed so that earlier pairs land in more significant bits; the
     minimum is therefore the numeric minimum.  Only permutations that
-    respect the refined-cell order are considered, which is sound
-    because the cell sequence itself is isomorphism-invariant.
+    respect the order of g's refined cells (``_refined_cells``) are
+    considered, which is sound as the cell sequence is isomorphism-invariant.
 
     Vertex ``order[i]`` gets label i in the canonical graph.  Every order
     that reaches the minimum is this one composed with an automorphism,
@@ -336,6 +323,7 @@ def _labeling(g: Graph, cells: list[list[int]]) -> tuple[int, list[int], list[li
     reaches it at or after the best, and t s is the identity or a map.
     """
     n = g.order
+    cells = _refined_cells(g)
     if len(cells) == n:
         order = [cell[0] for cell in cells]
         return packed_pairs(g.rows, order), order, []

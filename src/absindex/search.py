@@ -55,10 +55,8 @@ from .extremal import CASES, THEOREMS
 from .graphs import MAX_ORDER, Graph, encode_graph6, reachable
 from .index import _WEIGHT_BY_EDGE_DEGREE, abs_index, edge_weight, gain_contrast, shift_gain
 from .invariants import (
-    _labeling,
-    _refined_cells,
     canonical_form,
-    automorphism_generators,
+    canonical_labeling,
     form_from_triangle,
     graph_from_canonical_form,
     independence_within,
@@ -268,8 +266,8 @@ def _augment_parent(
     m(G) gives G back with m(G) as the new vertex, and any other
     accepted parent is G - v for a v in the orbit of m(G), which is
     isomorphic to G - m(G).  So the outputs of different parents are
-    disjoint.  The child is refined once and labeled once
-    (``_labeling``): the labeling gives m(child), and the automorphism
+    disjoint.  One ``canonical_labeling(child)`` call refines and labels
+    the child once: its order gives m(child), and the automorphism
     generators found by the same search give the new vertex's orbit.
 
     Parent side.  A parent automorphism s extends, fixing the new vertex,
@@ -312,8 +310,7 @@ def _augment_parent(
         rows = [r | (nbrs >> v & 1) << new for v, r in enumerate(parent.rows)]
         rows.append(nbrs)
         child = Graph(new + 1, tuple(rows))
-        cells = _refined_cells(child)
-        tri, order, generators = _labeling(child, cells)
+        tri, order, generators = canonical_labeling(child)
         last = max(tied, key=order.index)  # m(child)
         if last != new and not _orbit(generators, new) >> last & 1:
             continue
@@ -340,14 +337,14 @@ def _orbit(generators: list[list[int]], v: int) -> int:
 
 
 def _orbit_leaders(g: Graph) -> list[int]:
-    """The least neighbour set in each orbit of Aut(g), which
-    ``automorphism_generators(g)`` generates.
+    """The least neighbour set in each orbit of Aut(g), which the
+    generators from ``canonical_labeling(g)`` generate.
 
     Sets are nonempty vertex bitmasks, listed in ascending order.
     """
     size = 1 << g.order
     # each mask's image: the sum of its vertices' image bits
-    images = [_subset_sums([1 << w for w in a]) for a in automorphism_generators(g)]
+    images = [_subset_sums([1 << w for w in a]) for a in canonical_labeling(g)[2]]
     reached = bytearray(size)
     leaders = []
     for mask in range(1, size):

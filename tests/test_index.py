@@ -1,3 +1,4 @@
+import decimal
 import math
 import random
 
@@ -100,6 +101,41 @@ class TestGainContrast:
         for lo, hi in ((3, 2), (0.5, 2), (math.nan, 3), (1, math.nan), (1, math.inf)):
             with pytest.raises(ValueError):
                 gain_contrast(1, lo, hi, 1)
+
+
+class TestScalarLemmaProof:
+    """The closed forms of phi', phi'' and phi''' that the ``index``
+    docstring's proof rests on, phi(t) = sqrt(1 - 2/t) written at
+    u = t - 2, against central differences of phi in 60-digit decimal
+    arithmetic, so that a sign or coefficient slip in them fails."""
+
+    def test_closed_forms_match_finite_differences(self):
+        with decimal.localcontext() as ctx:
+            ctx.prec = 60
+            one = decimal.Decimal(1)
+
+            def phi(u):
+                return (u / (u + 2)).sqrt()
+
+            points = [m * one.scaleb(e) for e in range(-6, 6) for m in (1, 2, 5)]
+            for u in points + [one.scaleb(6)]:  # u from 1e-6 to 1e6
+                r, s = u.sqrt(), (u + 2).sqrt()
+                closed = (
+                    1 / (r * s**3),
+                    -(2 * u + 1) / (r**3 * s**5),
+                    3 * (2 * u * u + 2 * u + 1) / (r**5 * s**7),
+                )
+                # the truncation errors are about (h / u)^2 = 1e-24 of each
+                h = u.scaleb(-12)
+                f = {k: phi(u + k * h) for k in (-2, -1, 0, 1, 2)}
+                differences = (
+                    (f[1] - f[-1]) / (2 * h),
+                    (f[1] - 2 * f[0] + f[-1]) / h**2,
+                    (f[2] - 2 * f[1] + 2 * f[-1] - f[-2]) / (2 * h**3),
+                )
+                assert closed[0] > 0 > closed[1] and closed[2] > 0
+                for exact, estimate in zip(closed, differences):
+                    assert abs(estimate / exact - 1) < decimal.Decimal("1e-15"), u
 
 
 class TestAbsIndex:

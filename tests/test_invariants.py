@@ -21,11 +21,10 @@ from absindex import (
     GraphInvariants,
     enumerate_connected,
 )
-from absindex import invariants, search
+from absindex import search
 from absindex.invariants import (
     _colorable,
     _refined_cells,
-    automorphism_generators,
     canonical_labeling,
     graph_from_canonical_form,
     independence_within,
@@ -284,7 +283,7 @@ class TestCanonicalLabelingReference:
 
     def test_every_class_up_to_7(self, small_classes):
         for g in small_classes:
-            assert canonical_labeling(g) == references.canonical_labeling(g)
+            assert canonical_labeling(g)[:2] == references.canonical_labeling(g)
 
     def test_every_order_8_class_relabeled(self):
         rng = random.Random(61)
@@ -292,23 +291,23 @@ class TestCanonicalLabelingReference:
         for form in connected_class_forms(8):
             rng.shuffle(perm)
             g = permuted(graph_from_canonical_form(form), perm)
-            assert canonical_labeling(g) == references.canonical_labeling(g)
+            assert canonical_labeling(g)[:2] == references.canonical_labeling(g)
 
     def test_gnp_graphs_9_to_12(self, gnp_graphs):
         for g in gnp_graphs:
-            assert canonical_labeling(g) == references.canonical_labeling(g)
+            assert canonical_labeling(g)[:2] == references.canonical_labeling(g)
 
     def test_symmetric_families(self):
         # the searches that walk the most orders
         for g in (complete_graph(8), star(9), kite(9, 7), complete_split(9, 8), turan(10, 5)):
-            assert canonical_labeling(g) == references.canonical_labeling(g)
+            assert canonical_labeling(g)[:2] == references.canonical_labeling(g)
 
 
 def assert_reference_orbits(graphs):
     """The labeling search's generators and the old stabilizer chain give
     every vertex the same orbit."""
     for g in graphs:
-        ours = automorphism_generators(g)
+        ours = canonical_labeling(g)[2]
         old = references.automorphism_generators(g)
         for v in range(g.order):
             assert search._orbit(ours, v) == search._orbit(old, v)
@@ -362,7 +361,7 @@ def search_nodes(graphs) -> tuple[int, int, int]:
         (
             _inner_code(independence_within, "expand"),
             _inner_code(_colorable, "assign"),
-            _inner_code(invariants._labeling, "place"),
+            _inner_code(canonical_labeling, "place"),
         ),
         work,
     )
@@ -426,7 +425,7 @@ class TestTwinPruning:
             perm = list(range(g.order))
             rng.shuffle(perm)
             graphs.append(permuted(g, perm))
-        place = _inner_code(invariants._labeling, "place")
+        place = _inner_code(canonical_labeling, "place")
         forms = []
         counts = tuple(
             _count_calls((place,), lambda: forms.append(canonical_form(h)), limit=10_000)[0]
@@ -480,25 +479,25 @@ class TestOneCellSearch:
             perm = list(range(g.order))
             rng.shuffle(perm)
             graphs += [g, permuted(g, perm)]
-        place = _inner_code(invariants._labeling, "place")
+        place = _inner_code(canonical_labeling, "place")
         labelings = []
         count = _count_calls(
             (place,), lambda: labelings.extend(map(canonical_labeling, graphs)), limit=20_000
         )[0]
         assert count == 12048
         for g, labeling in zip(graphs, labelings):
-            assert labeling == references.canonical_labeling(g)
+            assert labeling[:2] == references.canonical_labeling(g)
         assert_reference_orbits(REGULAR_GRAPHS)
 
     @pytest.mark.parametrize(
         "g, pinned", [(cycle(12), 9925), (PETERSEN, 1105)], ids=["C12", "Petersen"]
     )
     def test_symmetric_graphs(self, g, pinned):
-        place = _inner_code(invariants._labeling, "place")
+        place = _inner_code(canonical_labeling, "place")
         labeling = []
         count = _count_calls((place,), lambda: labeling.append(canonical_labeling(g)), limit=20_000)[0]
         assert count == pinned
-        assert labeling[0] == references.canonical_labeling(g)
+        assert labeling[0][:2] == references.canonical_labeling(g)
 
 
 class TestIsomorphism:
@@ -539,7 +538,7 @@ class TestIsomorphism:
                     if all(g.has_edge(p[u], p[v]) for u, v in edges)
                     for u in range(n)
                 }
-                generators = automorphism_generators(g)
+                generators = canonical_labeling(g)[2]
                 for sigma in generators:
                     assert permuted(g, sigma) == g
                 for u in range(n):

@@ -345,6 +345,21 @@ def brute_force_max(constraint):
     return len(scored), best, tuple(sorted(tied))
 
 
+def rows_unlike_direct(n):
+    """The (form, row, direct) triples of ``class_table(n)`` whose χ, α,
+    pendant and ABS row, derived from the parent, differs from the direct
+    kernels on the class."""
+    table = class_table(n)
+    wrong = []
+    for i, form in enumerate(table.forms):
+        g = search.graph_from_canonical_form(form)
+        row = (table.chromatic[i], table.independence[i], table.pendants[i], table.abs_value[i])
+        direct = (chromatic_number(g), independence_number(g), pendant_count(g), abs_index(g))
+        if row != direct:
+            wrong.append((form, row, direct))
+    return wrong
+
+
 class TestClassTable:
     def test_rows_match_direct_invariants(self, cold_caches):
         for n in range(1, 7):
@@ -411,26 +426,10 @@ class TestClassTable:
 
     def test_parent_derived_rows_match_direct_invariants_to_8(self):
         # every row is exactly what the direct kernels give on the class
-        wrong = []
-        for n in range(1, 9):
-            table = class_table(n)
-            for i, form in enumerate(table.forms):
-                g = search.graph_from_canonical_form(form)
-                row = (
-                    table.chromatic[i],
-                    table.independence[i],
-                    table.pendants[i],
-                    table.abs_value[i],
-                )
-                direct = (
-                    chromatic_number(g),
-                    independence_number(g),
-                    pendant_count(g),
-                    abs_index(g),
-                )
-                if row != direct:
-                    wrong.append((form, row, direct))
-        assert wrong == []
+        assert [wrong for n in range(1, 9) for wrong in rows_unlike_direct(n)] == []
+
+    def test_parent_derived_rows_match_direct_invariants_order_9(self, order_9):
+        assert rows_unlike_direct(9) == []
 
     def test_table_is_cached(self):
         assert class_table(5) is class_table(5)
@@ -474,22 +473,22 @@ def _table_rows(n):
 @pytest.fixture(scope="class")
 def order_8_job_calls():
     """Calls of the canonical labeling and of the refinement while the
-    853 order-8 jobs run, each job on its order-7 parent's row."""
-    calls = dict.fromkeys(("labeling", "refinement"), 0)
+    853 order-8 jobs run, each job on its order-7 parent's row, keyed by
+    (name, order of the graph): the jobs label order-8 children and
+    order-7 parents."""
+    calls = dict.fromkeys(itertools.product(("labeling", "refinement"), (7, 8)), 0)
 
     def counting(name, fn):
-        def counted(*args):
-            calls[name] += 1
-            return fn(*args)
+        def counted(g):
+            calls[name, g.order] += 1
+            return fn(g)
 
         return counted
 
     parents = _table_rows(7)
-    refine = counting("refinement", invariants._refined_cells)
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(search, "_labeling", counting("labeling", search._labeling))
-        m.setattr(search, "_refined_cells", refine)
-        m.setattr(invariants, "_refined_cells", refine)
+        m.setattr(search, "canonical_labeling", counting("labeling", search.canonical_labeling))
+        m.setattr(invariants, "_refined_cells", counting("refinement", invariants._refined_cells))
         for row in parents:
             search._augment_parent(row)
     return calls
@@ -509,12 +508,15 @@ class TestAcceptRule:
             assert sorted(found) == list(connected_class_forms(n))
 
     def test_order_8_canonicalizes_accepted_children_only(self, order_8_job_calls):
-        assert order_8_job_calls["labeling"] == 11987  # of 853 * 127 = 108,331 children
+        assert order_8_job_calls["labeling", 8] == 11987  # of 853 * 127 = 108,331 children
 
     def test_order_8_refines_each_labeled_child_once(self, order_8_job_calls):
-        # one refinement per labeled child, whose labeling also gives the
-        # orbit test its automorphisms; the rest refine the parents for theirs
-        assert order_8_job_calls["refinement"] == 12840  # 11,987 children, 853 parents
+        # one refinement per labeling: each labeled child's also gives the
+        # orbit test its automorphisms, and each parent is labeled for its own
+        refinements = order_8_job_calls["refinement", 7] + order_8_job_calls["refinement", 8]
+        assert refinements == 12840  # 11,987 children, 853 parents
+        assert order_8_job_calls["labeling", 7] == order_8_job_calls["refinement", 7] == 853
+        assert order_8_job_calls["refinement", 8] == 11987
 
     def test_order_8_tries_one_neighbour_set_per_orbit(self):
         # the orbits of each order-7 parent's automorphism group on its
