@@ -50,6 +50,7 @@ from .search import (
     check_edge_additions,
     check_scalar_properties,
     class_table,
+    connected_class_forms,
     verify_theorem,
 )
 
@@ -334,7 +335,9 @@ def _cmd_audit(args, out) -> int:
 
 def _cmd_lemmas(args, out) -> int:
     n_lo, n_hi = args.n
-    class_table(n_hi)  # every order of the sweep; an order too high fails first
+    # every order of the sweep, labeled, so each check reads its classes in
+    # canonical order without a rebuild; an order too high fails first
+    connected_class_forms(n_hi)
     checks = [
         (f"edge addition increases ABS (n={n})", check_edge_additions(n))
         for n in range(n_lo, n_hi + 1)

@@ -22,25 +22,32 @@ function; the CLI keeps no limit of its own.
 
 Per-class facts are computed once per order: every augmentation job
 also computes χ, α, pendant count and the ABS value of each class it
-finds, and ``class_table(n)`` keeps them in compact columns parallel to
-the sorted forms, in the one cache of each order.  A job's only input is
-one row of ``class_table(n - 1)``: its parent's form, χ and α.  It
-decodes the form once, works out the parent's degrees and cut vertices
-once, and answers each child from them: its max-key test, whether it is
-χ(parent)-colourable, and whether the vertices outside its new vertex's
-neighbours hold an independent set of size α(parent), which decides
-between the parent's value and one more; only the children that pass the
-key test are built as graphs.  A constrained maximization is then a scan
-of one column and a max over the value column; only the maximizers are
-decoded again.
+finds, and the order's ``ClassTable`` keeps them in compact columns
+parallel to its forms, in the one cache of each order.  A job's only
+input is one row of the table of order n - 1: its parent's packed pair
+string, χ and α.  It decodes the parent once, works out its degrees and
+cut vertices once, and answers each child from them: its max-key test,
+whether it is χ(parent)-colourable, and whether the vertices outside its
+new vertex's neighbours hold an independent set of size α(parent), which
+decides between the parent's value and one more; only the children that
+pass the key test are built as graphs.
+
+The build has two products.  All forms (``connected_class_forms``)
+labels every class and sorts the rows by minimal triangle, the digest
+the tests pin.  Verdict rows (``class_table``) label a child only where
+its acceptance needs it, and keep each other child under its own packed
+pair string: a verdict needs each class once with its row, not its
+canonical form.  A constrained maximization is a scan of one column and
+a max over the value column; only the maximizers are decoded again, and
+labeled and sorted there if the table is not.
 
 Only the table builders, ``connected_class_forms`` and ``class_table``,
 take a worker count: the jobs of the requested order share one pool, of
 at most as many workers as this process has usable cores, and every
 lower order is built in this process; the CLI makes one call per sweep.
 Each job returns five columns (form, χ, α, pendants, ABS); they are
-concatenated and sorted once, all five alike, so reports are identical
-for any worker count.
+concatenated in job order, and sorted once, all five alike, when every
+class is labeled, so reports are identical for any worker count.
 """
 
 from __future__ import annotations
@@ -52,7 +59,7 @@ from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, replace
 
 from .extremal import CASES, THEOREMS
-from .graphs import MAX_ORDER, Graph, encode_graph6, reachable
+from .graphs import MAX_ORDER, Graph, encode_graph6, from_packed_pairs, reachable
 from .index import _WEIGHT_BY_EDGE_DEGREE, abs_index, edge_weight, gain_contrast, shift_gain
 from .invariants import (
     canonical_form,
@@ -142,17 +149,18 @@ def _components_without(rows: Sequence[int], v: int) -> list[int]:
 class _Parent:
     """What every one-vertex extension of one parent is answered from.
 
-    The parent is given by its canonical form, decoded here once, and
-    its χ and α, taken as given from its order's class table.  A child
+    The parent is given by its order and a packed pair string of it (its
+    minimal triangle or any other), decoded here once, and its χ and α,
+    taken as given from its order's class table.  A child
     adds the new vertex ``order`` on a neighbour mask ``nbrs``; its
     degrees are the parent's plus ``nbrs`` and ``|nbrs|`` for the new
     vertex.  ``_augment_parent`` has the argument for each rule.
     """
 
-    def __init__(self, form: bytes, chromatic: int, independence: int) -> None:
-        self.graph = graph_from_canonical_form(form)
+    def __init__(self, order: int, pairs: int, chromatic: int, independence: int) -> None:
+        self.pairs = pairs
+        self.graph = from_packed_pairs(order, pairs)
         self.rows = rows = self.graph.rows
-        order = len(rows)
         degrees = [row.bit_count() for row in rows]
         # by_degree[k]: the vertices of degree k; above[k]: those above k
         self.by_degree = [0] * (order + 1)
@@ -225,6 +233,12 @@ def _subset_sums(values: list[int]) -> list[int]:
     return sums
 
 
+@functools.cache
+def _reversed_masks(width: int) -> list[int]:
+    """``reversed[mask]``: mask with bit v moved to bit width - 1 - v."""
+    return _subset_sums([1 << width - 1 - v for v in range(width)])
+
+
 def _child_row(parent: _Parent, child: Graph, nbrs: int) -> tuple[int, int, int, float]:
     """χ, α, pendant count and ABS of the child on neighbour mask ``nbrs``."""
     chromatic = parent.chromatic
@@ -246,15 +260,17 @@ def _child_row(parent: _Parent, child: Graph, nbrs: int) -> tuple[int, int, int,
 
 
 def _augment_parent(
-    row: tuple[bytes, int, int],
-) -> tuple[list[bytes], array, array, array, array]:
+    row: tuple[int, int, int, int], lazy: bool = False
+) -> tuple[array, array, array, array, array]:
     """The new classes one parent generates, with their table rows.
 
-    ``row`` is the parent's (form, χ, α) row of its order's class table.
-    Returns the form, χ, α, pendant and ABS columns of the accepted
-    one-vertex extensions of the parent, one row per class.  The rules
-    follow McKay's canonical construction path ("Isomorph-free
-    exhaustive generation", J. Algorithms 26, 1998).
+    ``row`` is the parent's order and its (pair string, χ, α) row of its
+    order's class table.  Returns the form, χ, α, pendant and ABS columns
+    of the accepted one-vertex extensions of the parent, one row per
+    class; a form is the child's minimal triangle, unless ``lazy`` (see
+    Lazy below).  The rules follow
+    McKay's canonical construction path ("Isomorph-free exhaustive
+    generation", J. Algorithms 26, 1998).
 
     Child side.  Let m(G) be, among the non-cut vertices of G with the
     largest key (degree, ascending neighbour degrees), the one that the
@@ -277,7 +293,15 @@ def _augment_parent(
     (``_orbit_leaders``).  Two accepted children of one parent are not
     isomorphic: an isomorphism can be chosen to map new vertex to new
     vertex, as each lies in the orbit of m(child), and it then restricts
-    to a parent automorphism between their neighbour sets.
+    to a parent automorphism between their neighbour sets.  Neither side
+    depends on which labeling of the parent class ``row`` holds.
+
+    Lazy.  A child whose only max-key non-cut vertex is the new one
+    (``tied`` holds it alone) has m(child) = new under any labeling, so
+    it is accepted without one.  With ``lazy``, such a child is not
+    labeled, and its form is its own packed pair string: the parent's,
+    one column up, then the new vertex's column, ``nbrs`` reversed.
+    Only the children still tied are labeled.
 
     From the parent.  The key test and the row of the child C on a
     neighbour set N are answered from facts gathered once per parent P
@@ -302,6 +326,7 @@ def _augment_parent(
     """
     parent = _Parent(*row)
     new = len(parent.rows)
+    shifted, new_column = parent.pairs << new, _reversed_masks(new)
     columns = _new_columns()
     for nbrs in _orbit_leaders(parent.graph):
         tied = parent.max_key_ties(nbrs)
@@ -310,19 +335,21 @@ def _augment_parent(
         rows = [r | (nbrs >> v & 1) << new for v, r in enumerate(parent.rows)]
         rows.append(nbrs)
         child = Graph(new + 1, tuple(rows))
-        tri, order, generators = canonical_labeling(child)
-        last = max(tied, key=order.index)  # m(child)
-        if last != new and not _orbit(generators, new) >> last & 1:
-            continue
-        form = form_from_triangle(new + 1, tri)
+        if lazy and len(tied) == 1:
+            form = shifted | new_column[nbrs]
+        else:
+            form, order, generators = canonical_labeling(child)
+            last = max(tied, key=order.index)  # m(child)
+            if last != new and not _orbit(generators, new) >> last & 1:
+                continue
         for column, value in zip(columns, (form, *_child_row(parent, child, nbrs))):
             column.append(value)
     return columns
 
 
-def _new_columns() -> tuple[list[bytes], array, array, array, array]:
+def _new_columns() -> tuple[array, array, array, array, array]:
     """Empty form, χ, α, pendant and ABS columns, in ``ClassTable`` order."""
-    return [], array("b"), array("b"), array("b"), array("d")
+    return array("Q"), array("b"), array("b"), array("b"), array("d")
 
 
 def _orbit(generators: list[list[int]], v: int) -> int:
@@ -363,38 +390,60 @@ def _orbit_leaders(g: Graph) -> list[int]:
     return leaders
 
 
-def connected_class_forms(n: int, workers: int = 1) -> tuple[bytes, ...]:
+def connected_class_forms(
+    n: int, workers: int = 1, *, lazy: bool = False
+) -> tuple[bytes, ...] | None:
     """Sorted canonical forms of all connected isomorphism classes.
 
-    Each (form, χ, α) row of ``class_table(n - 1)`` is one job, and the
+    Builds, or finds in the cache, the ``ClassTable`` of order n, in one
+    of two products.  All forms (the default) labels every class, sorts
+    the rows by minimal triangle and returns the forms; a cached verdict
+    table is rebuilt so.  Verdict rows (``lazy``) labels only the
+    children whose acceptance needs it (``_augment_parent``), keeps the
+    rows in job order and returns None; a cached table of either kind
+    serves.  Each row of the table of order n - 1 is one job, on the
+    cached one if there is one, else on one built first, in the same
+    mode; any labeling of a parent class gives the same classes.  The
     jobs of order n share one pool of at most ``workers`` processes;
     lower orders are built in this process.  The jobs' outputs are
-    disjoint, so their five columns are concatenated and sorted once,
-    all alike, and cached as ``class_table(n)``.  An order outside
+    disjoint, so their five columns are concatenated.  An order outside
     1..MAX_SEARCH_ORDER raises ValueError before any order is built.
+
+    ``lazy`` is for ``class_table`` alone.  It routes the verdict build
+    through this function because the benchmark's tracer names the spans
+    of this function ``search.enumerate[n]``, and reads them for the
+    build's time; a span of ``class_table``'s own would let it go.
     """
     if not 1 <= n <= MAX_SEARCH_ORDER:
         raise ValueError(f"order {n} outside the supported range 1..{MAX_SEARCH_ORDER}")
-    cached = _table_cache.get(n)
-    if cached is not None:
-        return cached.forms
+    table = _table_cache.get(n)
+    if table is None or not (lazy or table.labeled):
+        table = _table_cache[n] = _build_table(n, workers, lazy)
+    return None if lazy else tuple(form_from_triangle(n, tri) for tri in table.forms)
+
+
+def _build_table(n: int, workers: int, lazy: bool) -> ClassTable:
+    """The class table of order n, labeled unless ``lazy``."""
     if n == 1:  # K1: χ = α = 1, no pendants, no edges
-        parts = [([canonical_form(Graph(1, (0,)))], [1], [1], [0], [0.0])]
+        parts = [([0], [1], [1], [0], [0.0])]
     else:
-        parents = class_table(n - 1)
-        jobs = list(zip(parents.forms, parents.chromatic, parents.independence))
-        parts = _map(_augment_parent, jobs, workers)
+        parents = _table_cache.get(n - 1)
+        if parents is None:
+            connected_class_forms(n - 1, lazy=lazy)
+            parents = _table_cache[n - 1]
+        rows = zip(parents.forms, parents.chromatic, parents.independence)
+        jobs = [(n - 1, *row) for row in rows]
+        parts = _map(functools.partial(_augment_parent, lazy=lazy), jobs, workers)
     columns = _new_columns()
     for part in parts:
         for column, piece in zip(columns, part):
             column.extend(piece)
-    found = columns[0]
-    rank = sorted(range(len(found)), key=found.__getitem__)
-    forms = tuple(map(found.__getitem__, rank))
-    _table_cache[n] = ClassTable(
-        forms, *(array(c.typecode, map(c.__getitem__, rank)) for c in columns[1:])
-    )
-    return forms
+    if not lazy:
+        # one order's triangles have one length, so the ints sort as the forms
+        forms = columns[0]
+        rank = sorted(range(len(forms)), key=forms.__getitem__)
+        columns = [array(c.typecode, map(c.__getitem__, rank)) for c in columns]
+    return ClassTable(*columns, labeled=not lazy)
 
 
 def enumerate_connected(n: int) -> list[Graph]:
@@ -439,26 +488,35 @@ class SearchReport:
 class ClassTable:
     """Invariant columns of all connected classes of one order.
 
-    Row i of every column describes ``forms[i]``; the columns are named
-    after the constraint kinds they answer.
+    ``forms`` holds one packed pair string per class
+    (``graphs.from_packed_pairs`` decodes it), and row i of every other
+    column describes ``forms[i]``; the columns are named after the
+    constraint kinds they answer.  ``labeled``: every string is its
+    class's minimal triangle and the rows ascend by it, so each form is
+    ``form_from_triangle`` of its string.  Otherwise a string may be any
+    labeling of its class, in no order (``connected_class_forms``).
     """
 
-    forms: tuple[bytes, ...]
+    forms: array
     chromatic: array
     independence: array
     pendants: array
     abs_value: array
+    labeled: bool
 
 
 def class_table(n: int, workers: int = 1) -> ClassTable:
-    """The cached invariant table of order n, built with its classes.
+    """The cached invariant table of order n, for verdicts.
 
-    Each row is computed in the augmentation job that finds its class,
-    from that job's parent (``_augment_parent``).  Order n's jobs share
-    one pool of at most ``workers``; the lower orders it needs are built
-    in this process.
+    A cached table, labeled or not, is returned as it is.  Otherwise the
+    verdict rows are built (``connected_class_forms(n, lazy=True)``):
+    each row is computed in the augmentation job that finds its class,
+    from that job's parent (``_augment_parent``), and only the children
+    whose acceptance needs a labeling get one, so the table need not be
+    ``labeled``.  Order n's jobs share one pool of at most ``workers``;
+    the lower orders it needs are built in this process.
     """
-    connected_class_forms(n, workers)
+    connected_class_forms(n, workers, lazy=True)
     return _table_cache[n]
 
 
@@ -467,9 +525,11 @@ def max_abs_under(constraint: Constraint) -> SearchReport:
 
     Scans ``class_table(order)``, built serially unless cached.  All
     graphs within TIE_TOLERANCE of the maximum are collected, so a
-    false uniqueness claim would surface as multiple maximizers.
+    false uniqueness claim would surface as multiple maximizers; they
+    are reported by canonical form, in ascending order.
     """
-    table = class_table(constraint.order)
+    n = constraint.order
+    table = class_table(n)
     if constraint.kind == "none":
         selected = range(len(table.forms))
     else:
@@ -477,18 +537,16 @@ def max_abs_under(constraint: Constraint) -> SearchReport:
         selected = [i for i, v in enumerate(column) if v == constraint.value]
     values = table.abs_value
     best = max((values[i] for i in selected), default=None)
-    # rows ascend and the forms are sorted, so the winners come out sorted
-    winners = tuple(
-        table.forms[i] for i in selected if best - values[i] <= TIE_TOLERANCE
-    )
+    # rows of a labeled table ascend by form, so its winners come out sorted
+    winners = [table.forms[i] for i in selected if best - values[i] <= TIE_TOLERANCE]
+    if not table.labeled:  # label the winners alone
+        winners = sorted(canonical_labeling(from_packed_pairs(n, p))[0] for p in winners)
     return SearchReport(
         constraint=constraint,
         graph_count=len(selected),
         max_value=best,
-        maximizer_forms=winners,
-        maximizer_graph6=tuple(
-            encode_graph6(graph_from_canonical_form(f)) for f in winners
-        ),
+        maximizer_forms=tuple(form_from_triangle(n, tri) for tri in winners),
+        maximizer_graph6=tuple(encode_graph6(from_packed_pairs(n, tri)) for tri in winners),
         unique=len(winners) == 1,
     )
 
@@ -534,11 +592,14 @@ def check_edge_additions(n: int) -> EdgeAdditionReport:
     """Adding any edge to any connected class must strictly raise ABS.
 
     Each addition's margin comes from the class's degrees
-    (``_addition_margins``); its sign is checked numerically.
+    (``_addition_margins``); its sign is checked numerically.  The
+    classes are read in canonical form, in ascending order, so the first
+    failing class and the count of checks before it do not depend on how
+    the order's table was built.
     """
     min_margin = None
     checks = 0
-    for form in class_table(n).forms:
+    for form in connected_class_forms(n):
         g = graph_from_canonical_form(form)
         for margin in _addition_margins(g.rows):
             checks += 1

@@ -47,12 +47,17 @@ def cold_caches():
 
 
 @pytest.fixture(scope="session")
-def order_9():
-    """Order 9's class table, built once per session from empty caches in
-    a 2-worker pool, for every test that reads it; the warm caches come
-    back after the session.  Skips unless ABSINDEX_SLOW=1."""
+def slow():
+    """Skips the test unless ABSINDEX_SLOW=1: for the order-9 builds."""
     if os.environ.get("ABSINDEX_SLOW") != "1":
-        pytest.skip("builds order 9, about 20 s on 2 cores; set ABSINDEX_SLOW=1")
+        pytest.skip("builds order 9, 10-20 s on 2 cores; set ABSINDEX_SLOW=1")
+
+
+@pytest.fixture(scope="session")
+def order_9(slow):
+    """Order 9's labeled class table, built once per session from empty
+    caches in a 2-worker pool, for every test that reads it; the warm
+    caches come back after the session.  Skips unless ABSINDEX_SLOW=1."""
     with _emptied_class_cache():
         search.connected_class_forms(9, workers=2)
         yield

@@ -517,13 +517,13 @@ def check_edge_additions(n: int) -> EdgeAdditionReport:
     """Adding any edge to any connected class must strictly raise ABS.
 
     Each class's own value is read from ``class_table(n)``, which holds
-    exactly ``abs_index`` of the class.
+    exactly ``abs_index`` of the class, beside a packed pair string of it.
     """
     min_margin = None
     checks = 0
     table = class_table(n)
-    for form, base in zip(table.forms, table.abs_value):
-        g = graph_from_canonical_form(form)
+    for pairs, base in zip(table.forms, table.abs_value):
+        g = from_packed_pairs(n, pairs)
         for u in range(n):
             for v in range(u + 1, n):
                 if g.has_edge(u, v):

@@ -232,10 +232,20 @@ class TestVerify:
         assert hashlib.sha256(out.encode()).hexdigest() == N8_STDOUT_SHA256
 
     def test_order_9_sweep_matches_the_committed_table(self, capsys, order_9):
+        # on the labeled table of the order_9 fixture
         code, out, _ = run(capsys, "verify", "--n", "9", "--workers", "2")
         assert code == 0
         committed = Path(__file__).parent.parent / "results" / "verify_n9.csv"
         assert out == committed.read_text()
+
+    def test_order_9_sweep_from_cold_caches(self, capsys, slow, cold_caches):
+        # as a first run builds it: verdict rows of every order, order 9's
+        # in the pool, with only the children still tied labeled
+        code, out, _ = run(capsys, "verify", "--n", "9", "--workers", "2")
+        assert code == 0
+        committed = Path(__file__).parent.parent / "results" / "verify_n9.csv"
+        assert out == committed.read_text()
+        assert not search._table_cache[9].labeled
 
 
 class TestAudit:

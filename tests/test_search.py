@@ -25,9 +25,12 @@ from absindex import (
     verify_theorem,
 )
 from absindex import GraphError, index, invariants, search
+from absindex.graphs import from_packed_pairs
 from absindex.invariants import (
     GraphInvariants,
+    canonical_labeling,
     chromatic_number,
+    form_from_triangle,
     independence_number,
     pendant_count,
 )
@@ -93,10 +96,10 @@ class TestEnumeration:
 
 
 def edge_histogram(n, forms):
-    """Classes by edge count: a form's body is its packed pair string."""
+    """Classes by edge count, from a table's packed pair strings."""
     counts = [0] * (n * (n - 1) // 2 + 1)
-    for form in forms:
-        counts[int.from_bytes(form[1:], "big").bit_count()] += 1
+    for pairs in forms:
+        counts[pairs.bit_count()] += 1
     return counts
 
 
@@ -119,8 +122,8 @@ def orbit_weighted_counts(n, forms):
     """Labeled graphs by edge count: a class G of order n stands for
     n!/|Aut(G)| of them."""
     counts = [0] * (n * (n - 1) // 2 + 1)
-    for form in forms:
-        g = search.graph_from_canonical_form(form)
+    for pairs in forms:
+        g = from_packed_pairs(n, pairs)
         counts[g.edge_count] += math.factorial(n) // references.automorphism_group_order(g)
     return counts
 
@@ -151,8 +154,8 @@ class TestLabeledCounts:
         # edges and a different group keeps every bucket's class count
         forms = list(class_table(7).forms)
         groups = {}
-        for i, form in enumerate(forms):
-            g = search.graph_from_canonical_form(form)
+        for i, pairs in enumerate(forms):
+            g = from_packed_pairs(7, pairs)
             groups.setdefault(g.edge_count, {})[
                 references.automorphism_group_order(g)
             ] = i
@@ -352,7 +355,7 @@ def rows_unlike_direct(n):
     table = class_table(n)
     wrong = []
     for i, form in enumerate(table.forms):
-        g = search.graph_from_canonical_form(form)
+        g = from_packed_pairs(n, form)
         row = (table.chromatic[i], table.independence[i], table.pendants[i], table.abs_value[i])
         direct = (chromatic_number(g), independence_number(g), pendant_count(g), abs_index(g))
         if row != direct:
@@ -363,8 +366,10 @@ def rows_unlike_direct(n):
 class TestClassTable:
     def test_rows_match_direct_invariants(self, cold_caches):
         for n in range(1, 7):
+            forms = connected_class_forms(n)
             table = class_table(n)
-            assert table.forms == connected_class_forms(n)
+            assert table.labeled
+            assert tuple(form_from_triangle(n, tri) for tri in table.forms) == forms
             for i, g in enumerate(enumerate_connected(n)):
                 inv = GraphInvariants.of(g)
                 assert table.chromatic[i] == inv.chromatic
@@ -434,6 +439,44 @@ class TestClassTable:
     def test_table_is_cached(self):
         assert class_table(5) is class_table(5)
 
+    def test_lazy_reports_equal_labeled_reports(self, cold_caches):
+        # every kind and value at every order, on verdict rows built from
+        # cold caches and then on labeled tables
+        constraints = [
+            Constraint(n, kind, k)
+            for n in range(1, 9)
+            for kind in ("chromatic", "independence", "pendants")
+            for k in range(n + 2)
+        ] + [Constraint(n) for n in range(1, 9)]
+        class_table(8)
+        assert not any(search._table_cache[n].labeled for n in range(2, 9))
+        lazy = [max_abs_under(c) for c in constraints]
+        search._table_cache.clear()
+        connected_class_forms(8)
+        assert all(search._table_cache[n].labeled for n in range(1, 9))
+        assert [max_abs_under(c) for c in constraints] == lazy
+
+    def test_forms_after_verdict_rows(self, cold_caches):
+        # a cached verdict table is rebuilt labeled, on its cached parents
+        class_table(8)
+        lazy_7 = search._table_cache[7]
+        forms = connected_class_forms(8)
+        assert hashlib.sha256(b"".join(forms)).hexdigest() == ORDER_8_DIGEST
+        assert search._table_cache[7] is lazy_7
+        assert class_table(8).labeled
+        assert [len(connected_class_forms(n)) for n in range(1, 9)] == list(A001349[:8])
+        assert connected_class_forms(6) == references.connected_class_forms_labeled(6)
+
+    def test_verdict_rows_after_forms(self, cold_caches, monkeypatch):
+        # a cached labeled table serves the verdicts as it is
+        connected_class_forms(8)
+        cached = dict(search._table_cache)
+        monkeypatch.setattr(search, "_augment_parent", lambda *a, **k: pytest.fail("rebuilt"))
+        assert all(class_table(n) is cached[n] for n in range(1, 9))
+        assert verify_theorem("T1", 8, 3).construction_match
+        assert hashlib.sha256(b"".join(connected_class_forms(8))).hexdigest() == ORDER_8_DIGEST
+        assert [len(connected_class_forms(n)) for n in range(1, 9)] == list(A001349[:8])
+
     def test_orders_outside_the_limit_build_nothing(self, cold_caches):
         searches = (
             enumerate_connected,
@@ -465,13 +508,13 @@ def _automorphisms(g):
 
 
 def _table_rows(n):
-    """The (form, chi, alpha) rows of ``class_table(n)``: the jobs of n + 1."""
+    """The (order, pair string, chi, alpha) rows of ``class_table(n)``:
+    the jobs of n + 1."""
     table = class_table(n)
-    return list(zip(table.forms, table.chromatic, table.independence))
+    return [(n, *row) for row in zip(table.forms, table.chromatic, table.independence)]
 
 
-@pytest.fixture(scope="class")
-def order_8_job_calls():
+def _order_8_job_calls(lazy):
     """Calls of the canonical labeling and of the refinement while the
     853 order-8 jobs run, each job on its order-7 parent's row, keyed by
     (name, order of the graph): the jobs label order-8 children and
@@ -490,8 +533,18 @@ def order_8_job_calls():
         m.setattr(search, "canonical_labeling", counting("labeling", search.canonical_labeling))
         m.setattr(invariants, "_refined_cells", counting("refinement", invariants._refined_cells))
         for row in parents:
-            search._augment_parent(row)
+            search._augment_parent(row, lazy=lazy)
     return calls
+
+
+@pytest.fixture(scope="class")
+def order_8_job_calls():
+    return _order_8_job_calls(lazy=False)
+
+
+@pytest.fixture(scope="class")
+def lazy_order_8_job_calls():
+    return _order_8_job_calls(lazy=True)
 
 
 class TestAcceptRule:
@@ -505,10 +558,38 @@ class TestAcceptRule:
                 assert [len(column) for column in columns] == [len(forms)] * 4
                 found += forms
             assert len(found) == len(set(found))
-            assert sorted(found) == list(connected_class_forms(n))
+            assert [form_from_triangle(n, tri) for tri in sorted(found)] == list(
+                connected_class_forms(n)
+            )
+
+    def test_lazy_jobs_find_every_class_once(self):
+        # each unlabeled form is a labeling of its class: labeled, the lazy
+        # jobs' rows are the labeled table's, with no class found twice
+        for n in range(2, 9):
+            lazy = []
+            for row in _table_rows(n - 1):
+                forms, *columns = search._augment_parent(row, lazy=True)
+                lazy += [
+                    (canonical_labeling(from_packed_pairs(n, form))[0], *rest)
+                    for form, *rest in zip(forms, *columns)
+                ]
+            connected_class_forms(n)
+            t = search._table_cache[n]
+            labeled = zip(t.forms, t.chromatic, t.independence, t.pendants, t.abs_value)
+            assert sorted(lazy) == list(labeled)
 
     def test_order_8_canonicalizes_accepted_children_only(self, order_8_job_calls):
         assert order_8_job_calls["labeling", 8] == 11987  # of 853 * 127 = 108,331 children
+
+    def test_order_8_lazy_jobs_label_only_tied_children(self, lazy_order_8_job_calls):
+        # the 7,563 accepted children whose new vertex alone has the
+        # largest key go unlabeled; each parent is still labeled once
+        assert lazy_order_8_job_calls == {
+            ("labeling", 7): 853,
+            ("labeling", 8): 4424,
+            ("refinement", 7): 853,
+            ("refinement", 8): 4424,
+        }
 
     def test_order_8_refines_each_labeled_child_once(self, order_8_job_calls):
         # one refinement per labeling: each labeled child's also gives the
@@ -530,7 +611,7 @@ class TestAcceptRule:
         for n in range(1, 7):
             for g in enumerate_connected(n):
                 parent = search._Parent(
-                    canonical_form(g), chromatic_number(g), independence_number(g)
+                    n, canonical_labeling(g)[0], chromatic_number(g), independence_number(g)
                 )
                 assert parent.rows == g.rows  # the labels the reference sees
                 for nbrs in range(1, 1 << n):
@@ -577,10 +658,10 @@ class TestWorkerPool:
         class_table(6)
         augment = search._augment_parent
 
-        def augment_or_fail(row):
-            if row[0] == min(search._table_cache[6].forms):
+        def augment_or_fail(row, lazy):
+            if row[1] == min(search._table_cache[6].forms):
                 raise RuntimeError("job failed")
-            return augment(row)
+            return augment(row, lazy)
 
         monkeypatch.setattr(search, "_augment_parent", augment_or_fail)
         with pytest.raises(RuntimeError, match="job failed"):
