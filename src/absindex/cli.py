@@ -50,7 +50,6 @@ from .search import (
     check_edge_additions,
     check_scalar_properties,
     class_table,
-    connected_class_forms,
     verify_theorem,
 )
 
@@ -335,9 +334,7 @@ def _cmd_audit(args, out) -> int:
 
 def _cmd_lemmas(args, out) -> int:
     n_lo, n_hi = args.n
-    # every order of the sweep, labeled, so each check reads its classes in
-    # canonical order without a rebuild; an order too high fails first
-    connected_class_forms(n_hi)
+    class_table(n_hi)  # every order of the sweep, built once; too high fails first
     checks = [
         (f"edge addition increases ABS (n={n})", check_edge_additions(n))
         for n in range(n_lo, n_hi + 1)

@@ -32,22 +32,23 @@ new vertex's neighbours hold an independent set of size α(parent), which
 decides between the parent's value and one more; only the children that
 pass the key test are built as graphs.
 
-The build has two products.  All forms (``connected_class_forms``)
-labels every class and sorts the rows by minimal triangle, the digest
-the tests pin.  Verdict rows (``class_table``) label a child only where
-its acceptance needs it, and keep each other child under its own packed
-pair string: a verdict needs each class once with its row, not its
-canonical form.  A constrained maximization is a scan of one column and
-a max over the value column; only the maximizers are decoded again, and
-labeled and sorted there if the table is not.
+Each order has one table, built once and cached (``class_table``): a
+child is labeled only where its acceptance needs it, and each other
+child is kept under its own packed pair string, as a verdict needs each
+class once with its row, not its canonical form.  A constrained
+maximization is a scan of one column and a max over the value column;
+only the maximizers are decoded again, labeled and sorted.  All forms
+(``connected_class_forms``) are read off the same table: each string is
+labeled once, and the sorted triangles are kept with the table.
 
 Only the table builders, ``connected_class_forms`` and ``class_table``,
 take a worker count: the jobs of the requested order share one pool, of
-at most as many workers as this process has usable cores, and every
-lower order is built in this process; the CLI makes one call per sweep.
+at most as many workers as this process has usable cores, and so do the
+labelings of its forms read; every lower order is built in this process,
+and the CLI makes one call per sweep.
 Each job returns five columns (form, χ, α, pendants, ABS); they are
-concatenated in job order, and sorted once, all five alike, when every
-class is labeled, so reports are identical for any worker count.
+concatenated in job order, so the rows, and the reports, are identical
+for any worker count.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ import functools
 import os
 from array import array
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from .extremal import CASES, THEOREMS
 from .graphs import MAX_ORDER, Graph, encode_graph6, from_packed_pairs, reachable
@@ -260,17 +261,16 @@ def _child_row(parent: _Parent, child: Graph, nbrs: int) -> tuple[int, int, int,
 
 
 def _augment_parent(
-    row: tuple[int, int, int, int], lazy: bool = False
+    row: tuple[int, int, int, int],
 ) -> tuple[array, array, array, array, array]:
     """The new classes one parent generates, with their table rows.
 
     ``row`` is the parent's order and its (pair string, χ, α) row of its
     order's class table.  Returns the form, χ, α, pendant and ABS columns
     of the accepted one-vertex extensions of the parent, one row per
-    class; a form is the child's minimal triangle, unless ``lazy`` (see
-    Lazy below).  The rules follow
-    McKay's canonical construction path ("Isomorph-free exhaustive
-    generation", J. Algorithms 26, 1998).
+    class; a form is a packed pair string of the child (see Unlabeled
+    below).  The rules follow McKay's canonical construction path
+    ("Isomorph-free exhaustive generation", J. Algorithms 26, 1998).
 
     Child side.  Let m(G) be, among the non-cut vertices of G with the
     largest key (degree, ascending neighbour degrees), the one that the
@@ -296,12 +296,12 @@ def _augment_parent(
     to a parent automorphism between their neighbour sets.  Neither side
     depends on which labeling of the parent class ``row`` holds.
 
-    Lazy.  A child whose only max-key non-cut vertex is the new one
+    Unlabeled.  A child whose only max-key non-cut vertex is the new one
     (``tied`` holds it alone) has m(child) = new under any labeling, so
-    it is accepted without one.  With ``lazy``, such a child is not
-    labeled, and its form is its own packed pair string: the parent's,
-    one column up, then the new vertex's column, ``nbrs`` reversed.
-    Only the children still tied are labeled.
+    it is accepted without one, and its form is its own packed pair
+    string: the parent's, one column up, then the new vertex's column,
+    ``nbrs`` reversed.  Only the children still tied are labeled, and
+    their form is their minimal triangle.
 
     From the parent.  The key test and the row of the child C on a
     neighbour set N are answered from facts gathered once per parent P
@@ -335,7 +335,7 @@ def _augment_parent(
         rows = [r | (nbrs >> v & 1) << new for v, r in enumerate(parent.rows)]
         rows.append(nbrs)
         child = Graph(new + 1, tuple(rows))
-        if lazy and len(tied) == 1:
+        if len(tied) == 1:
             form = shifted | new_column[nbrs]
         else:
             form, order, generators = canonical_labeling(child)
@@ -395,55 +395,57 @@ def connected_class_forms(
 ) -> tuple[bytes, ...] | None:
     """Sorted canonical forms of all connected isomorphism classes.
 
-    Builds, or finds in the cache, the ``ClassTable`` of order n, in one
-    of two products.  All forms (the default) labels every class, sorts
-    the rows by minimal triangle and returns the forms; a cached verdict
-    table is rebuilt so.  Verdict rows (``lazy``) labels only the
-    children whose acceptance needs it (``_augment_parent``), keeps the
-    rows in job order and returns None; a cached table of either kind
-    serves.  Each row of the table of order n - 1 is one job, on the
-    cached one if there is one, else on one built first, in the same
-    mode; any labeling of a parent class gives the same classes.  The
-    jobs of order n share one pool of at most ``workers`` processes;
-    lower orders are built in this process.  The jobs' outputs are
-    disjoint, so their five columns are concatenated.  An order outside
+    Builds, or finds in the cache, the ``ClassTable`` of order n, which
+    is never rebuilt.  Each row of the table of order n - 1, cached or
+    built first, is one job (``_augment_parent``); any labeling of a
+    parent class gives the same classes.  The jobs of order n share one
+    pool of at most ``workers`` processes; lower orders are built in this
+    process.  The jobs' outputs are disjoint, so their five columns are
+    concatenated.  The forms are read off the table: each pair string is
+    labeled once (``_minimal_triangle``), in a pool of the same size, and
+    the sorted triangles are kept with the table.  An order outside
     1..MAX_SEARCH_ORDER raises ValueError before any order is built.
 
-    ``lazy`` is for ``class_table`` alone.  It routes the verdict build
-    through this function because the benchmark's tracer names the spans
-    of this function ``search.enumerate[n]``, and reads them for the
-    build's time; a span of ``class_table``'s own would let it go.
+    ``lazy`` builds or finds the table and returns None: the route of
+    ``class_table``.  The benchmark's tracer names this function's spans
+    ``search.enumerate[n]``, and ``perfbench/run.py`` ``sweep_traced``
+    reads the build's time from ``outer[0]`` of the ``search.enumerate[8]``
+    spans of a traced sweep; a span of ``class_table``'s own would let
+    the keyword go.
     """
     if not 1 <= n <= MAX_SEARCH_ORDER:
         raise ValueError(f"order {n} outside the supported range 1..{MAX_SEARCH_ORDER}")
     table = _table_cache.get(n)
-    if table is None or not (lazy or table.labeled):
-        table = _table_cache[n] = _build_table(n, workers, lazy)
-    return None if lazy else tuple(form_from_triangle(n, tri) for tri in table.forms)
+    if table is None:
+        table = _table_cache[n] = _build_table(n, workers)
+    if lazy:
+        return None
+    if table.triangles is None:
+        labeled = _map(functools.partial(_minimal_triangle, n), table.forms, workers)
+        # one order's triangles have one length, so the ints sort as the forms
+        table = _table_cache[n] = replace(table, triangles=array("Q", sorted(labeled)))
+    return tuple(form_from_triangle(n, tri) for tri in table.triangles)
 
 
-def _build_table(n: int, workers: int, lazy: bool) -> ClassTable:
-    """The class table of order n, labeled unless ``lazy``."""
+def _minimal_triangle(n: int, pairs: int) -> int:
+    """The minimal triangle of the class that ``pairs`` packs on n vertices."""
+    return canonical_labeling(from_packed_pairs(n, pairs))[0]
+
+
+def _build_table(n: int, workers: int) -> ClassTable:
+    """The class table of order n, its rows in job order."""
     if n == 1:  # K1: χ = α = 1, no pendants, no edges
         parts = [([0], [1], [1], [0], [0.0])]
     else:
-        parents = _table_cache.get(n - 1)
-        if parents is None:
-            connected_class_forms(n - 1, lazy=lazy)
-            parents = _table_cache[n - 1]
+        parents = class_table(n - 1)
         rows = zip(parents.forms, parents.chromatic, parents.independence)
         jobs = [(n - 1, *row) for row in rows]
-        parts = _map(functools.partial(_augment_parent, lazy=lazy), jobs, workers)
+        parts = _map(_augment_parent, jobs, workers)
     columns = _new_columns()
     for part in parts:
         for column, piece in zip(columns, part):
             column.extend(piece)
-    if not lazy:
-        # one order's triangles have one length, so the ints sort as the forms
-        forms = columns[0]
-        rank = sorted(range(len(forms)), key=forms.__getitem__)
-        columns = [array(c.typecode, map(c.__getitem__, rank)) for c in columns]
-    return ClassTable(*columns, labeled=not lazy)
+    return ClassTable(*columns)
 
 
 def enumerate_connected(n: int) -> list[Graph]:
@@ -489,12 +491,12 @@ class ClassTable:
     """Invariant columns of all connected classes of one order.
 
     ``forms`` holds one packed pair string per class
-    (``graphs.from_packed_pairs`` decodes it), and row i of every other
-    column describes ``forms[i]``; the columns are named after the
-    constraint kinds they answer.  ``labeled``: every string is its
-    class's minimal triangle and the rows ascend by it, so each form is
-    ``form_from_triangle`` of its string.  Otherwise a string may be any
-    labeling of its class, in no order (``connected_class_forms``).
+    (``graphs.from_packed_pairs`` decodes it), of any labeling of the
+    class, in job order; row i of every other column describes
+    ``forms[i]``; the columns are named after the constraint kinds they
+    answer.  ``triangles`` holds the classes' minimal triangles in
+    ascending order, apart from the rows, once ``connected_class_forms``
+    has read them, and is None before.
     """
 
     forms: array
@@ -502,19 +504,18 @@ class ClassTable:
     independence: array
     pendants: array
     abs_value: array
-    labeled: bool
+    triangles: array | None = field(default=None, compare=False)
 
 
 def class_table(n: int, workers: int = 1) -> ClassTable:
     """The cached invariant table of order n, for verdicts.
 
-    A cached table, labeled or not, is returned as it is.  Otherwise the
-    verdict rows are built (``connected_class_forms(n, lazy=True)``):
-    each row is computed in the augmentation job that finds its class,
-    from that job's parent (``_augment_parent``), and only the children
-    whose acceptance needs a labeling get one, so the table need not be
-    ``labeled``.  Order n's jobs share one pool of at most ``workers``;
-    the lower orders it needs are built in this process.
+    A cached table is returned as it is.  Otherwise it is built
+    (``connected_class_forms(n, lazy=True)``): each row is computed in
+    the augmentation job that finds its class, from that job's parent
+    (``_augment_parent``), and only the children whose acceptance needs
+    a labeling get one.  Order n's jobs share one pool of at most
+    ``workers``; the lower orders it needs are built in this process.
     """
     connected_class_forms(n, workers, lazy=True)
     return _table_cache[n]
@@ -526,7 +527,7 @@ def max_abs_under(constraint: Constraint) -> SearchReport:
     Scans ``class_table(order)``, built serially unless cached.  All
     graphs within TIE_TOLERANCE of the maximum are collected, so a
     false uniqueness claim would surface as multiple maximizers; they
-    are reported by canonical form, in ascending order.
+    are labeled and reported by canonical form, in ascending order.
     """
     n = constraint.order
     table = class_table(n)
@@ -537,10 +538,8 @@ def max_abs_under(constraint: Constraint) -> SearchReport:
         selected = [i for i, v in enumerate(column) if v == constraint.value]
     values = table.abs_value
     best = max((values[i] for i in selected), default=None)
-    # rows of a labeled table ascend by form, so its winners come out sorted
-    winners = [table.forms[i] for i in selected if best - values[i] <= TIE_TOLERANCE]
-    if not table.labeled:  # label the winners alone
-        winners = sorted(canonical_labeling(from_packed_pairs(n, p))[0] for p in winners)
+    tied = [table.forms[i] for i in selected if best - values[i] <= TIE_TOLERANCE]
+    winners = sorted(_minimal_triangle(n, pairs) for pairs in tied)
     return SearchReport(
         constraint=constraint,
         graph_count=len(selected),
@@ -593,14 +592,14 @@ def check_edge_additions(n: int) -> EdgeAdditionReport:
 
     Each addition's margin comes from the class's degrees
     (``_addition_margins``); its sign is checked numerically.  The
-    classes are read in canonical form, in ascending order, so the first
-    failing class and the count of checks before it do not depend on how
-    the order's table was built.
+    classes are read from ``class_table(n)``, in its row order, which
+    does not depend on the worker count, and neither do the first
+    failing class and the count of checks before it.
     """
     min_margin = None
     checks = 0
-    for form in connected_class_forms(n):
-        g = graph_from_canonical_form(form)
+    for pairs in class_table(n).forms:
+        g = from_packed_pairs(n, pairs)
         for margin in _addition_margins(g.rows):
             checks += 1
             if min_margin is None or margin < min_margin:

@@ -55,9 +55,10 @@ def slow():
 
 @pytest.fixture(scope="session")
 def order_9(slow):
-    """Order 9's labeled class table, built once per session from empty
-    caches in a 2-worker pool, for every test that reads it; the warm
-    caches come back after the session.  Skips unless ABSINDEX_SLOW=1."""
+    """Order 9's class table, built once per session from empty caches
+    in a 2-worker pool, with its forms read in the same pool, for every
+    test that reads it; the warm caches come back after the session.
+    Skips unless ABSINDEX_SLOW=1."""
     with _emptied_class_cache():
         search.connected_class_forms(9, workers=2)
         yield

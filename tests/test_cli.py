@@ -232,20 +232,19 @@ class TestVerify:
         assert hashlib.sha256(out.encode()).hexdigest() == N8_STDOUT_SHA256
 
     def test_order_9_sweep_matches_the_committed_table(self, capsys, order_9):
-        # on the labeled table of the order_9 fixture
+        # on the table of the order_9 fixture, whose forms were read
         code, out, _ = run(capsys, "verify", "--n", "9", "--workers", "2")
         assert code == 0
         committed = Path(__file__).parent.parent / "results" / "verify_n9.csv"
         assert out == committed.read_text()
 
     def test_order_9_sweep_from_cold_caches(self, capsys, slow, cold_caches):
-        # as a first run builds it: verdict rows of every order, order 9's
-        # in the pool, with only the children still tied labeled
+        # as a first run builds it: the table of every order, order 9's in
+        # the pool, with only the children still tied labeled
         code, out, _ = run(capsys, "verify", "--n", "9", "--workers", "2")
         assert code == 0
         committed = Path(__file__).parent.parent / "results" / "verify_n9.csv"
         assert out == committed.read_text()
-        assert not search._table_cache[9].labeled
 
 
 class TestAudit:
@@ -376,6 +375,33 @@ class TestDeterminism:
         _, serial, _ = run(capsys, "verify", "--n", "5..7", "--workers", "1")
         assert seen.sizes == [2]
         assert pooled == serial
+
+    def test_the_sweep_builds_through_the_traced_route(
+        self, capsys, cold_caches, fake_pool, monkeypatch
+    ):
+        # the benchmark's tracer times the build by the spans of
+        # connected_class_forms, perfbench/run.py's sweep_traced by
+        # outer[0] of the search.enumerate[8] spans of a traced sweep, so
+        # verify builds its top order through that function first
+        fake_pool(cores=2)
+        calls = []
+        forms, verify = search.connected_class_forms, cli.verify_theorem
+
+        def recorded_forms(*args, **kwargs):
+            calls.append(("forms", args, kwargs))
+            return forms(*args, **kwargs)
+
+        def recorded_verify(*args):
+            calls.append(("verify", args))
+            return verify(*args)
+
+        monkeypatch.setattr(search, "connected_class_forms", recorded_forms)
+        monkeypatch.setattr(cli, "verify_theorem", recorded_verify)
+        code, _, _ = run(capsys, "verify", "--n", "5..6", "--workers", "2")
+        assert code == 0
+        route = ("forms", (6, 2), {"lazy": True})
+        assert calls.count(route) == 1
+        assert calls.index(route) < next(i for i, c in enumerate(calls) if c[0] == "verify")
 
     def test_workers_env_override(self, capsys, cold_caches, fake_pool, monkeypatch):
         # ABSINDEX_WORKERS no longer overrides the default of one worker:

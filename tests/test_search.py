@@ -31,6 +31,7 @@ from absindex.invariants import (
     canonical_labeling,
     chromatic_number,
     form_from_triangle,
+    graph_from_canonical_form,
     independence_number,
     pendant_count,
 )
@@ -305,7 +306,8 @@ class TestEdgeAddition:
         weights = list(index._WEIGHT_BY_EDGE_DEGREE)
         weights[4] = 0.6
         monkeypatch.setattr(search, "_WEIGHT_BY_EDGE_DEGREE", tuple(weights))
-        graphs = enumerate_connected(4)
+        # the classes are checked in the row order of the cached table
+        graphs = [from_packed_pairs(4, pairs) for pairs in class_table(4).forms]
         diamond = next(i for i, g in enumerate(graphs) if g.edge_count == 5)
         report = check_edge_additions(4)
         assert not report.passed
@@ -332,20 +334,49 @@ class TestScalarProperties:
         assert check_scalar_properties() is first
 
 
-def brute_force_max(constraint):
-    """Per-graph maximization straight from the decoded classes; a
-    constraint's kind names the GraphInvariants field it fixes."""
+def direct_scan(n):
+    """(form, {kind: value}, ABS) of every class of order n, from the
+    sorted forms and the direct kernels."""
+    scan = []
+    for form in connected_class_forms(n):
+        g = graph_from_canonical_form(form)
+        fixed = {
+            "chromatic": chromatic_number(g),
+            "independence": independence_number(g),
+            "pendants": pendant_count(g),
+        }
+        scan.append((form, fixed, abs_index(g)))
+    return scan
+
+
+def brute_force_max(constraint, scan):
+    """Per-class maximization over a ``direct_scan`` of the constraint's
+    order; a constraint's kind names the value it fixes."""
     kind = constraint.kind
     scored = [
-        (abs_index(g), canonical_form(g))
-        for g in enumerate_connected(constraint.order)
-        if kind == "none" or getattr(GraphInvariants.of(g), kind) == constraint.value
+        (value, form)
+        for form, fixed, value in scan
+        if kind == "none" or fixed[kind] == constraint.value
     ]
     if not scored:
         return 0, None, ()
     best = max(v for v, _ in scored)
     tied = (f for v, f in scored if best - v <= search.TIE_TOLERANCE)
     return len(scored), best, tuple(sorted(tied))
+
+
+def _count_labelings(monkeypatch):
+    """A one-item list that counts the ``canonical_labeling`` calls made
+    through ``search`` from here on."""
+    count = [0]
+    labeling = search.canonical_labeling
+
+    def counted(g):
+        count[0] += 1
+        return labeling(g)
+
+    monkeypatch.setattr(search, "canonical_labeling", counted)
+    return count
 
 
 def rows_unlike_direct(n):
@@ -368,9 +399,10 @@ class TestClassTable:
         for n in range(1, 7):
             forms = connected_class_forms(n)
             table = class_table(n)
-            assert table.labeled
-            assert tuple(form_from_triangle(n, tri) for tri in table.forms) == forms
-            for i, g in enumerate(enumerate_connected(n)):
+            labeled = sorted(canonical_labeling(from_packed_pairs(n, p))[0] for p in table.forms)
+            assert tuple(form_from_triangle(n, tri) for tri in labeled) == forms
+            for i, pairs in enumerate(table.forms):
+                g = from_packed_pairs(n, pairs)
                 inv = GraphInvariants.of(g)
                 assert table.chromatic[i] == inv.chromatic
                 assert table.independence[i] == inv.independence
@@ -378,22 +410,25 @@ class TestClassTable:
                 assert table.abs_value[i] == abs_index(g)
 
     def test_max_abs_under_matches_brute_force(self):
-        n = 6
-        constraints = [Constraint(n)] + [
-            Constraint(n, kind, k)
-            for kind in ("chromatic", "independence", "pendants")
-            for k in range(0, n + 1)
-        ]
-        for constraint in constraints:
-            report = max_abs_under(constraint)
-            count, best, winners = brute_force_max(constraint)
-            assert report.graph_count == count
-            assert report.max_value == best
-            assert report.maximizer_forms == winners
-            assert report.unique == (len(winners) == 1)
-            assert report.maximizer_graph6 == tuple(
-                encode_graph6(search.graph_from_canonical_form(f)) for f in winners
-            )
+        # every kind and value at every order, against a scan of the
+        # sorted forms with the direct kernels
+        for n in range(1, 9):
+            scan = direct_scan(n)
+            constraints = [Constraint(n)] + [
+                Constraint(n, kind, k)
+                for kind in ("chromatic", "independence", "pendants")
+                for k in range(n + 2)
+            ]
+            for constraint in constraints:
+                report = max_abs_under(constraint)
+                count, best, winners = brute_force_max(constraint, scan)
+                assert report.graph_count == count
+                assert report.max_value == best
+                assert report.maximizer_forms == winners
+                assert report.unique == (len(winners) == 1)
+                assert report.maximizer_graph6 == tuple(
+                    encode_graph6(graph_from_canonical_form(f)) for f in winners
+                )
 
     def test_invariants_once_per_class(self, cold_caches, monkeypatch):
         # one row per order-7 class, and no exact chi or alpha search: the
@@ -441,7 +476,7 @@ class TestClassTable:
 
     def test_lazy_reports_equal_labeled_reports(self, cold_caches):
         # every kind and value at every order, on verdict rows built from
-        # cold caches and then on labeled tables
+        # cold caches and then on tables whose forms were read first
         constraints = [
             Constraint(n, kind, k)
             for n in range(1, 9)
@@ -449,33 +484,45 @@ class TestClassTable:
             for k in range(n + 2)
         ] + [Constraint(n) for n in range(1, 9)]
         class_table(8)
-        assert not any(search._table_cache[n].labeled for n in range(2, 9))
-        lazy = [max_abs_under(c) for c in constraints]
+        assert all(search._table_cache[n].triangles is None for n in range(1, 9))
+        rows_only = [max_abs_under(c) for c in constraints]
         search._table_cache.clear()
-        connected_class_forms(8)
-        assert all(search._table_cache[n].labeled for n in range(1, 9))
-        assert [max_abs_under(c) for c in constraints] == lazy
+        for n in range(1, 9):
+            connected_class_forms(n)
+        assert all(search._table_cache[n].triangles is not None for n in range(1, 9))
+        assert [max_abs_under(c) for c in constraints] == rows_only
 
-    def test_forms_after_verdict_rows(self, cold_caches):
-        # a cached verdict table is rebuilt labeled, on its cached parents
+    def test_forms_after_verdict_rows(self, cold_caches, monkeypatch):
+        # the forms are read off the cached verdict table, which is not
+        # rebuilt, and a second read labels nothing
+        labelings = _count_labelings(monkeypatch)
         class_table(8)
-        lazy_7 = search._table_cache[7]
+        assert labelings == [5968]  # verdict rows of orders 1..8
+        cached = dict(search._table_cache)
+        monkeypatch.setattr(search, "_augment_parent", lambda row: pytest.fail("rebuilt"))
+        labelings[0] = 0
         forms = connected_class_forms(8)
         assert hashlib.sha256(b"".join(forms)).hexdigest() == ORDER_8_DIGEST
-        assert search._table_cache[7] is lazy_7
-        assert class_table(8).labeled
-        assert [len(connected_class_forms(n)) for n in range(1, 9)] == list(A001349[:8])
-        assert connected_class_forms(6) == references.connected_class_forms_labeled(6)
+        assert labelings == [11117]  # one per class
+        assert connected_class_forms(8) == forms
+        assert labelings == [11117]
+        assert class_table(8) == cached[8]
+        assert class_table(8).forms is cached[8].forms
+        assert all(class_table(n) is cached[n] for n in range(1, 8))
 
     def test_verdict_rows_after_forms(self, cold_caches, monkeypatch):
-        # a cached labeled table serves the verdicts as it is
-        connected_class_forms(8)
+        # a table built for its forms serves the verdicts as it is
+        labelings = _count_labelings(monkeypatch)
+        forms = connected_class_forms(8)
+        assert hashlib.sha256(b"".join(forms)).hexdigest() == ORDER_8_DIGEST
+        assert labelings == [17085]  # from cold caches: 5,968 + 11,117
         cached = dict(search._table_cache)
-        monkeypatch.setattr(search, "_augment_parent", lambda *a, **k: pytest.fail("rebuilt"))
+        monkeypatch.setattr(search, "_augment_parent", lambda row: pytest.fail("rebuilt"))
         assert all(class_table(n) is cached[n] for n in range(1, 9))
         assert verify_theorem("T1", 8, 3).construction_match
-        assert hashlib.sha256(b"".join(connected_class_forms(8))).hexdigest() == ORDER_8_DIGEST
+        assert connected_class_forms(8) == forms
         assert [len(connected_class_forms(n)) for n in range(1, 9)] == list(A001349[:8])
+        assert connected_class_forms(6) == references.connected_class_forms_labeled(6)
 
     def test_orders_outside_the_limit_build_nothing(self, cold_caches):
         searches = (
@@ -514,12 +561,15 @@ def _table_rows(n):
     return [(n, *row) for row in zip(table.forms, table.chromatic, table.independence)]
 
 
-def _order_8_job_calls(lazy):
+def _order_8_job_calls():
     """Calls of the canonical labeling and of the refinement while the
     853 order-8 jobs run, each job on its order-7 parent's row, keyed by
     (name, order of the graph): the jobs label order-8 children and
-    order-7 parents."""
+    order-7 parents.  ``("passed", 8)`` counts the children that pass
+    the key test and ``("tied", 8)`` those of them with more than one
+    max-key non-cut vertex."""
     calls = dict.fromkeys(itertools.product(("labeling", "refinement"), (7, 8)), 0)
+    calls["passed", 8] = calls["tied", 8] = 0
 
     def counting(name, fn):
         def counted(g):
@@ -528,76 +578,81 @@ def _order_8_job_calls(lazy):
 
         return counted
 
+    key_test = search._Parent.max_key_ties
+
+    def counted_key_test(parent, nbrs):
+        tied = key_test(parent, nbrs)
+        if tied is not None:
+            calls["passed", 8] += 1
+            calls["tied", 8] += len(tied) > 1
+        return tied
+
     parents = _table_rows(7)
     with pytest.MonkeyPatch.context() as m:
         m.setattr(search, "canonical_labeling", counting("labeling", search.canonical_labeling))
         m.setattr(invariants, "_refined_cells", counting("refinement", invariants._refined_cells))
+        m.setattr(search._Parent, "max_key_ties", counted_key_test)
         for row in parents:
-            search._augment_parent(row, lazy=lazy)
+            search._augment_parent(row)
     return calls
 
 
 @pytest.fixture(scope="class")
 def order_8_job_calls():
-    return _order_8_job_calls(lazy=False)
-
-
-@pytest.fixture(scope="class")
-def lazy_order_8_job_calls():
-    return _order_8_job_calls(lazy=True)
+    return _order_8_job_calls()
 
 
 class TestAcceptRule:
     def test_every_class_has_an_accepted_parent(self):
-        # one parent class per class: the jobs' outputs are disjoint,
-        # hold no repeats, and together give every class of the order
+        # one parent class per class: the jobs' outputs are disjoint, hold
+        # no repeats, and together number the classes of the order
         for n in range(2, 9):
             found = []
             for row in _table_rows(n - 1):
                 forms, *columns = search._augment_parent(row)
                 assert [len(column) for column in columns] == [len(forms)] * 4
                 found += forms
-            assert len(found) == len(set(found))
-            assert [form_from_triangle(n, tri) for tri in sorted(found)] == list(
-                connected_class_forms(n)
-            )
+            assert len(found) == len(set(found)) == len(connected_class_forms(n))
 
     def test_lazy_jobs_find_every_class_once(self):
-        # each unlabeled form is a labeling of its class: labeled, the lazy
-        # jobs' rows are the labeled table's, with no class found twice
+        # each unlabeled form is a labeling of its class: labeled, the jobs'
+        # rows are the direct kernels' on the sorted forms, no class twice
         for n in range(2, 9):
-            lazy = []
+            found = []
             for row in _table_rows(n - 1):
-                forms, *columns = search._augment_parent(row, lazy=True)
-                lazy += [
+                forms, *columns = search._augment_parent(row)
+                found += [
                     (canonical_labeling(from_packed_pairs(n, form))[0], *rest)
                     for form, *rest in zip(forms, *columns)
                 ]
-            connected_class_forms(n)
-            t = search._table_cache[n]
-            labeled = zip(t.forms, t.chromatic, t.independence, t.pendants, t.abs_value)
-            assert sorted(lazy) == list(labeled)
+            labeled = [(form_from_triangle(n, tri), rest) for tri, *rest in sorted(found)]
+            direct = [(form, [*fixed.values(), value]) for form, fixed, value in direct_scan(n)]
+            assert labeled == direct
 
     def test_order_8_canonicalizes_accepted_children_only(self, order_8_job_calls):
-        assert order_8_job_calls["labeling", 8] == 11987  # of 853 * 127 = 108,331 children
+        # of 853 * 127 = 108,331 children, 11,987 pass the key test, and
+        # only those of them with tied max keys are labeled
+        assert order_8_job_calls["passed", 8] == 11987
+        assert order_8_job_calls["labeling", 8] == order_8_job_calls["tied", 8] == 4424
 
-    def test_order_8_lazy_jobs_label_only_tied_children(self, lazy_order_8_job_calls):
-        # the 7,563 accepted children whose new vertex alone has the
-        # largest key go unlabeled; each parent is still labeled once
-        assert lazy_order_8_job_calls == {
+    def test_order_8_lazy_jobs_label_only_tied_children(self, order_8_job_calls):
+        # of 853 * 127 = 108,331 children, 11,987 pass the key test; the
+        # 7,563 whose new vertex alone has the largest key go unlabeled,
+        # and each parent is still labeled once
+        assert order_8_job_calls == {
             ("labeling", 7): 853,
             ("labeling", 8): 4424,
             ("refinement", 7): 853,
             ("refinement", 8): 4424,
+            ("passed", 8): 11987,
+            ("tied", 8): 4424,
         }
 
     def test_order_8_refines_each_labeled_child_once(self, order_8_job_calls):
         # one refinement per labeling: each labeled child's also gives the
         # orbit test its automorphisms, and each parent is labeled for its own
-        refinements = order_8_job_calls["refinement", 7] + order_8_job_calls["refinement", 8]
-        assert refinements == 12840  # 11,987 children, 853 parents
-        assert order_8_job_calls["labeling", 7] == order_8_job_calls["refinement", 7] == 853
-        assert order_8_job_calls["refinement", 8] == 11987
+        for order in (7, 8):
+            assert order_8_job_calls["refinement", order] == order_8_job_calls["labeling", order]
 
     def test_order_8_tries_one_neighbour_set_per_orbit(self):
         # the orbits of each order-7 parent's automorphism group on its
@@ -636,14 +691,17 @@ class TestWorkerPool:
     def test_clamped_to_usable_cores(self, cold_caches, fake_pool):
         seen = fake_pool(cores=3)
         forms = connected_class_forms(6, workers=64)
-        assert seen.sizes == [3]
-        assert seen.batches == [21]  # order 6; orders 1..5 in this process
+        assert seen.sizes == [3, 3]
+        # order 6's jobs, then its pair strings labeled; orders 1..5 in
+        # this process
+        assert seen.batches == [21, 112]
         assert len(forms) == 112
 
     def test_no_pool_for_batches_below_its_size(self, cold_caches, fake_pool):
         seen = fake_pool(cores=64)
         assert len(connected_class_forms(6, workers=64)) == 112
-        assert seen.sizes == []
+        # order 6's 21 jobs run in this process, its 112 labelings pooled
+        assert (seen.sizes, seen.batches) == ([64], [112])
 
     def test_one_pool_for_the_requested_order(self, cold_caches, fake_pool):
         seen = fake_pool(cores=2)
@@ -658,10 +716,10 @@ class TestWorkerPool:
         class_table(6)
         augment = search._augment_parent
 
-        def augment_or_fail(row, lazy):
+        def augment_or_fail(row):
             if row[1] == min(search._table_cache[6].forms):
                 raise RuntimeError("job failed")
-            return augment(row, lazy)
+            return augment(row)
 
         monkeypatch.setattr(search, "_augment_parent", augment_or_fail)
         with pytest.raises(RuntimeError, match="job failed"):
