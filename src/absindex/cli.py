@@ -18,7 +18,9 @@ written in place, and keeps what was written before a failure.
 
 ``verify`` and ``lemmas`` take the library's one order limit,
 ``search.MAX_SEARCH_ORDER``: an order above it is refused before any
-order is built.  ``verify --enable-n8`` has no effect.
+order is built.  ``construct`` and ``audit`` refuse an order above
+``graphs.MAX_ORDER`` = 12, which no graph has, before any work.
+``verify --enable-n8`` has no effect.
 """
 
 from __future__ import annotations
@@ -249,7 +251,14 @@ _FAMILIES = {
 }
 
 
+def _refuse_above_max_order(n_lo: int, n_hi: int) -> None:
+    """No graph has an order above MAX_ORDER, so none is built for one."""
+    if n_hi > MAX_ORDER:
+        raise ValueError(f"order must be in 1..{MAX_ORDER}, got {max(n_lo, MAX_ORDER + 1)}")
+
+
 def _cmd_construct(args, out) -> int:
+    _refuse_above_max_order(args.n, args.n)  # before the n^2 edge lists
     option, case, build = _FAMILIES[args.family]
     for other in ("chi", "alpha", "p", "m"):
         if other != option and getattr(args, other) is not None:
@@ -316,9 +325,7 @@ def _cmd_verify(args, out) -> int:
 
 def _cmd_audit(args, out) -> int:
     n_lo, n_hi = args.n
-    if n_hi > MAX_ORDER:  # no graph has it, so no printed bound speaks of it
-        first = max(n_lo, MAX_ORDER + 1)
-        raise ValueError(f"order must be in 1..{MAX_ORDER}, got {first}")
+    _refuse_above_max_order(n_lo, n_hi)  # so no printed bound speaks of it
     header = ["case", "n", "param", "printed", "direct", "difference", "agrees"]
     case = CASES[args.case]
     rows = []

@@ -15,12 +15,13 @@ go through the per-row and per-pair checks, which name the first fault.
 The module also implements the standard graph6 text encoding (short
 form) used for input and output of graphs.  The graph6 body and a
 canonical form's body are the same packed pair string: pair k, in graph6
-column order, is bit nbits-1-k.  This module alone turns rows into that
-string (``packed_pairs``, under any vertex order) and back
-(``from_packed_pairs``); graph6 is encoded and decoded through it, and
-``canonical_labeling`` writes its discrete case with it.  It also holds the
-one breadth-first walk over bit rows (``reachable``), which connectivity
-and the enumeration's cut-vertex test share.
+column order, is bit nbits-1-k.  This module turns rows into that string
+(``packed_pairs``, under any vertex order) and back
+(``from_packed_pairs``), and graph6 goes through both; the labeling
+search (``invariants``) and the enumeration (``search``) also write it a
+column at a time.  It also holds the one breadth-first walk over bit
+rows (``reachable``), which connectivity and the enumeration's
+cut-vertex test share.
 """
 
 from __future__ import annotations

@@ -24,7 +24,7 @@ Per-class facts are computed once per order: every augmentation job
 also computes χ, α, pendant count and the ABS value of each class it
 finds, and the order's ``ClassTable`` keeps them in compact columns
 parallel to its forms, in the one cache of each order.  A job's only
-input is one row of the table of order n - 1: its parent's packed pair
+input is one row of the table of order n - 1: its parent's path
 string, χ and α.  It decodes the parent once, works out its degrees and
 cut vertices once, and answers each child from them: its max-key test,
 whether it is χ(parent)-colourable, and whether the vertices outside its
@@ -32,14 +32,14 @@ new vertex's neighbours hold an independent set of size α(parent), which
 decides between the parent's value and one more; only the children that
 pass the key test are built as graphs.
 
-Each order has one table, built once and cached (``class_table``): a
-child is labeled only where its acceptance needs it, and each other
-child is kept under its own packed pair string, as a verdict needs each
-class once with its row, not its canonical form.  A constrained
-maximization is a scan of one column and a max over the value column;
-only the maximizers are decoded again, labeled and sorted.  All forms
-(``connected_class_forms``) are read off the same table: each string is
-labeled once, and the sorted triangles are kept with the table.
+Each order has one table, built once and cached (``class_table``), with
+each class under its path string: its parent's row one column up, then
+the new vertex's column.  A child is labeled only where its acceptance
+needs it, as a verdict needs each class's row, not its canonical form.
+A constrained maximization is a scan of one column and a max over the
+value column; only the maximizers are decoded again, labeled and sorted.
+All forms (``connected_class_forms``) are read off the same table: each
+string is labeled once, and the sorted triangles are kept with it.
 
 Only the table builders, ``connected_class_forms`` and ``class_table``,
 take a worker count: the jobs of the requested order share one pool, of
@@ -69,6 +69,7 @@ from .invariants import (
     graph_from_canonical_form,
     independence_within,
     is_colorable,
+    pendant_count,
 )
 
 MAX_SEARCH_ORDER = 9
@@ -150,12 +151,11 @@ def _components_without(rows: Sequence[int], v: int) -> list[int]:
 class _Parent:
     """What every one-vertex extension of one parent is answered from.
 
-    The parent is given by its order and a packed pair string of it (its
-    minimal triangle or any other), decoded here once, and its χ and α,
-    taken as given from its order's class table.  A child
-    adds the new vertex ``order`` on a neighbour mask ``nbrs``; its
-    degrees are the parent's plus ``nbrs`` and ``|nbrs|`` for the new
-    vertex.  ``_augment_parent`` has the argument for each rule.
+    The parent is given by its order and its row of its order's class
+    table: its path string, decoded here once, and its χ and α, taken as
+    given.  A child adds the new vertex ``order`` on a neighbour mask
+    ``nbrs``; its degrees are the parent's plus ``nbrs`` and ``|nbrs|``
+    for the new vertex.  ``_augment_parent`` has the argument for each rule.
     """
 
     def __init__(self, order: int, pairs: int, chromatic: int, independence: int) -> None:
@@ -249,15 +249,7 @@ def _child_row(parent: _Parent, child: Graph, nbrs: int) -> tuple[int, int, int,
     independence = 1 + independence_within(
         parent.rows, rest, parent.independence - 1
     )
-    by_degree = parent.by_degree
-    # parent pendants off N stay pendants, an isolated parent vertex (K1)
-    # on N becomes one, and so does a new vertex with one neighbour
-    pendants = (
-        (by_degree[1] & ~nbrs).bit_count()
-        + (by_degree[0] & nbrs).bit_count()
-        + (nbrs.bit_count() == 1)
-    )
-    return chromatic, independence, pendants, abs_index(child)
+    return chromatic, independence, pendant_count(child), abs_index(child)
 
 
 def _augment_parent(
@@ -268,9 +260,9 @@ def _augment_parent(
     ``row`` is the parent's order and its (pair string, χ, α) row of its
     order's class table.  Returns the form, χ, α, pendant and ABS columns
     of the accepted one-vertex extensions of the parent, one row per
-    class; a form is a packed pair string of the child (see Unlabeled
-    below).  The rules follow McKay's canonical construction path
-    ("Isomorph-free exhaustive generation", J. Algorithms 26, 1998).
+    class; a form is the child's path string (see Unlabeled below).  The
+    rules follow McKay's canonical construction path ("Isomorph-free
+    exhaustive generation", J. Algorithms 26, 1998).
 
     Child side.  Let m(G) be, among the non-cut vertices of G with the
     largest key (degree, ascending neighbour degrees), the one that the
@@ -298,10 +290,10 @@ def _augment_parent(
 
     Unlabeled.  A child whose only max-key non-cut vertex is the new one
     (``tied`` holds it alone) has m(child) = new under any labeling, so
-    it is accepted without one, and its form is its own packed pair
-    string: the parent's, one column up, then the new vertex's column,
-    ``nbrs`` reversed.  Only the children still tied are labeled, and
-    their form is their minimal triangle.
+    it is accepted without one.  Only the children still tied are
+    labeled, for the test alone.  Every accepted child's form is its
+    path string: the parent's row, one column up, then the new vertex's
+    column, ``nbrs`` reversed, so each row names its parent's row.
 
     From the parent.  The key test and the row of the child C on a
     neighbour set N are answered from facts gathered once per parent P
@@ -322,7 +314,7 @@ def _augment_parent(
     - χ.  P is an induced subgraph of C, and the new vertex can take a
       colour of its own, so χ(C) is χ(P) if C is χ(P)-colourable and
       χ(P) + 1 otherwise.
-    - Pendants are counted from C's degrees; ABS is ``abs_index(C)``.
+    - Pendants are counted on C (``pendant_count``); ABS is ``abs_index(C)``.
     """
     parent = _Parent(*row)
     new = len(parent.rows)
@@ -335,13 +327,12 @@ def _augment_parent(
         rows = [r | (nbrs >> v & 1) << new for v, r in enumerate(parent.rows)]
         rows.append(nbrs)
         child = Graph(new + 1, tuple(rows))
-        if len(tied) == 1:
-            form = shifted | new_column[nbrs]
-        else:
-            form, order, generators = canonical_labeling(child)
+        if len(tied) > 1:
+            _, order, generators = canonical_labeling(child)
             last = max(tied, key=order.index)  # m(child)
             if last != new and not _orbit(generators, new) >> last & 1:
                 continue
+        form = shifted | new_column[nbrs]
         for column, value in zip(columns, (form, *_child_row(parent, child, nbrs))):
             column.append(value)
     return columns
@@ -397,14 +388,14 @@ def connected_class_forms(
 
     Builds, or finds in the cache, the ``ClassTable`` of order n, which
     is never rebuilt.  Each row of the table of order n - 1, cached or
-    built first, is one job (``_augment_parent``); any labeling of a
-    parent class gives the same classes.  The jobs of order n share one
-    pool of at most ``workers`` processes; lower orders are built in this
-    process.  The jobs' outputs are disjoint, so their five columns are
-    concatenated.  The forms are read off the table: each pair string is
-    labeled once (``_minimal_triangle``), in a pool of the same size, and
-    the sorted triangles are kept with the table.  An order outside
-    1..MAX_SEARCH_ORDER raises ValueError before any order is built.
+    built first, is one job (``_augment_parent``).  The jobs of order n
+    share one pool of at most ``workers`` processes; lower orders are
+    built in this process.  The jobs' outputs are disjoint, so their five
+    columns are concatenated.  The forms are read off the table: each
+    pair string is labeled once (``_minimal_triangle``), in a pool of the
+    same size, and the sorted triangles are kept with the table.  An
+    order outside 1..MAX_SEARCH_ORDER raises ValueError before any order
+    is built.
 
     ``lazy`` builds or finds the table and returns None: the route of
     ``class_table``.  The benchmark's tracer names this function's spans
@@ -490,13 +481,13 @@ class SearchReport:
 class ClassTable:
     """Invariant columns of all connected classes of one order.
 
-    ``forms`` holds one packed pair string per class
-    (``graphs.from_packed_pairs`` decodes it), of any labeling of the
-    class, in job order; row i of every other column describes
-    ``forms[i]``; the columns are named after the constraint kinds they
-    answer.  ``triangles`` holds the classes' minimal triangles in
-    ascending order, apart from the rows, once ``connected_class_forms``
-    has read them, and is None before.
+    ``forms`` holds each class's path string (``_augment_parent``), in
+    job order: at order n >= 2, ``forms[i] >> n - 1`` is a row of order
+    n - 1 and the new column below it is nonzero.  Row i of every other
+    column describes ``forms[i]``; the columns are named after the
+    constraint kinds they answer.  ``triangles`` holds the classes'
+    minimal triangles in ascending order, apart from the rows, once
+    ``connected_class_forms`` has read them, and is None before.
     """
 
     forms: array

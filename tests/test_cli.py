@@ -454,6 +454,17 @@ class TestUsage:
         assert (code, out) == (2, "")
         assert err == "audit: order must be in 1..12, got 13\n"
 
+    @pytest.mark.parametrize(
+        "family", ["turan --chi 3", "split --alpha 2", "star", "dstar", "kite --p 2"]
+    )
+    def test_construct_order_above_graph_cap(self, capsys, monkeypatch, family):
+        # refused before any constructor builds its edges, which grow as n^2
+        for name in ("turan", "complete_split", "star", "double_star", "kite"):
+            monkeypatch.setattr(cli, name, lambda *a, name=name: pytest.fail(f"{name} called"))
+        code, out, err = run(capsys, "construct", *family.split(), "--n", "13")
+        assert (code, out) == (2, "")
+        assert err == "construct: order must be in 1..12, got 13\n"
+
     def test_workers_zero(self, capsys):
         code, out, err = run(capsys, "verify", "--n", "4..4", "--workers", "0")
         assert code == 2

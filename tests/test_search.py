@@ -602,17 +602,28 @@ def order_8_job_calls():
     return _order_8_job_calls()
 
 
+def path_record(n):
+    """What ``class_table(n)`` says of the augmentation tree: its count of
+    distinct rows, the rows that name no row of order n - 1 as their
+    parent or add an empty new column, and the lengths of its columns."""
+    table = class_table(n)
+    parents = set(class_table(n - 1).forms)
+    new_column = (1 << n - 1) - 1
+    orphans = [row for row in table.forms if row >> n - 1 not in parents or not row & new_column]
+    columns = (table.forms, table.chromatic, table.independence, table.pendants, table.abs_value)
+    return len(set(table.forms)), orphans, [len(column) for column in columns]
+
+
 class TestAcceptRule:
     def test_every_class_has_an_accepted_parent(self):
-        # one parent class per class: the jobs' outputs are disjoint, hold
-        # no repeats, and together number the classes of the order
+        # each row is its path string: its parent's row one column up and
+        # a nonempty new column; no row repeats, and the rows number the
+        # classes of the order
         for n in range(2, 9):
-            found = []
-            for row in _table_rows(n - 1):
-                forms, *columns = search._augment_parent(row)
-                assert [len(column) for column in columns] == [len(forms)] * 4
-                found += forms
-            assert len(found) == len(set(found)) == len(connected_class_forms(n))
+            assert path_record(n) == (A001349[n - 1], [], [A001349[n - 1]] * 5)
+
+    def test_order_9_rows_name_their_parents(self, order_9):
+        assert path_record(9) == (A001349[8], [], [A001349[8]] * 5)
 
     def test_lazy_jobs_find_every_class_once(self):
         # each unlabeled form is a labeling of its class: labeled, the jobs'
