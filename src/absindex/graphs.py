@@ -6,11 +6,13 @@ queries cheap for the orders (n <= 12) this library targets.  Graph
 values are immutable: every "mutating" operation returns a new graph,
 so they are safe to share between worker processes.
 
-Every graph is validated when it is built.  A fast test takes the whole
-matrix at once: it checks each row's range, packs the rows into one int
-of 16-bit fields, rejects any bit on the diagonal and compares the int
-with its transpose, made by four delta swaps.  Only rows that fail it
-go through the per-row and per-pair checks, which name the first fault.
+Rows are checked where they enter the library.  ``Graph(order, rows)``
+takes rows from the caller: it freezes them as a tuple and checks each
+row's range and diagonal bit, then each pair's symmetry, naming the
+first fault.  Two builders make rows that are valid by construction and
+store them unchecked (``Graph._from_valid_rows``): ``from_packed_pairs``,
+which checks its order and the range of its string and sets each pair in
+both rows, and the enumeration's one-vertex extension of a valid parent.
 
 The module also implements the standard graph6 text encoding (short
 form) used for input and output of graphs.  The graph6 body and a
@@ -42,39 +44,6 @@ class Graph6Error(ValueError):
     """Malformed graph6 text."""
 
 
-# Graph validation packs the adjacency matrix into one int, row v in
-# bits _FIELD*v .. _FIELD*v + _FIELD - 1, so entry (v, u) is bit
-# _FIELD*v + u.
-_FIELD = 16
-assert MAX_ORDER <= _FIELD
-_DIAGONAL = sum(1 << (_FIELD + 1) * v for v in range(_FIELD))
-
-
-# (shift, mask) of the four delta swaps that transpose the packed
-# matrix: the swap for block size b exchanges entry (r, c) with
-# (r + b, c - b) wherever bit b of r is 0 and bit b of c is 1.
-_TRANSPOSE_STEPS = tuple(
-    (
-        (_FIELD - 1) * b,
-        sum(
-            1 << _FIELD * r + c
-            for r in range(_FIELD)
-            for c in range(_FIELD)
-            if not r & b and c & b
-        ),
-    )
-    for b in (8, 4, 2, 1)
-)
-
-
-def _transpose(matrix: int) -> int:
-    """The packed matrix with entry (v, u) moved to (u, v)."""
-    for shift, mask in _TRANSPOSE_STEPS:
-        t = (matrix >> shift ^ matrix) & mask
-        matrix ^= t ^ t << shift
-    return matrix
-
-
 @dataclass(frozen=True)
 class Graph:
     """Immutable simple graph; ``rows[v]`` is the neighbor bitmask of v."""
@@ -86,25 +55,28 @@ class Graph:
         n = self.order
         if not 1 <= n <= MAX_ORDER:
             raise GraphError(f"order must be in 1..{MAX_ORDER}, got {n}")
-        rows = self.rows
+        rows = tuple(self.rows)
+        object.__setattr__(self, "rows", rows)
         if len(rows) != n:
             raise GraphError("number of adjacency rows does not match order")
-        if min(rows) >= 0 and not max(rows) >> n:
-            matrix = 0
-            for row in reversed(rows):
-                matrix = matrix << _FIELD | row
-            if not matrix & _DIAGONAL and matrix == _transpose(matrix):
-                return
-        # the fast test failed: find and name the first fault
-        for v, row in enumerate(self.rows):
+        for v, row in enumerate(rows):
             if row < 0 or row >> n:
                 raise GraphError(f"row {v} has bits outside the vertex range")
             if row >> v & 1:
                 raise GraphError(f"loop at vertex {v}")
         for u in range(n):
             for v in range(u + 1, n):
-                if (self.rows[u] >> v & 1) != (self.rows[v] >> u & 1):
+                if (rows[u] >> v & 1) != (rows[v] >> u & 1):
                     raise GraphError(f"adjacency not symmetric at ({u}, {v})")
+
+    @classmethod
+    def _from_valid_rows(cls, order: int, rows: tuple[int, ...]) -> "Graph":
+        """The graph on ``rows``, unchecked: only for a tuple of rows that
+        the library made symmetric, loop-free and in range itself."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "order", order)
+        object.__setattr__(g, "rows", rows)
+        return g
 
     # -- queries ------------------------------------------------------
 
@@ -160,7 +132,7 @@ class Graph:
         rows = list(self.rows)
         rows[u] |= 1 << v
         rows[v] |= 1 << u
-        return Graph(self.order, tuple(rows))
+        return Graph(self.order, rows)
 
     def _check_vertex(self, v: int) -> None:
         if not 0 <= v < self.order:
@@ -186,7 +158,7 @@ def from_edges(order: int, edges) -> Graph:
             raise GraphError(f"duplicate edge ({u}, {v})")
         rows[u] |= 1 << v
         rows[v] |= 1 << u
-    return Graph(order, tuple(rows))
+    return Graph(order, rows)
 
 
 # Pair k = j(j-1)/2 + i of the column-major order, i < j, for every k
@@ -214,7 +186,7 @@ def from_packed_pairs(order: int, packed: int) -> Graph:
         rows[i] |= 1 << j
         rows[j] |= 1 << i
         packed ^= low
-    return Graph(order, tuple(rows))
+    return Graph._from_valid_rows(order, tuple(rows))
 
 
 def to_packed_pairs(g: Graph) -> int:

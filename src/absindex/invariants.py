@@ -29,7 +29,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .graphs import Graph, from_packed_pairs, packed_pairs
+from .graphs import Graph, GraphError, from_packed_pairs, packed_pairs
 
 
 @dataclass(frozen=True)
@@ -404,8 +404,11 @@ def form_from_triangle(n: int, tri: int) -> bytes:
 
 
 def graph_from_canonical_form(form: bytes) -> Graph:
-    n = form[0]
-    return from_packed_pairs(n, int.from_bytes(form[1:], "big"))
+    """The graph whose canonical form is ``form``: its order byte, then a
+    body as long as ``form_from_triangle`` writes for that order."""
+    if not form or len(form) != len(form_from_triangle(form[0], 0)):
+        raise GraphError(f"canonical form {form!r} has the wrong length for its order")
+    return from_packed_pairs(form[0], int.from_bytes(form[1:], "big"))
 
 
 def are_isomorphic(g: Graph, h: Graph) -> bool:

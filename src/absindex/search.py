@@ -297,7 +297,9 @@ def _augment_parent(
 
     From the parent.  The key test and the row of the child C on a
     neighbour set N are answered from facts gathered once per parent P
-    (``_Parent``), and C is built only if it passes the test.
+    (``_Parent``), and C is built only if it passes the test.  C's rows
+    are P's, with the new vertex joined to N in both directions, so they
+    are valid by construction and stored unchecked.
     - Cut vertices.  C - new = P is connected, so the new vertex is never
       a cut vertex.  For a parent vertex v, C - v is P - v with the new
       vertex joined to N - {v}, so it is connected iff N - {v} meets
@@ -326,7 +328,7 @@ def _augment_parent(
             continue
         rows = [r | (nbrs >> v & 1) << new for v, r in enumerate(parent.rows)]
         rows.append(nbrs)
-        child = Graph(new + 1, tuple(rows))
+        child = Graph._from_valid_rows(new + 1, tuple(rows))
         if len(tied) > 1:
             _, order, generators = canonical_labeling(child)
             last = max(tied, key=order.index)  # m(child)

@@ -1,5 +1,5 @@
 """The per-graph kernels as they were before they moved to bit rows, the
-graph validation as it was before its bit-matrix fast test, the graph6
+checks that ``Graph(order, rows)`` runs on the caller's rows, the graph6
 encoder as it was before it wrote the packed pair string, the
 augmentation's max-key test as it was before it was answered from the
 parent, the canonical labeling search as it was before it packed the

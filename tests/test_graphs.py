@@ -57,6 +57,14 @@ class TestConstruction:
         with pytest.raises(GraphError):
             Graph(2, (0b01, 0b10))
 
+    def test_freezes_the_callers_rows(self):
+        rows = [0b10, 0b01]
+        g = Graph(2, rows)
+        k2 = Graph(2, (0b10, 0b01))
+        assert g == k2 and hash(g) == hash(k2)
+        rows[0] = 0
+        assert g.rows == (0b10, 0b01) and g.edge_count == 1
+
 
 def _verdict(check, order, rows):
     """None if ``check(order, rows)`` accepts the rows, else its message."""
@@ -77,7 +85,7 @@ def _inject(rows, n, fault, rng):
         v = rng.randrange(n)
         rows[v] |= 1 << v
     elif fault == "high bit":
-        # bits 16 and up spill into the next row's field of the packed matrix
+        # bits far above the order as well as just above it
         rows[rng.randrange(n)] |= 1 << rng.choice((n, n + 1, 15, 16, 17, 16 + n, 40))
     elif fault == "negative":
         v = rng.randrange(n)
@@ -125,7 +133,7 @@ class TestValidationReference:
             (0, ()),
             (13, (0,) * 13),
             (2, (0b10,)),
-            (2, (0b10 | 1 << 16, 0)),  # spills onto row 1's field: packs as K2
+            (2, (0b10 | 1 << 16, 0)),  # row 0 out of range, row 1 asymmetric
             (2, (0b10 | 1 << 16, 0b01)),
             (2, (0b10 | 1 << 17, 0b01)),
             (3, (0b110, 0b101, 0b011 | 1 << 32)),
@@ -138,6 +146,55 @@ class TestValidationReference:
             assert _verdict(Graph, order, rows) == _verdict(
                 references.validate_rows, order, rows
             ), (order, rows)
+
+
+class TestUncheckedBuilds:
+    """The builders that store rows unchecked make only rows the checks
+    accept, and the build path runs no checks."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """Puts the rows of every ``Graph._from_valid_rows`` call through the
+        reference checks; counts those calls and those of ``Graph.__post_init__``."""
+        counts = {"unchecked": 0, "checked": 0}
+        unchecked = Graph._from_valid_rows.__func__
+        post_init = Graph.__post_init__
+
+        def reference_checked(cls, order, rows):
+            references.validate_rows(order, rows)
+            assert type(rows) is tuple
+            counts["unchecked"] += 1
+            return unchecked(cls, order, rows)
+
+        def counted(self):
+            counts["checked"] += 1
+            post_init(self)
+
+        monkeypatch.setattr(Graph, "_from_valid_rows", classmethod(reference_checked))
+        monkeypatch.setattr(Graph, "__post_init__", counted)
+        return counts
+
+    def test_class_table_builds_valid_rows_unchecked(self, cold_caches, builds):
+        table = search.class_table(8)
+        assert len(table.forms) == 11117
+        # the 996 parents of orders 1..7 decoded, the 13 033 key-passing
+        # children of orders 2..8 built
+        assert builds["unchecked"] == 996 + 13033
+        assert builds["checked"] == 0
+
+    def test_packed_pairs_decode_to_valid_rows(self, builds):
+        rng = random.Random(31)
+        for n in range(1, 13):
+            for _ in range(50):
+                g = from_packed_pairs(n, rng.getrandbits(n * (n - 1) // 2))
+                assert g == Graph(n, g.rows)
+        assert builds["unchecked"] == 600
+
+    def test_unchecked_graph_equals_checked_graph(self, small_classes):
+        for g in small_classes:
+            h = Graph._from_valid_rows(g.order, g.rows)
+            checked = Graph(g.order, g.rows)
+            assert h == checked and hash(h) == hash(checked)
 
 
 class TestAddEdge:

@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from absindex import (
+    GraphError,
     are_isomorphic,
     canonical_form,
     chromatic_number,
@@ -275,6 +276,21 @@ class TestKernelReferences:
                 tri = rng.getrandbits(nbits)
                 form = bytes([n]) + tri.to_bytes(max(1, (nbits + 7) // 8), "big")
                 assert graph_from_canonical_form(form) == references.graph_from_canonical_form(form)
+
+
+class TestFormDecoder:
+    """graph_from_canonical_form takes only forms of the length
+    form_from_triangle writes for their order."""
+
+    def test_rejects_wrong_lengths(self):
+        for form in (b"", b"\x05", b"\x05\x00\x00\x00"):
+            with pytest.raises(GraphError, match="wrong length"):
+                graph_from_canonical_form(form)
+
+    def test_every_form_up_to_7_round_trips(self):
+        for n in range(1, 8):
+            for form in connected_class_forms(n):
+                assert canonical_form(graph_from_canonical_form(form)) == form
 
 
 class TestCanonicalLabelingReference:
