@@ -228,9 +228,15 @@ def formula_audit(case: str, n: int, k: int) -> FormulaAudit:
 
 
 def pendant_maximizer(n: int, p: int) -> Graph:
-    """The claimed maximizer at fixed pendant count: star / double star / kite."""
+    """The claimed maximizer at fixed pendant count: star / double star / kite.
+
+    Raises GraphError at n = 2: K2, the one connected graph of order 2,
+    has two pendants, so no graph of that order has exactly one.
+    """
     if not 1 <= p <= n - 1:
         raise GraphError(f"need 1 <= p <= n - 1, got p={p}, n={n}")
+    if n == 2:
+        raise GraphError("no graph of order 2 has exactly one pendant")
     if p == n - 1:
         return star(n)
     if p == n - 2:
@@ -284,7 +290,8 @@ CASES = {
         "alpha", 1, 0, independence_bound_printed, "independence",
         lambda n, k: complete_split(n, k), 1,
     ),
-    # from order 3 on: star(2) = K2 has two pendants, not one
+    # from order 3 on: no graph of order 2 has one pendant, and none
+    # of order 3 is a double star
     "T3": Case(
         "p", 1, 0, pendant_bound_printed, "pendants",
         lambda n, k: pendant_maximizer(n, k), 3,

@@ -25,12 +25,20 @@ also computes χ, α, pendant count and the ABS value of each class it
 finds, and the order's ``ClassTable`` keeps them in compact columns
 parallel to its forms, in the one cache of each order.  A job's only
 input is one row of the table of order n - 1: its parent's path
-string, χ and α.  It decodes the parent once, works out its degrees and
-cut vertices once, and answers each child from them: its max-key test,
-whether it is χ(parent)-colourable, and whether the vertices outside its
-new vertex's neighbours hold an independent set of size α(parent), which
-decides between the parent's value and one more; only the children that
-pass the key test are built as graphs.
+string, χ and α.  It decodes the parent once, and works out once its
+degrees, cut vertices, edges and the colour classes of all its
+χ-colourings; every child is answered from them.  Neighbour sets of the
+sizes that a non-cut vertex of larger degree rules out are never tried.
+The key test (degree, neighbour degrees) runs on the parent's degrees;
+only the vertices it leaves tied with the new one get the finer key
+(triangles and common neighbours), counted on the child's rows; a child
+whose remaining ties are twins of its new vertex is accepted outright;
+only the rest are built as graphs and labeled.  The row of an accepted
+child follows from the parent too: χ from whether a colour class misses
+the new vertex's neighbours, α from one bounded independent-set search
+outside them, the pendant count from the parent's degrees, and ABS as
+the fsum of the child's edge weights, read off the parent's edges.
+``_augment_parent`` has the argument for each rule.
 
 Each order has one table, built once and cached (``class_table``), with
 each class under its path string: its parent's row one column up, then
@@ -54,6 +62,7 @@ for any worker count.
 from __future__ import annotations
 
 import functools
+import math
 import os
 from array import array
 from collections.abc import Iterator, Sequence
@@ -61,15 +70,13 @@ from dataclasses import dataclass, field, replace
 
 from .extremal import CASES, THEOREMS
 from .graphs import MAX_ORDER, Graph, encode_graph6, from_packed_pairs, reachable
-from .index import _WEIGHT_BY_EDGE_DEGREE, abs_index, edge_weight, gain_contrast, shift_gain
+from .index import _WEIGHT_BY_EDGE_DEGREE, edge_weight, gain_contrast, shift_gain
 from .invariants import (
     canonical_form,
     canonical_labeling,
     form_from_triangle,
     graph_from_canonical_form,
     independence_within,
-    is_colorable,
-    pendant_count,
 )
 
 MAX_SEARCH_ORDER = 9
@@ -162,7 +169,7 @@ class _Parent:
         self.pairs = pairs
         self.graph = from_packed_pairs(order, pairs)
         self.rows = rows = self.graph.rows
-        degrees = [row.bit_count() for row in rows]
+        self.degrees = degrees = [row.bit_count() for row in rows]
         # by_degree[k]: the vertices of degree k; above[k]: those above k
         self.by_degree = [0] * (order + 1)
         for v, k in enumerate(degrees):
@@ -175,12 +182,22 @@ class _Parent:
         self.whole = sum(
             1 << v for v, parts in enumerate(self.components) if len(parts) == 1
         )
+        # the neighbour-set sizes the key test rejects: from 2 up to the
+        # largest degree of a vertex in ``whole``, exclusive
+        self.rejected_sizes = range(
+            2, max((k for v, k in enumerate(degrees) if self.whole >> v & 1), default=0)
+        )
         # packed neighbour degrees (``_DEGREE_WEIGHT``) of each vertex set
         # at the parent's degrees; >> 4 packs them one degree higher, as the
         # new vertex's neighbours have in the child (every term is a multiple of 16)
         self.packed = _subset_sums([_DEGREE_WEIGHT[k] for k in degrees])
         self.chromatic = chromatic
         self.independence = independence
+        self.colour_classes = _colour_classes(rows, chromatic)
+        # each edge as the mask of its ends and its edge degree
+        self.edges = [
+            (1 << u | 1 << v, degrees[u] + degrees[v] - 2) for u, v in self.graph.edges()
+        ]
 
     def max_key_ties(self, nbrs: int) -> list[int] | None:
         """The child's non-cut vertices with the largest key (degree,
@@ -225,6 +242,107 @@ class _Parent:
         tied.append(len(self.rows))
         return tied
 
+    def child_rows(self, nbrs: int) -> list[int]:
+        """The child's rows: the parent's, with the new vertex joined to ``nbrs``."""
+        new = len(self.rows)
+        rows = [r | (nbrs >> v & 1) << new for v, r in enumerate(self.rows)]
+        rows.append(nbrs)
+        return rows
+
+    def accepts_tied(self, nbrs: int, tied: list[int]) -> bool:
+        """Whether the child on ``nbrs`` is accepted, given the max-key
+        ties (``max_key_ties``) of its new vertex with other vertices."""
+        rows = self.child_rows(nbrs)
+        tied = _finer_ties(rows, tied)
+        if tied is None:
+            return False
+        return self.twins_of_new(nbrs, tied) or _accepted_by_labeling(rows, tied)
+
+    def twins_of_new(self, nbrs: int, tied: list[int]) -> bool:
+        """Whether each vertex of ``tied`` but the last, the new vertex, is
+        its twin in the child on ``nbrs``: a parent vertex v whose parent
+        neighbours are ``nbrs`` without v."""
+        rows = self.rows
+        return all(rows[v] == nbrs & ~(1 << v) for v in tied[:-1])
+
+    def colourable(self, nbrs: int) -> bool:
+        """Whether the child on ``nbrs`` is χ(parent)-colourable."""
+        return any(not members & nbrs for members in self.colour_classes)
+
+    def pendants(self, nbrs: int) -> int:
+        """The child's pendant count."""
+        by_degree = self.by_degree
+        return (by_degree[1] & ~nbrs | by_degree[0] & nbrs).bit_count() + (
+            nbrs.bit_count() == 1
+        )
+
+    def abs_value(self, nbrs: int) -> float:
+        """The child's ABS index: the fsum of the weights ``abs_index``
+        sums on the child, one per edge at its edge degree."""
+        weight = _WEIGHT_BY_EDGE_DEGREE
+        weights = [weight[k + (nbrs & ends).bit_count()] for ends, k in self.edges]
+        d = nbrs.bit_count()
+        weights += [weight[k + d - 1] for v, k in enumerate(self.degrees) if nbrs >> v & 1]
+        return math.fsum(weights)
+
+
+def _finer_ties(rows: list[int], tied: list[int]) -> list[int] | None:
+    """Of ``tied``, max-key vertices of the child on ``rows`` with the new
+    vertex last, those with the largest finer key (``_finer_key``) if the
+    new vertex is one of them, else None; the new vertex stays last."""
+    keys = [_finer_key(rows, v) for v in tied]
+    if max(keys) > keys[-1]:
+        return None
+    return [v for v, key in zip(tied, keys) if key == keys[-1]]
+
+
+def _finer_key(rows: list[int], v: int) -> tuple[int, list[int]]:
+    """Twice the number of triangles through v, and the ascending numbers
+    of common neighbours along v's edges, whose sum it is."""
+    row = rows[v]
+    counts = []
+    rest = row
+    while rest:
+        low = rest & -rest
+        counts.append((row & rows[low.bit_length() - 1]).bit_count())
+        rest ^= low
+    counts.sort()
+    return sum(counts), counts
+
+
+def _accepted_by_labeling(rows: list[int], tied: list[int]) -> bool:
+    """Whether the vertex of ``tied`` that the canonical labeling of the
+    child on ``rows`` places last, m(child), lies in the orbit of the new
+    vertex, the last of ``tied``."""
+    new = tied[-1]
+    _, order, generators = canonical_labeling(Graph._from_valid_rows(new + 1, tuple(rows)))
+    last = max(tied, key=order.index)
+    return last == new or bool(_orbit(generators, new) >> last & 1)
+
+
+def _colour_classes(rows: Sequence[int], k: int) -> list[int]:
+    """Every vertex set that is a colour class of some proper k-colouring
+    of the graph on ``rows``, ascending, where k is its chromatic number,
+    so that every colouring uses all k colours and no class is empty."""
+    n = len(rows)
+    classes = [0] * k
+    found = set()
+
+    def assign(v: int, used: int) -> None:
+        if v == n:
+            found.update(classes)
+            return
+        row, bit = rows[v], 1 << v
+        # colours are interchangeable: of the unused ones, only the first
+        for c in range(min(k, used + 1)):
+            if not classes[c] & row:
+                classes[c] |= bit
+                assign(v + 1, used + (c == used))
+                classes[c] ^= bit
+
+    assign(0, 0)
+    return sorted(found)
+
 
 def _subset_sums(values: list[int]) -> list[int]:
     """``sums[mask]``: the sum of ``values[v]`` over the vertices v in mask."""
@@ -240,16 +358,14 @@ def _reversed_masks(width: int) -> list[int]:
     return _subset_sums([1 << width - 1 - v for v in range(width)])
 
 
-def _child_row(parent: _Parent, child: Graph, nbrs: int) -> tuple[int, int, int, float]:
+def _child_row(parent: _Parent, nbrs: int) -> tuple[int, int, int, float]:
     """χ, α, pendant count and ABS of the child on neighbour mask ``nbrs``."""
-    chromatic = parent.chromatic
-    if not is_colorable(child, chromatic):
-        chromatic += 1
+    chromatic = parent.chromatic + (not parent.colourable(nbrs))
     rest = ((1 << len(parent.rows)) - 1) & ~nbrs
     independence = 1 + independence_within(
         parent.rows, rest, parent.independence - 1
     )
-    return chromatic, independence, pendant_count(child), abs_index(child)
+    return chromatic, independence, parent.pendants(nbrs), parent.abs_value(nbrs)
 
 
 def _augment_parent(
@@ -260,23 +376,25 @@ def _augment_parent(
     ``row`` is the parent's order and its (pair string, χ, α) row of its
     order's class table.  Returns the form, χ, α, pendant and ABS columns
     of the accepted one-vertex extensions of the parent, one row per
-    class; a form is the child's path string (see Unlabeled below).  The
+    class; a form is the child's path string (see Forms below).  The
     rules follow McKay's canonical construction path ("Isomorph-free
     exhaustive generation", J. Algorithms 26, 1998).
 
-    Child side.  Let m(G) be, among the non-cut vertices of G with the
-    largest key (degree, ascending neighbour degrees), the one that the
-    canonical labeling of G places last.  Canonical labelings differ by
-    automorphisms, so m(G) is defined up to its orbit.  A child is
-    accepted only if its new vertex lies in the orbit of m(child).  Then
-    every class G is accepted from exactly one parent class, that of
-    G - m(G): G - m(G) is connected, extending it by the neighbours of
-    m(G) gives G back with m(G) as the new vertex, and any other
-    accepted parent is G - v for a v in the orbit of m(G), which is
-    isomorphic to G - m(G).  So the outputs of different parents are
-    disjoint.  One ``canonical_labeling(child)`` call refines and labels
-    the child once: its order gives m(child), and the automorphism
-    generators found by the same search give the new vertex's orbit.
+    Child side.  The key of a vertex is (degree, ascending neighbour
+    degrees, number of triangles through it, ascending numbers of common
+    neighbours along its edges).  Let m(G) be, among the non-cut vertices
+    of G with the largest key, the one that the canonical labeling of G
+    places last.  The key is an isomorphism invariant and canonical
+    labelings differ by automorphisms, so m(G) is defined up to its
+    orbit; any invariant key would do, and a finer one leaves fewer ties
+    for the labeling to break (nauty's ``geng`` refines its deletion
+    choice with vertex invariants in the same way).  A child is accepted
+    only if its new vertex lies in the orbit of m(child).  Then every
+    class G is accepted from exactly one parent class, that of G - m(G):
+    G - m(G) is connected, extending it by the neighbours of m(G) gives G
+    back with m(G) as the new vertex, and any other accepted parent is
+    G - v for a v in the orbit of m(G), which is isomorphic to G - m(G).
+    So the outputs of different parents are disjoint.
 
     Parent side.  A parent automorphism s extends, fixing the new vertex,
     to an isomorphism from the child on S onto the child on s(S), so the
@@ -288,54 +406,78 @@ def _augment_parent(
     to a parent automorphism between their neighbour sets.  Neither side
     depends on which labeling of the parent class ``row`` holds.
 
-    Unlabeled.  A child whose only max-key non-cut vertex is the new one
-    (``tied`` holds it alone) has m(child) = new under any labeling, so
-    it is accepted without one.  Only the children still tied are
-    labeled, for the test alone.  Every accepted child's form is its
-    path string: the parent's row, one column up, then the new vertex's
-    column, ``nbrs`` reversed, so each row names its parent's row.
+    Deciding a child.  Each step below settles the child C on a neighbour
+    set N of the parent P, or leaves it to the next; only the last one
+    builds C as a graph and labels it.
+    - Sizes.  Let D be the largest degree of a vertex w of P whose
+      deletion leaves P connected.  If 2 <= |N| < D, then w has degree at
+      least D > |N| in C, and C - w, which is P - w with the new vertex
+      joined to the nonempty N - {w}, is connected: a non-cut vertex
+      outranks the new one, and C is rejected.  Automorphisms keep sizes,
+      so no orbit of sets of those sizes is walked or tried.
+    - Key (``_Parent.max_key_ties``).  The new vertex must have the
+      largest (degree, neighbour degrees) key among C's non-cut vertices;
+      if no other one ties with it, m(C) is the new vertex under any
+      labeling and C is accepted.
+    - Finer key (``_finer_ties``).  Only the tied vertices get the rest of
+      the key, counted on C's rows: C is rejected if one of them
+      outranks the new vertex, and those the new vertex outranks drop out.
+    - Twins.  If every vertex still tied is a twin of the new vertex
+      (the same neighbours, apart from each other), swapping it with the
+      new vertex is an automorphism of C, so all of them lie in the new
+      vertex's orbit, m(C) among them, and C is accepted.
+    - Labeling (``_accepted_by_labeling``).  Otherwise one
+      ``canonical_labeling(C)`` call refines and labels C once: its order
+      gives m(C), and the automorphism generators found by the same
+      search give the new vertex's orbit.
 
-    From the parent.  The key test and the row of the child C on a
-    neighbour set N are answered from facts gathered once per parent P
-    (``_Parent``), and C is built only if it passes the test.  C's rows
-    are P's, with the new vertex joined to N in both directions, so they
-    are valid by construction and stored unchecked.
-    - Cut vertices.  C - new = P is connected, so the new vertex is never
-      a cut vertex.  For a parent vertex v, C - v is P - v with the new
-      vertex joined to N - {v}, so it is connected iff N - {v} meets
-      every component of P - v.  When P - v is connected, that fails
-      only for N = {v}.
-    - Keys.  C's degrees are P's plus one on N, and |N| for the new
-      vertex.  Only the vertices of child degree |N| need neighbour
-      degrees; each is packed (``_DEGREE_WEIGHT``) from the parent's
-      degrees, one higher on N, plus the new vertex if it is a neighbour.
+    Cut vertices and keys from the parent.  C's rows are P's, with the
+    new vertex joined to N in both directions, so they are valid by
+    construction and stored unchecked.
+    - C - new = P is connected, so the new vertex is never a cut vertex.
+      For a parent vertex v, C - v is P - v with the new vertex joined to
+      N - {v}, so it is connected iff N - {v} meets every component of
+      P - v.  When P - v is connected, that fails only for N = {v}.
+    - C's degrees are P's plus one on N, and |N| for the new vertex.
+      Only the vertices of child degree |N| need neighbour degrees; each
+      is packed (``_DEGREE_WEIGHT``) from the parent's degrees, one
+      higher on N, plus the new vertex if it is a neighbour.
+
+    Columns from the parent.  C's row is answered without C.
+    - χ.  P is an induced subgraph of C, and the new vertex can take a
+      colour of its own, so χ(C) is χ(P) or χ(P) + 1.  C is
+      χ(P)-colourable iff some χ(P)-colouring of P has a colour class
+      that misses N: the new vertex joins that class, and a χ(P)-colouring
+      of C restricts to one of P whose new vertex's class, less the new
+      vertex, misses N.  The classes of all χ(P)-colourings of P are
+      listed once (``_colour_classes``).
     - α.  An independent set of C without the new vertex lies in P; one
       with it is the new vertex plus an independent set of P - N.  So
       α(C) = max(α(P), 1 + α(P - N)), and as α(P - N) <= α(P) the
       branch-and-bound on P - N starts from the floor α(P) - 1.
-    - χ.  P is an induced subgraph of C, and the new vertex can take a
-      colour of its own, so χ(C) is χ(P) if C is χ(P)-colourable and
-      χ(P) + 1 otherwise.
-    - Pendants are counted on C (``pendant_count``); ABS is ``abs_index(C)``.
+    - Pendants.  A parent vertex has degree 1 in C if it has degree 1 in
+      P and is not in N, or degree 0 and is in N (P = K1); the new vertex
+      has degree 1 if |N| = 1.
+    - ABS.  An edge of P with i ends in N has its edge degree raised by
+      i, and the new edge to v in N has edge degree deg_P(v) + |N| - 1.
+      These are the weights ``abs_index(C)`` sums, and ``math.fsum``
+      rounds the exact sum of its inputs once, whatever their order, so
+      the value is the same float.
+
+    Forms.  Every accepted child's form is its path string: the parent's
+    row, one column up, then the new vertex's column, ``nbrs`` reversed,
+    so each row names its parent's row.
     """
     parent = _Parent(*row)
     new = len(parent.rows)
     shifted, new_column = parent.pairs << new, _reversed_masks(new)
     columns = _new_columns()
-    for nbrs in _orbit_leaders(parent.graph):
+    for nbrs in _orbit_leaders(parent.graph, parent.rejected_sizes):
         tied = parent.max_key_ties(nbrs)
-        if tied is None:
+        if tied is None or len(tied) > 1 and not parent.accepts_tied(nbrs, tied):
             continue
-        rows = [r | (nbrs >> v & 1) << new for v, r in enumerate(parent.rows)]
-        rows.append(nbrs)
-        child = Graph._from_valid_rows(new + 1, tuple(rows))
-        if len(tied) > 1:
-            _, order, generators = canonical_labeling(child)
-            last = max(tied, key=order.index)  # m(child)
-            if last != new and not _orbit(generators, new) >> last & 1:
-                continue
         form = shifted | new_column[nbrs]
-        for column, value in zip(columns, (form, *_child_row(parent, child, nbrs))):
+        for column, value in zip(columns, (form, *_child_row(parent, nbrs))):
             column.append(value)
     return columns
 
@@ -356,16 +498,18 @@ def _orbit(generators: list[list[int]], v: int) -> int:
     return orbit
 
 
-def _orbit_leaders(g: Graph) -> list[int]:
+def _orbit_leaders(g: Graph, skipped: range) -> list[int]:
     """The least neighbour set in each orbit of Aut(g), which the
-    generators from ``canonical_labeling(g)`` generate.
+    generators from ``canonical_labeling(g)`` generate, apart from the
+    orbits of the sets whose sizes are in ``skipped``.
 
     Sets are nonempty vertex bitmasks, listed in ascending order.
+    Automorphisms keep a set's size, so an orbit's sets share one.
     """
     size = 1 << g.order
     # each mask's image: the sum of its vertices' image bits
     images = [_subset_sums([1 << w for w in a]) for a in canonical_labeling(g)[2]]
-    reached = bytearray(size)
+    reached = bytearray(_masks_sized(g.order, skipped))
     leaders = []
     for mask in range(1, size):
         if reached[mask]:
@@ -381,6 +525,13 @@ def _orbit_leaders(g: Graph) -> list[int]:
                     reached[t] = 1
                     stack.append(t)
     return leaders
+
+
+@functools.cache
+def _masks_sized(width: int, sizes: range) -> bytes:
+    """``marks[mask]``: 1 if the size of mask is in ``sizes``, else 0, for
+    every mask below 2^width."""
+    return bytes(mask.bit_count() in sizes for mask in range(1 << width))
 
 
 def connected_class_forms(

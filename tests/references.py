@@ -457,6 +457,29 @@ def _max_key_ties(rows):
     return tied
 
 
+def _finer_max_key_ties(rows):
+    """The non-cut vertices with the largest full key, if the new vertex
+    (the last) is one of them, else None; the new vertex is listed last.
+
+    The key of v is its degree, its ascending neighbour degrees, the
+    number of triangles through it, and the ascending numbers of common
+    neighbours along its edges, all counted on the whole graph.
+    """
+    new = len(rows) - 1
+    degrees = [row.bit_count() for row in rows]
+
+    def key(v):
+        nbrs = list(_bits(rows[v]))
+        triangles = sum(1 for u, w in itertools.combinations(nbrs, 2) if rows[u] >> w & 1)
+        common = sorted(len(set(nbrs) & set(_bits(rows[u]))) for u in nbrs)
+        return degrees[v], _neighbour_degrees(rows[v], degrees), triangles, common
+
+    keys = {v: key(v) for v in range(len(rows)) if _connected_without(rows, v)}
+    if keys.get(new) != max(keys.values()):
+        return None
+    return [v for v in range(new) if keys.get(v) == keys[new]] + [new]
+
+
 def _neighbour_degrees(row, degrees):
     return sorted(degrees[u] for u in range(len(degrees)) if row >> u & 1)
 

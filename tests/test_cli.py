@@ -269,6 +269,8 @@ class TestAudit:
         for n in (2, 4, 5):
             _, alone, _ = run(capsys, "audit", "T3", "--n", str(n))
             assert [r for r in rows if r.split(",")[1] == str(n)] == alone.splitlines()[1:]
+        # no graph of order 2 has one pendant (K2 has two), so no row
+        assert [r for r in rows if r.split(",")[1] == "2"] == []
         # no double star at n = 3, so p = 1 has no maximizer and no row
         assert [r for r in rows if r.split(",")[1] == "3"] == [
             "T3,3,2,0.6666666667,1.1547005384,0.4880338717,false"
@@ -287,13 +289,13 @@ class TestAudit:
 AUDIT_SHA256 = {
     "T1": "98fc813885ace6d754fdd742462fba26a8d75b845506dc7ed076aa990b787a01",
     "T2": "6d113f882d272cb59dee7dba4e0903de28a71b0e0494fd214752e3be124456ec",
-    "T3": "eda259f0f8f7d1a9364d79ebaeedd8481c6a277f5aa830360196d09b2a775e8d",
+    "T3": "dd48de0b0246448a7025a420c334bf316e37ae019d1d6a3e440d4722f30b4c7e",
     "T3-clique-term": "ef55148418b5f80072366ef0226e06df69823d80cc7cf57060d99c79bb33a3b7",
 }
 CONSTRUCT_AUDIT_SHA256 = {
     "turan": "5f102cea4d15d02b070c3f2f5c6077191a68c1a3707b4d0726116fbc1dfcf08e",
     "split": "410244065ec293561e2efd1b59f7010ebf59136e37cddb964a4d012dca8d9ffd",
-    "star": "a75a8514ad90da344494aceb08fcd7d0e6c35b4d924eee7198becbbb54c1375c",
+    "star": "7faca4e466e68e5d94b60d60d193084ab1ef58e1a9dd8bfee4e32398ee17c5af",
     "dstar": "4aba8b84c68489f8a93474c825e89615af870254205a0743f571ebc54baae808",
     "kite": "e6a80faef4f4d917c43b27df5fefe02435c1455e675ce6014be288038456422c",
 }

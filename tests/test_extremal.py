@@ -118,6 +118,16 @@ class TestConstructors:
         assert are_isomorphic(pendant_maximizer(6, 4), double_star(6, 2))
         assert are_isomorphic(pendant_maximizer(6, 2), kite(6, 2))
 
+    def test_pendant_maximizer_has_its_pendant_count(self):
+        # wherever it exists; at n = 2 it does not, as K2 has two pendants
+        with pytest.raises(GraphError, match="order 2"):
+            pendant_maximizer(2, 1)
+        assert CASES["T3"].maximizer(2, 1) is None
+        for n in range(3, 13):
+            for p in range(1, n):
+                g = CASES["T3"].maximizer(n, p)
+                assert g is None or pendant_count(g) == p
+
 
 class TestDirectValues:
     def test_turan_5_3(self):

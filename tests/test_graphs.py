@@ -177,9 +177,9 @@ class TestUncheckedBuilds:
     def test_class_table_builds_valid_rows_unchecked(self, cold_caches, builds):
         table = search.class_table(8)
         assert len(table.forms) == 11117
-        # the 996 parents of orders 1..7 decoded, the 13 033 key-passing
-        # children of orders 2..8 built
-        assert builds["unchecked"] == 996 + 13033
+        # the 996 parents of orders 1..7 decoded, the 1 561 children of
+        # orders 2..8 that the acceptance test labels built
+        assert builds["unchecked"] == 996 + 1561
         assert builds["checked"] == 0
 
     def test_packed_pairs_decode_to_valid_rows(self, builds):

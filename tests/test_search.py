@@ -25,7 +25,7 @@ from absindex import (
     verify_theorem,
 )
 from absindex import GraphError, index, invariants, search
-from absindex.graphs import from_packed_pairs
+from absindex.graphs import Graph, from_packed_pairs
 from absindex.invariants import (
     GraphInvariants,
     canonical_labeling,
@@ -497,7 +497,7 @@ class TestClassTable:
         # rebuilt, and a second read labels nothing
         labelings = _count_labelings(monkeypatch)
         class_table(8)
-        assert labelings == [5968]  # verdict rows of orders 1..8
+        assert labelings == [2557]  # verdict rows of orders 1..8
         cached = dict(search._table_cache)
         monkeypatch.setattr(search, "_augment_parent", lambda row: pytest.fail("rebuilt"))
         labelings[0] = 0
@@ -515,7 +515,7 @@ class TestClassTable:
         labelings = _count_labelings(monkeypatch)
         forms = connected_class_forms(8)
         assert hashlib.sha256(b"".join(forms)).hexdigest() == ORDER_8_DIGEST
-        assert labelings == [17085]  # from cold caches: 5,968 + 11,117
+        assert labelings == [13674]  # from cold caches: 2,557 + 11,117
         cached = dict(search._table_cache)
         monkeypatch.setattr(search, "_augment_parent", lambda row: pytest.fail("rebuilt"))
         assert all(class_table(n) is cached[n] for n in range(1, 9))
@@ -565,11 +565,14 @@ def _order_8_job_calls():
     """Calls of the canonical labeling and of the refinement while the
     853 order-8 jobs run, each job on its order-7 parent's row, keyed by
     (name, order of the graph): the jobs label order-8 children and
-    order-7 parents.  ``("passed", 8)`` counts the children that pass
-    the key test and ``("tied", 8)`` those of them with more than one
-    max-key non-cut vertex."""
+    order-7 parents.  Of the order-8 children, ``("passed", 8)`` counts
+    those that pass the key test, ``("tied", 8)`` those of them with more
+    than one max-key non-cut vertex, ``("finer", 8)`` those of these still
+    tied after the finer key, and ``("twins", 8)`` those of these whose
+    other tied vertices are all twins of the new one."""
     calls = dict.fromkeys(itertools.product(("labeling", "refinement"), (7, 8)), 0)
-    calls["passed", 8] = calls["tied", 8] = 0
+    for name in ("passed", "tied", "finer", "twins"):
+        calls[name, 8] = 0
 
     def counting(name, fn):
         def counted(g):
@@ -579,6 +582,8 @@ def _order_8_job_calls():
         return counted
 
     key_test = search._Parent.max_key_ties
+    finer_ties = search._finer_ties
+    twins_of_new = search._Parent.twins_of_new
 
     def counted_key_test(parent, nbrs):
         tied = key_test(parent, nbrs)
@@ -587,11 +592,23 @@ def _order_8_job_calls():
             calls["tied", 8] += len(tied) > 1
         return tied
 
+    def counted_finer_ties(rows, tied):
+        finer = finer_ties(rows, tied)
+        calls["finer", 8] += finer is not None and len(finer) > 1
+        return finer
+
+    def counted_twins(parent, nbrs, tied):
+        twins = twins_of_new(parent, nbrs, tied)
+        calls["twins", 8] += twins and len(tied) > 1
+        return twins
+
     parents = _table_rows(7)
     with pytest.MonkeyPatch.context() as m:
         m.setattr(search, "canonical_labeling", counting("labeling", search.canonical_labeling))
         m.setattr(invariants, "_refined_cells", counting("refinement", invariants._refined_cells))
         m.setattr(search._Parent, "max_key_ties", counted_key_test)
+        m.setattr(search, "_finer_ties", counted_finer_ties)
+        m.setattr(search._Parent, "twins_of_new", counted_twins)
         for row in parents:
             search._augment_parent(row)
     return calls
@@ -642,21 +659,28 @@ class TestAcceptRule:
 
     def test_order_8_canonicalizes_accepted_children_only(self, order_8_job_calls):
         # of 853 * 127 = 108,331 children, 11,987 pass the key test, and
-        # only those of them with tied max keys are labeled
+        # only those of them still tied after the finer key, with a tied
+        # vertex that is no twin of the new one, are labeled
         assert order_8_job_calls["passed", 8] == 11987
-        assert order_8_job_calls["labeling", 8] == order_8_job_calls["tied", 8] == 4424
+        assert order_8_job_calls["labeling", 8] == (
+            order_8_job_calls["finer", 8] - order_8_job_calls["twins", 8]
+        ) == 1385
 
     def test_order_8_lazy_jobs_label_only_tied_children(self, order_8_job_calls):
         # of 853 * 127 = 108,331 children, 11,987 pass the key test; the
-        # 7,563 whose new vertex alone has the largest key go unlabeled,
-        # and each parent is still labeled once
+        # 7,563 whose new vertex alone has the largest key go unlabeled;
+        # of the other 4,424, the finer key rejects 708 and leaves 3,221
+        # tied, 1,836 of them with twins of the new vertex only; each
+        # parent is still labeled once
         assert order_8_job_calls == {
             ("labeling", 7): 853,
-            ("labeling", 8): 4424,
+            ("labeling", 8): 1385,
             ("refinement", 7): 853,
-            ("refinement", 8): 4424,
+            ("refinement", 8): 1385,
             ("passed", 8): 11987,
             ("tied", 8): 4424,
+            ("finer", 8): 3221,
+            ("twins", 8): 1836,
         }
 
     def test_order_8_refines_each_labeled_child_once(self, order_8_job_calls):
@@ -667,35 +691,117 @@ class TestAcceptRule:
 
     def test_order_8_tries_one_neighbour_set_per_orbit(self):
         # the orbits of each order-7 parent's automorphism group on its
-        # nonempty vertex sets
-        leaders = sum(len(search._orbit_leaders(g)) for g in enumerate_connected(7))
-        assert leaders == 67141  # of 853 * 127 = 108,331 neighbour sets
+        # nonempty vertex sets, but for the sizes the key test rejects:
+        # 67,141 orbits, 32,852 of them skipped
+        leaders = 0
+        for row in _table_rows(7):
+            parent = search._Parent(*row)
+            leaders += len(search._orbit_leaders(parent.graph, parent.rejected_sizes))
+        assert leaders == 34289  # of 853 * 127 = 108,331 neighbour sets
 
     def test_max_key_ties_match_the_reference(self):
         # the key test answered from the parent ties exactly the vertices
         # the old test on the built child ties, for every child at n <= 7
-        for n in range(1, 7):
-            for g in enumerate_connected(n):
-                parent = search._Parent(
-                    n, canonical_labeling(g)[0], chromatic_number(g), independence_number(g)
-                )
-                assert parent.rows == g.rows  # the labels the reference sees
-                for nbrs in range(1, 1 << n):
-                    rows = [row | (nbrs >> v & 1) << n for v, row in enumerate(g.rows)]
-                    rows.append(nbrs)
-                    assert parent.max_key_ties(nbrs) == references._max_key_ties(rows)
+        for parent, nbrs, rows in every_child(7):
+            assert parent.max_key_ties(nbrs) == references._max_key_ties(rows)
+
+    def test_finer_ties_match_the_reference(self):
+        # the finer key, counted only on the key test's ties, leaves the
+        # vertices the full key on the built child leaves, for every child
+        # at n <= 7; the parent builds the same child rows
+        decided = 0
+        for parent, nbrs, rows in every_child(7):
+            assert parent.child_rows(nbrs) == rows
+            tied = parent.max_key_ties(nbrs)
+            finer = None if tied is None else search._finer_ties(rows, tied)
+            assert finer == references._finer_max_key_ties(rows)
+            decided += tied is not None and len(tied) > 1 and (finer is None or len(finer) == 1)
+        assert decided > 0
+
+    def test_skipped_sizes_fail_the_key_test(self):
+        # no neighbour set of a size the parent skips passes the key test
+        skipped = 0
+        for parent, nbrs, rows in every_child(7):
+            if nbrs.bit_count() in parent.rejected_sizes:
+                skipped += 1
+                assert references._max_key_ties(rows) is None
+        assert skipped > 0
+
+    def test_twin_acceptance_agrees_with_the_labeling(self):
+        # a child accepted as the new vertex's twins is accepted by the
+        # labeling test too, for every child at n <= 7
+        accepted = 0
+        for parent, nbrs, rows in every_child(7):
+            finer = references._finer_max_key_ties(rows)
+            if finer is not None and len(finer) > 1 and parent.twins_of_new(nbrs, finer):
+                accepted += 1
+                assert search._accepted_by_labeling(rows, finer)
+        assert accepted > 0
+
+    def test_parent_columns_match_the_kernels(self):
+        # χ from the parent's colour classes, the pendant count and ABS of
+        # every child at n <= 7 are the direct kernels' on the built child
+        for parent, nbrs, rows in every_child(7):
+            assert columns_unlike_kernels(parent, nbrs, rows) is None
+
+    def test_parent_columns_match_the_kernels_order_9(self, slow):
+        # the same for every order-9 child that passes the key test
+        wrong = []
+        for row in _table_rows(8):
+            parent = search._Parent(*row)
+            for nbrs in search._orbit_leaders(parent.graph, parent.rejected_sizes):
+                if parent.max_key_ties(nbrs) is not None:
+                    found = columns_unlike_kernels(parent, nbrs, parent.child_rows(nbrs))
+                    if found is not None:
+                        wrong.append(found)
+        assert wrong == []
 
     def test_orbit_leaders_meet_every_orbit_of_neighbour_sets(self):
         # the leaders are ascending, and every orbit of Aut(g) on the
-        # nonempty vertex sets holds one of them, its least set
+        # nonempty vertex sets holds one of them, its least set; skipped
+        # sizes drop their orbits' leaders and no other
         for n in range(1, 6):
             for g in enumerate_connected(n):
-                leaders = search._orbit_leaders(g)
+                leaders = search._orbit_leaders(g, range(0))
                 assert leaders == sorted(set(leaders))
                 autos = _automorphisms(g)
                 for mask in range(1, 1 << n):
                     orbit = {_subset_image(mask, p) for p in autos}
                     assert orbit & set(leaders) == {min(orbit)}
+                assert search._orbit_leaders(g, range(2, 4)) == [
+                    mask for mask in leaders if mask.bit_count() not in (2, 3)
+                ]
+
+
+def every_child(max_order):
+    """(parent, nbrs, child rows) for every child of order 2..max_order:
+    each class of order n < max_order as a ``search._Parent`` in its
+    canonical labels, with each nonempty neighbour set, and the child's
+    rows built here."""
+    for n in range(1, max_order):
+        for g in enumerate_connected(n):
+            parent = search._Parent(
+                n, canonical_labeling(g)[0], chromatic_number(g), independence_number(g)
+            )
+            assert parent.rows == g.rows  # the labels the references see
+            for nbrs in range(1, 1 << n):
+                rows = [row | (nbrs >> v & 1) << n for v, row in enumerate(g.rows)]
+                rows.append(nbrs)
+                yield parent, nbrs, rows
+
+
+def columns_unlike_kernels(parent, nbrs, rows):
+    """None if the parent's χ(parent)-colourability, pendant count and ABS
+    of the child on ``nbrs`` equal the direct kernels on its ``rows``, ABS
+    bit for bit; else the parent's pair string, ``nbrs`` and both triples."""
+    child = Graph(len(rows), rows)
+    ours = (parent.colourable(nbrs), parent.pendants(nbrs), parent.abs_value(nbrs).hex())
+    direct = (
+        invariants.is_colorable(child, parent.chromatic),
+        pendant_count(child),
+        abs_index(child).hex(),
+    )
+    return None if ours == direct else (parent.pairs, nbrs, ours, direct)
 
 
 class TestWorkerPool:
