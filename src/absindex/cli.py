@@ -5,16 +5,17 @@ fixed row order) as CSV or Markdown, so identical invocations produce
 byte-identical output regardless of worker count.
 
 Exit codes: 0 all checks passed or informational output, 1 a
-verification or lemma check failed, 2 usage or input error, or output
-that could not be written.  Output reaches ``--out`` or stdout only on
-exit 0 or 1, so a usage error creates no file and leaves an existing one
-as it was.  Every usage error is a ValueError; an ``--out`` that cannot
-be opened is found before the work, and a write that fails after it
-(a full device, say) is reported as one line too.  A new ``--out`` file,
-or a regular one this process owns with no other hard link, is replaced
-only by a complete copy, written beside it, so such a failure leaves it
-as it was too; any other ``--out``, such as a device or a pipe, is
-written in place, and keeps what was written before a failure.
+verification or lemma check failed, 2 usage or input error, output that
+could not be written, or a closed stdin or stdout.  Output reaches
+``--out`` or stdout only on exit 0 or 1, so a usage error creates no
+file and leaves an existing one as it was.  Every usage error is a
+ValueError; an ``--out`` that cannot be opened, or a closed stdout, is
+found before the work, and a write that fails after it (a full device,
+say) is reported as one line too.  A new ``--out`` file, or a regular
+one this process owns with no other hard link, is replaced only by a
+complete copy, written beside it, so such a failure leaves it as it was
+too; any other ``--out``, such as a device or a pipe, is written in
+place, and keeps what was written before a failure.
 
 ``verify`` and ``lemmas`` take the library's one order limit,
 ``search.MAX_SEARCH_ORDER``: an order above it is refused before any
@@ -229,9 +230,20 @@ def _emit_graph_report(g: Graph, fmt: str, out) -> None:
 # -- subcommands ------------------------------------------------------
 
 
+def _read_stdin() -> str:
+    """All of stdin; a closed or unreadable one (say, opened write-only)
+    raises ValueError."""
+    try:
+        if sys.stdin is None:  # Python found no descriptor 0 at start-up
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+        return sys.stdin.read()
+    except OSError as exc:
+        raise ValueError(f"cannot read stdin: {exc.strerror}") from None
+
+
 def _cmd_compute(args, out) -> int:
     # a Graph6Error, empty input included, is a ValueError: a usage error
-    g = decode_graph6(sys.stdin.read() if args.graph6 is None else args.graph6)
+    g = decode_graph6(_read_stdin() if args.graph6 is None else args.graph6)
     out.write(f"graph6,{encode_graph6(g)}\n\n")
     _emit_graph_report(g, args.format, out)
     return EXIT_OK
@@ -287,7 +299,7 @@ def _cmd_verify(args, out) -> int:
     n_lo, n_hi = args.n
     if args.workers < 1:
         raise ValueError(f"--workers must be a positive integer, got '{args.workers}'")
-    class_table(n_hi, args.workers)  # the highest order pooled; too high fails first
+    class_table(n_hi, args.workers)  # the highest order in shares; too high fails first
     theorems = args.theorems
     header = [
         "theorem",
@@ -455,6 +467,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.out:
             _check_out(args.out)
+        elif sys.stdout is None:  # Python found no descriptor 1 at start-up
+            raise ValueError(f"cannot write stdout: {os.strerror(errno.EBADF)}")
         code = args.handler(args, buffer)
         _emit(buffer.getvalue(), args.out)
         return code

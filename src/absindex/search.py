@@ -50,13 +50,15 @@ All forms (``connected_class_forms``) are read off the same table: each
 string is labeled once, and the sorted triangles are kept with it.
 
 Only the table builders, ``connected_class_forms`` and ``class_table``,
-take a worker count: the jobs of the requested order share one pool, of
-at most as many workers as this process has usable cores, and so do the
-labelings of its forms read; every lower order is built in this process,
-and the CLI makes one call per sweep.
-Each job returns five columns (form, χ, α, pendants, ABS); they are
-concatenated in job order, so the rows, and the reports, are identical
-for any worker count.
+take a worker count: the jobs of the requested order are dealt into
+shares, one per worker up to the usable cores, and so are the labelings
+of its forms read (``_map``).  This process computes the first share and
+forks a child for each other one, which sends its results back through
+a pipe; a job's exception in a child is raised here, and no child
+outlives the call.  Every lower order is built in this process, and the
+CLI makes one call per sweep.  Each job returns five columns (form, χ,
+α, pendants, ABS); they are concatenated in job order, so the rows, and
+the reports, are identical for any worker count.
 """
 
 from __future__ import annotations
@@ -65,8 +67,9 @@ import functools
 import math
 import os
 from array import array
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field, replace
+from typing import NoReturn
 
 from .extremal import CASES, THEOREMS
 from .graphs import MAX_ORDER, Graph, encode_graph6, from_packed_pairs, reachable
@@ -87,20 +90,7 @@ CONSTRAINT_KINDS = ("chromatic", "independence", "pendants", "none")
 _table_cache: dict[int, ClassTable] = {}
 
 
-# -- worker pool ------------------------------------------------------
-
-
-def _pool(size: int):
-    """A pool of ``size`` forked workers.
-
-    Forked workers start in about 0.03 s where spawned ones take 0.4 s,
-    and the search runs no threads of its own for fork to break.  The
-    first pool imports ``multiprocessing``, so importing the library
-    does not.
-    """
-    import multiprocessing
-
-    return multiprocessing.get_context("fork").Pool(size)
+# -- forked shares ----------------------------------------------------
 
 
 def _usable_cores() -> int:
@@ -110,25 +100,100 @@ def _usable_cores() -> int:
     return os.cpu_count() or 1
 
 
-def _map(fn, jobs: list, workers: int) -> Iterator:
-    """``fn(job)`` for each job, in order, as the results come in.
+def _map(fn, jobs: Sequence, workers: int) -> Iterable:
+    """``fn(job)`` for each job, in job order.
 
-    ``min(workers, usable cores)`` forked processes map the jobs if that
-    is more than one and no more than the jobs, so none would sit idle;
-    otherwise the jobs run in this process.  The pool is terminated, and
-    its workers reaped, however the iteration ends.
+    With ``size = min(workers, usable cores)``, if that is more than one
+    and no more than the jobs, so that no share is empty, the jobs are
+    dealt into ``size`` shares, share k taking jobs k, k + size, k + 2 *
+    size and so on, which spreads the costly jobs evenly; ``_shares``
+    computes them, and the results are put back in job order.  Otherwise
+    the jobs run in this process, one at a time as they are read.
     """
     size = min(workers, _usable_cores())
     if not 1 < size <= len(jobs):
-        yield from map(fn, jobs)
-        return
-    pool = _pool(size)
+        return map(fn, jobs)
+    results = _shares(fn, [jobs[k::size] for k in range(size)])
+    return (results[i % size][i // size] for i in range(len(jobs)))
+
+
+def _shares(fn, shares: list[Sequence]) -> list[list]:
+    """``[fn(job) for job in share]`` for each share: the first in this
+    process, each other in a forked child that pickles its results back
+    through a pipe.
+
+    A fork takes about 0.4 ms in a process holding the order-8 table (an
+    Intel Xeon host, Python 3.11.7), the child inherits the class tables
+    it reads, and the search runs no threads for a fork to break.  A job that raises in a child raises its exception here, with
+    its type and message; a child that exits without sending its results
+    raises RuntimeError, naming its exit status or signal.  However this
+    returns or raises, an exception or interrupt in this process's own
+    share included, every child still running is killed, and every child
+    is reaped.  ``pickle`` and ``signal`` are imported here, so importing
+    the library loads neither.
+    """
+    import pickle
+    import signal
+
+    running = {}  # pid: the read end of its pipe, until it is reaped
     try:
-        # about eight messages per worker: sent one job at a time, the
-        # pickling round trips cost more than uneven chunks lose
-        yield from pool.imap(fn, jobs, chunksize=max(1, len(jobs) // (8 * size)))
+        for share in shares[1:]:
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+                if not pid:
+                    _send_share(fn, share, write)
+            except BaseException:
+                os.close(read)
+                raise
+            finally:
+                os.close(write)
+            running[pid] = read
+        results = [[fn(job) for job in shares[0]]]
+        for k, (pid, read) in enumerate(list(running.items()), 1):
+            data = b"".join(iter(functools.partial(os.read, read, 1 << 16), b""))
+            status = os.waitpid(pid, 0)[1]
+            os.close(running.pop(pid))
+            code = os.waitstatus_to_exitcode(status)
+            if code or not data:
+                how = f"by {signal.Signals(-code).name}" if code < 0 else f"with status {code}"
+                raise RuntimeError(f"share {k} ended {how} without its results")
+            sent, value = pickle.loads(data)
+            if not sent:
+                raise value
+            results.append(value)
+        return results
     finally:
-        pool.terminate()
+        for pid, read in running.items():
+            os.close(read)
+            os.kill(pid, signal.SIGKILL)
+        for pid in running:
+            os.waitpid(pid, 0)
+
+
+def _send_share(fn, share: Sequence, fd: int) -> NoReturn:
+    """In a forked child: pickle ``(True, results)`` of ``fn`` over
+    ``share``, or ``(False, exception)`` for the first job that raises,
+    to ``fd``, and exit through ``os._exit``, so that no atexit handler
+    runs and no buffer inherited from the parent is flushed twice."""
+    import pickle
+
+    status = 1
+    try:
+        try:
+            payload = pickle.dumps((True, [fn(job) for job in share]))
+        except Exception as exc:
+            try:
+                payload = pickle.dumps((False, exc))
+                pickle.loads(payload)
+            except Exception:  # one that pickle cannot carry
+                carried = RuntimeError(f"{type(exc).__name__}: {exc}")
+                payload = pickle.dumps((False, carried))
+        with open(fd, "wb") as pipe:
+            pipe.write(payload)
+        status = 0
+    finally:
+        os._exit(status)
 
 
 # -- augmentation fast path -------------------------------------------
@@ -542,11 +607,13 @@ def connected_class_forms(
     Builds, or finds in the cache, the ``ClassTable`` of order n, which
     is never rebuilt.  Each row of the table of order n - 1, cached or
     built first, is one job (``_augment_parent``).  The jobs of order n
-    share one pool of at most ``workers`` processes; lower orders are
-    built in this process.  The jobs' outputs are disjoint, so their five
-    columns are concatenated.  The forms are read off the table: each
-    pair string is labeled once (``_minimal_triangle``), in a pool of the
-    same size, and the sorted triangles are kept with the table.  An
+    are dealt into at most ``workers`` shares, all but one computed in
+    forked children (``_map``); lower orders are built in this process.
+    The jobs' outputs are disjoint, so their five columns are
+    concatenated in job order.  If a job fails, its exception is raised
+    and no table is cached.  The forms are read off the table: each pair
+    string is labeled once (``_minimal_triangle``), in as many shares,
+    and the sorted triangles are kept with the table.  An
     order outside 1..MAX_SEARCH_ORDER raises ValueError before any order
     is built.
 
@@ -658,8 +725,9 @@ def class_table(n: int, workers: int = 1) -> ClassTable:
     (``connected_class_forms(n, lazy=True)``): each row is computed in
     the augmentation job that finds its class, from that job's parent
     (``_augment_parent``), and only the children whose acceptance needs
-    a labeling get one.  Order n's jobs share one pool of at most
-    ``workers``; the lower orders it needs are built in this process.
+    a labeling get one.  Order n's jobs are dealt into at most
+    ``workers`` shares, each but one in a forked child (``_map``); the
+    lower orders it needs are built in this process.
     """
     connected_class_forms(n, workers, lazy=True)
     return _table_cache[n]

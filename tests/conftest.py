@@ -56,8 +56,9 @@ def slow():
 @pytest.fixture(scope="session")
 def order_9(slow):
     """Order 9's class table, built once per session from empty caches
-    in a 2-worker pool, with its forms read in the same pool, for every
-    test that reads it; the warm caches come back after the session.
+    in two shares, one of them forked, with its forms read in two shares
+    too, for every test that reads it; the warm caches come back after
+    the session.
     Skips unless ABSINDEX_SLOW=1."""
     with _emptied_class_cache():
         search.connected_class_forms(9, workers=2)
@@ -65,29 +66,27 @@ def order_9(slow):
 
 
 @pytest.fixture
-def fake_pool(monkeypatch):
-    """Replaces the process pool by one that maps in this process.
+def shares(monkeypatch):
+    """Records how ``search._map`` deals jobs into shares (``search._shares``).
 
     Yields a function that sets the number of usable cores; the returned
-    namespace lists each pool's requested size and each batch it mapped,
-    and counts the pools terminated.
+    namespace lists each split's number of shares and number of jobs.
+    The shares are forked as usual, or with ``fork=False`` computed in
+    this process, so that a test may ask for more shares than it should
+    start processes.
     """
-    seen = types.SimpleNamespace(sizes=[], batches=[], terminated=0)
+    seen = types.SimpleNamespace(sizes=[], batches=[])
+    forked = search._shares
 
-    class Pool:
-        def __init__(self, size):
-            seen.sizes.append(size)
+    def with_cores(cores, fork=True):
+        def recorded(fn, parts):
+            seen.sizes.append(len(parts))
+            seen.batches.append(sum(map(len, parts)))
+            if fork:
+                return forked(fn, parts)
+            return [[fn(job) for job in part] for part in parts]
 
-        def imap(self, fn, jobs, chunksize=1):
-            seen.batches.append(len(jobs))
-            return map(fn, jobs)
-
-        def terminate(self):
-            seen.terminated += 1
-
-    monkeypatch.setattr(search, "_pool", Pool)
-
-    def with_cores(cores):
+        monkeypatch.setattr(search, "_shares", recorded)
         cpus = set(range(cores))
         monkeypatch.setattr(search.os, "sched_getaffinity", lambda pid: cpus)
         return seen

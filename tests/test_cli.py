@@ -240,7 +240,7 @@ class TestVerify:
 
     def test_order_9_sweep_from_cold_caches(self, capsys, slow, cold_caches):
         # as a first run builds it: the table of every order, order 9's in
-        # the pool, with only the children still tied labeled
+        # two shares, with only the children still tied labeled
         code, out, _ = run(capsys, "verify", "--n", "9", "--workers", "2")
         assert code == 0
         committed = Path(__file__).parent.parent / "results" / "verify_n9.csv"
@@ -366,26 +366,26 @@ class TestDeterminism:
         assert first == second
 
     def test_one_pool_builds_every_order_of_the_sweep(
-        self, capsys, cold_caches, fake_pool
+        self, capsys, cold_caches, shares
     ):
-        seen = fake_pool(cores=2)
-        code, pooled, _ = run(capsys, "verify", "--n", "5..7", "--workers", "2")
+        seen = shares(cores=2)
+        code, shared, _ = run(capsys, "verify", "--n", "5..7", "--workers", "2")
         assert code == 0
         assert seen.sizes == [2]
         assert seen.batches == [112]  # order 7; orders 1..6 in this process
         search._table_cache.clear()
         _, serial, _ = run(capsys, "verify", "--n", "5..7", "--workers", "1")
         assert seen.sizes == [2]
-        assert pooled == serial
+        assert shared == serial
 
     def test_the_sweep_builds_through_the_traced_route(
-        self, capsys, cold_caches, fake_pool, monkeypatch
+        self, capsys, cold_caches, shares, monkeypatch
     ):
         # the benchmark's tracer times the build by the spans of
         # connected_class_forms, perfbench/run.py's sweep_traced by
         # outer[0] of the search.enumerate[8] spans of a traced sweep, so
         # verify builds its top order through that function first
-        fake_pool(cores=2)
+        shares(cores=2)
         calls = []
         forms, verify = search.connected_class_forms, cli.verify_theorem
 
@@ -405,10 +405,10 @@ class TestDeterminism:
         assert calls.count(route) == 1
         assert calls.index(route) < next(i for i, c in enumerate(calls) if c[0] == "verify")
 
-    def test_workers_env_override(self, capsys, cold_caches, fake_pool, monkeypatch):
+    def test_workers_env_override(self, capsys, cold_caches, shares, monkeypatch):
         # ABSINDEX_WORKERS no longer overrides the default of one worker:
-        # a cold verify with it set forks no pool and prints the same rows
-        seen = fake_pool(cores=2)
+        # a cold verify with it set forks no share and prints the same rows
+        seen = shares(cores=2)
         monkeypatch.setenv("ABSINDEX_WORKERS", "2")
         code, env_out, _ = run(capsys, "verify", "--theorems", "T2", "--n", "5..5")
         assert code == 0
@@ -480,9 +480,9 @@ class TestUsage:
         assert err.count("\n") == 1 and "--workers" in err
 
     def test_workers_above_core_count_are_clamped(
-        self, capsys, cold_caches, fake_pool
+        self, capsys, cold_caches, shares
     ):
-        seen = fake_pool(cores=2)
+        seen = shares(cores=2)
         code, many, _ = run(capsys, "verify", "--n", "6..6", "--workers", "64")
         assert code == 0
         assert seen.sizes == [2]
@@ -598,6 +598,40 @@ class TestFailedWrite:
             code, err = run_process(("compute", "Bw"), full)
         assert code == 2
         assert err == "compute: cannot write stdout: No space left on device\n"
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs preexec_fn")
+class TestClosedStreams:
+    """A closed stdin or stdout exits 2 with one line, no traceback."""
+
+    @pytest.mark.parametrize(
+        "argv", [("compute", "Bw"), ("verify", "--n", "7"), ("lemmas", "--n", "4")]
+    )
+    def test_closed_stdout(self, argv):
+        code, err = run_process(argv, None, preexec_fn=lambda: os.close(1))
+        assert code == 2
+        assert err == f"{argv[0]}: cannot write stdout: Bad file descriptor\n"
+
+    def test_closed_stdin(self):
+        code, err = run_process(
+            ("compute",), subprocess.DEVNULL, preexec_fn=lambda: os.close(0)
+        )
+        assert code == 2
+        assert err == "compute: cannot read stdin: Bad file descriptor\n"
+
+    def test_write_only_stdin(self, tmp_path):
+        # Python opens it as stdin, and only the read fails
+        with open(tmp_path / "input", "w") as stdin:
+            code, err = run_process(("compute",), subprocess.DEVNULL, stdin=stdin)
+        assert code == 2
+        assert err == "compute: cannot read stdin: Bad file descriptor\n"
+
+    def test_closed_stdout_is_found_before_the_work(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "class_table", lambda *a: pytest.fail("table built"))
+        monkeypatch.setattr(sys, "stdout", None)
+        assert main(["verify", "--n", "7"]) == 2
+        monkeypatch.undo()
+        assert capsys.readouterr().err == "verify: cannot write stdout: Bad file descriptor\n"
 
 
 class TestReplacedOut:

@@ -2,8 +2,10 @@ import hashlib
 import itertools
 import math
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -804,32 +806,67 @@ def columns_unlike_kernels(parent, nbrs, rows):
     return None if ours == direct else (parent.pairs, nbrs, ours, direct)
 
 
+def assert_no_children():
+    """This process has no child left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def fail_in_child(error, monkeypatch):
+    """Make the second of order 7's jobs, the first of share 1, which the
+    forked child computes when there are two shares, call ``error()``."""
+    class_table(6)
+    augment, caller = search._augment_parent, os.getpid()
+    target = search._table_cache[6].forms[1]
+
+    def augment_or_fail(row):
+        if row[1] == target and os.getpid() != caller:
+            error()
+        return augment(row)
+
+    monkeypatch.setattr(search, "_augment_parent", augment_or_fail)
+
+
+def raise_(error):
+    raise error
+
+
+class Unpicklable(Exception):
+    """An exception that pickle cannot rebuild: it takes two arguments."""
+
+    def __init__(self, what, why):
+        super().__init__(f"{what}: {why}")
+
+
 class TestWorkerPool:
-    def test_clamped_to_usable_cores(self, cold_caches, fake_pool):
-        seen = fake_pool(cores=3)
+    """``search._map``: shares of jobs, all but the first in forked children."""
+
+    def test_clamped_to_usable_cores(self, cold_caches, shares):
+        seen = shares(cores=3)
         forms = connected_class_forms(6, workers=64)
         assert seen.sizes == [3, 3]
         # order 6's jobs, then its pair strings labeled; orders 1..5 in
         # this process
         assert seen.batches == [21, 112]
         assert len(forms) == 112
+        assert_no_children()
 
-    def test_no_pool_for_batches_below_its_size(self, cold_caches, fake_pool):
-        seen = fake_pool(cores=64)
+    def test_no_pool_for_batches_below_its_size(self, cold_caches, shares):
+        seen = shares(cores=64, fork=False)
         assert len(connected_class_forms(6, workers=64)) == 112
-        # order 6's 21 jobs run in this process, its 112 labelings pooled
+        # order 6's 21 jobs run in this process, its 112 labelings shared
         assert (seen.sizes, seen.batches) == ([64], [112])
 
-    def test_one_pool_for_the_requested_order(self, cold_caches, fake_pool):
-        seen = fake_pool(cores=2)
+    def test_one_pool_for_the_requested_order(self, cold_caches, shares):
+        seen = shares(cores=2)
         table = class_table(7, workers=2)
         assert seen.sizes == [2]
         assert seen.batches == [112]  # order 7; orders 1..6 in this process
-        assert seen.terminated == 1
+        assert_no_children()
         assert len(table.forms) == len(table.abs_value) == 853
 
-    def test_failed_job_terminates_the_pool(self, cold_caches, fake_pool, monkeypatch):
-        seen = fake_pool(cores=2)
+    def test_failed_job_terminates_the_pool(self, cold_caches, shares, monkeypatch):
+        seen = shares(cores=2)
         class_table(6)
         augment = search._augment_parent
 
@@ -841,26 +878,105 @@ class TestWorkerPool:
         monkeypatch.setattr(search, "_augment_parent", augment_or_fail)
         with pytest.raises(RuntimeError, match="job failed"):
             class_table(7, workers=2)
-        assert (seen.sizes, seen.terminated) == ([2], 1)
+        assert seen.sizes == [2]
+        assert_no_children()
         assert 7 not in search._table_cache
 
-    def test_one_worker_forks_nothing(self, cold_caches, fake_pool):
-        seen = fake_pool(cores=8)
+    def test_one_worker_forks_nothing(self, cold_caches, shares):
+        seen = shares(cores=8)
         class_table(7)
         assert seen.sizes == []
 
     def test_importing_the_library_loads_no_multiprocessing(self):
-        # the first pool imports it; -S keeps site hooks from loading it
-        code = "import sys, absindex, absindex.cli; print('multiprocessing' in sys.modules)"
+        # -S keeps site hooks from loading either; the shares import
+        # pickle, which shows that they ran, and never multiprocessing
+        code = (
+            "import os, sys, absindex, absindex.cli\n"
+            "loaded = lambda: [m for m in ('multiprocessing', 'pickle') if m in sys.modules]\n"
+            "print(loaded())\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "absindex.search.class_table(7, 2)\n"
+            "print(loaded())\n"
+        )
         env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"))
         done = subprocess.run(
             [sys.executable, "-S", "-c", code],
             env=env, capture_output=True, text=True, timeout=60, check=True,
         )
-        assert done.stdout == "False\n"
+        assert done.stdout == "[]\n['pickle']\n"
 
-    def test_pooled_table_matches_serial(self, cold_caches, fake_pool):
-        fake_pool(cores=2)
-        pooled = class_table(7, workers=2)
+    def test_pooled_table_matches_serial(self, cold_caches, shares):
+        shares(cores=2)
+        shared = class_table(7, workers=2)
         search._table_cache.clear()
-        assert class_table(7) == pooled
+        assert class_table(7) == shared
+
+    def test_tables_equal_for_1_2_and_64_workers(self, cold_caches, shares):
+        seen = shares(cores=4)
+        tables = []
+        for workers in (1, 2, 64):
+            search._table_cache.clear()
+            forms = connected_class_forms(7, workers)
+            tables.append((search._table_cache[7], search._table_cache[7].triangles, forms))
+            assert_no_children()
+        # order 7's jobs and its labelings, in 2 and then 4 shares
+        assert seen.sizes == [2, 2, 4, 4]
+        assert tables[0] == tables[1] == tables[2]
+
+    @pytest.mark.parametrize(
+        "error, raised, message",
+        [
+            (GraphError("job failed in a child"), GraphError, "^job failed in a child$"),
+            (Unpicklable("job", "failed"), RuntimeError, "^Unpicklable: job: failed$"),
+        ],
+    )
+    def test_child_job_error_is_raised_here(
+        self, cold_caches, shares, monkeypatch, error, raised, message
+    ):
+        shares(cores=2)
+        fail_in_child(lambda: raise_(error), monkeypatch)
+        with pytest.raises(raised, match=message) as info:
+            class_table(7, workers=2)
+        assert info.type is raised
+        assert_no_children()
+        assert 7 not in search._table_cache
+
+    def test_child_killed_by_a_signal_is_named(self, cold_caches, shares, monkeypatch):
+        shares(cores=2)
+        fail_in_child(lambda: os.kill(os.getpid(), signal.SIGKILL), monkeypatch)
+        with pytest.raises(RuntimeError, match="^share 1 ended by SIGKILL without its results$"):
+            class_table(7, workers=2)
+        assert_no_children()
+        assert 7 not in search._table_cache
+
+    @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+    def test_failure_in_own_share_kills_the_children(
+        self, cold_caches, shares, monkeypatch, error
+    ):
+        # the child sleeps in its first job, so only a kill ends it soon
+        shares(cores=2)
+        class_table(6)
+        caller = os.getpid()
+
+        def sleep_or_fail(row):
+            if os.getpid() != caller:
+                time.sleep(60)
+            raise error("own share failed")
+
+        ends = []
+        waitpid = os.waitpid
+
+        def recorded_waitpid(pid, options):
+            reaped = waitpid(pid, options)
+            ends.append(os.waitstatus_to_exitcode(reaped[1]))
+            return reaped
+
+        monkeypatch.setattr(search, "_augment_parent", sleep_or_fail)
+        monkeypatch.setattr(os, "waitpid", recorded_waitpid)
+        start = time.monotonic()
+        with pytest.raises(error, match="own share failed"):
+            class_table(7, workers=2)
+        assert time.monotonic() - start < 30
+        assert ends == [-signal.SIGKILL]
+        assert_no_children()
+        assert 7 not in search._table_cache
