@@ -53,6 +53,7 @@ from .search import (
     check_edge_additions,
     check_scalar_properties,
     class_table,
+    connected_class_forms,
     verify_theorem,
 )
 
@@ -106,6 +107,22 @@ def _check_out(path: str) -> None:
     else:
         return
     raise ValueError(f"cannot write {path}: {os.strerror(code)}")
+
+
+def _check_stdout() -> None:
+    """Raise before the run the error that writing stdout would raise
+    after it: stdout is closed, or its descriptor is open but not for
+    writing.  A zero-byte write finds the latter (EBADF), and returns 0
+    on a pipe whose reader has gone, so ``| head`` is unaffected; a stdout
+    with no descriptor, as under pytest's capsys, is not probed."""
+    if sys.stdout is None:  # Python found no descriptor 1 at start-up
+        raise ValueError(f"cannot write stdout: {os.strerror(errno.EBADF)}")
+    try:
+        os.write(sys.stdout.fileno(), b"")
+    except ValueError:  # io.UnsupportedOperation: no descriptor
+        pass
+    except OSError as exc:
+        raise ValueError(f"cannot write stdout: {exc.strerror}") from None
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -299,7 +316,8 @@ def _cmd_verify(args, out) -> int:
     n_lo, n_hi = args.n
     if args.workers < 1:
         raise ValueError(f"--workers must be a positive integer, got '{args.workers}'")
-    class_table(n_hi, args.workers)  # the highest order in shares; too high fails first
+    # the top order's records in shares, the lower orders' tables here; too high fails first
+    connected_class_forms(n_hi, args.workers, build="records")
     theorems = args.theorems
     header = [
         "theorem",
@@ -467,8 +485,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.out:
             _check_out(args.out)
-        elif sys.stdout is None:  # Python found no descriptor 1 at start-up
-            raise ValueError(f"cannot write stdout: {os.strerror(errno.EBADF)}")
+        else:
+            _check_stdout()
         code = args.handler(args, buffer)
         _emit(buffer.getvalue(), args.out)
         return code

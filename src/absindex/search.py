@@ -43,22 +43,26 @@ the fsum of the child's edge weights, read off the parent's edges.
 Each order has one table, built once and cached (``class_table``), with
 each class under its path string: its parent's row one column up, then
 the new vertex's column.  A child is labeled only where its acceptance
-needs it, as a verdict needs each class's row, not its canonical form.
-A constrained maximization is a scan of one column and a max over the
-value column; only the maximizers are decoded again, labeled and sorted.
-All forms (``connected_class_forms``) are read off the same table: each
-string is labeled once, and the sorted triangles are kept with it.
+needs it.  All forms (``connected_class_forms``) are read off the same
+table: each string is labeled once, and the sorted triangles are kept
+with it.  A bucket is the classes of one order that share a χ, an α or
+a pendant count, or all of them; its record (``_build_records``) holds
+their count, their max ABS and the classes within TIE_TOLERANCE of it.
+A verdict reads one record and labels only its candidates
+(``max_abs_under``).  The top order of a sweep is reduced to records
+inside the shares, and its table is never built.
 
-Only the table builders, ``connected_class_forms`` and ``class_table``,
-take a worker count: the jobs of the requested order are dealt into
-shares, one per worker up to the usable cores, and so are the labelings
-of its forms read (``_map``).  This process computes the first share and
-forks a child for each other one, which sends its results back through
-a pipe; a job's exception in a child is raised here, and no child
-outlives the call.  Every lower order is built in this process, and the
-CLI makes one call per sweep.  Each job returns five columns (form, χ,
-α, pendants, ABS); they are concatenated in job order, so the rows, and
-the reports, are identical for any worker count.
+Only ``connected_class_forms`` and ``class_table`` take a worker count:
+the jobs of the requested order, each the row index of its parent one
+order down, are dealt into shares, one per worker up to the usable
+cores, and so are the labelings of its forms read (``_in_shares``).
+This process computes the first share and forks a child for each other
+one, which inherits the parent table and sends its share's result back
+through a pipe: its jobs' columns, or one record set.  A job's exception
+in a child is raised here, and no child outlives the call.  Every lower
+order is built in this process.  Columns are concatenated in job order
+and records merge in any order to the same values, so the reports are
+identical for any worker count.
 """
 
 from __future__ import annotations
@@ -67,7 +71,7 @@ import functools
 import math
 import os
 from array import array
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from typing import NoReturn
 
@@ -88,6 +92,7 @@ TIE_TOLERANCE = 1e-9
 CONSTRAINT_KINDS = ("chromatic", "independence", "pendants", "none")
 
 _table_cache: dict[int, ClassTable] = {}
+_record_cache: dict[int, dict] = {}  # order: records (``_build_records``)
 
 
 # -- forked shares ----------------------------------------------------
@@ -100,37 +105,36 @@ def _usable_cores() -> int:
     return os.cpu_count() or 1
 
 
-def _map(fn, jobs: Sequence, workers: int) -> Iterable:
-    """``fn(job)`` for each job, in job order.
+def _in_shares(fn, jobs: Sequence, workers: int) -> list:
+    """``fn(share)`` for each share of the jobs, in share order.
 
     With ``size = min(workers, usable cores)``, if that is more than one
     and no more than the jobs, so that no share is empty, the jobs are
     dealt into ``size`` shares, share k taking jobs k, k + size, k + 2 *
-    size and so on, which spreads the costly jobs evenly; ``_shares``
-    computes them, and the results are put back in job order.  Otherwise
-    the jobs run in this process, one at a time as they are read.
+    size and so on, which spreads the costly jobs evenly, and ``_shares``
+    computes them; job i is item i // size of share i % size.  Otherwise
+    all the jobs are one share, computed in this process.
     """
     size = min(workers, _usable_cores())
     if not 1 < size <= len(jobs):
-        return map(fn, jobs)
-    results = _shares(fn, [jobs[k::size] for k in range(size)])
-    return (results[i % size][i // size] for i in range(len(jobs)))
+        return [fn(jobs)]
+    return _shares(fn, [jobs[k::size] for k in range(size)])
 
 
-def _shares(fn, shares: list[Sequence]) -> list[list]:
-    """``[fn(job) for job in share]`` for each share: the first in this
-    process, each other in a forked child that pickles its results back
-    through a pipe.
+def _shares(fn, shares: list[Sequence]) -> list:
+    """``fn(share)`` for each share: the first in this process, each
+    other in a forked child that pickles its result back through a pipe.
 
     A fork takes about 0.4 ms in a process holding the order-8 table (an
     Intel Xeon host, Python 3.11.7), the child inherits the class tables
-    it reads, and the search runs no threads for a fork to break.  A job that raises in a child raises its exception here, with
-    its type and message; a child that exits without sending its results
-    raises RuntimeError, naming its exit status or signal.  However this
-    returns or raises, an exception or interrupt in this process's own
-    share included, every child still running is killed, and every child
-    is reaped.  ``pickle`` and ``signal`` are imported here, so importing
-    the library loads neither.
+    it reads, and the search runs no threads for a fork to break.  An
+    exception that ``fn`` raises in a child is raised here, with its type
+    and message; a child that exits without sending its result raises
+    RuntimeError, naming its exit status or signal.  However this returns
+    or raises, an exception or interrupt in this process's own share
+    included, every child still running is killed, and every child is
+    reaped.  ``pickle`` and ``signal`` are imported here, so importing the
+    library loads neither.
     """
     import pickle
     import signal
@@ -149,7 +153,7 @@ def _shares(fn, shares: list[Sequence]) -> list[list]:
             finally:
                 os.close(write)
             running[pid] = read
-        results = [[fn(job) for job in shares[0]]]
+        results = [fn(shares[0])]
         for k, (pid, read) in enumerate(list(running.items()), 1):
             data = b"".join(iter(functools.partial(os.read, read, 1 << 16), b""))
             status = os.waitpid(pid, 0)[1]
@@ -172,16 +176,16 @@ def _shares(fn, shares: list[Sequence]) -> list[list]:
 
 
 def _send_share(fn, share: Sequence, fd: int) -> NoReturn:
-    """In a forked child: pickle ``(True, results)`` of ``fn`` over
-    ``share``, or ``(False, exception)`` for the first job that raises,
-    to ``fd``, and exit through ``os._exit``, so that no atexit handler
-    runs and no buffer inherited from the parent is flushed twice."""
+    """In a forked child: pickle ``(True, fn(share))``, or ``(False,
+    exception)`` if ``fn`` raises, to ``fd``, and exit through
+    ``os._exit``, so that no atexit handler runs and no buffer inherited
+    from the parent is flushed twice."""
     import pickle
 
     status = 1
     try:
         try:
-            payload = pickle.dumps((True, [fn(job) for job in share]))
+            payload = pickle.dumps((True, fn(share)))
         except Exception as exc:
             try:
                 payload = pickle.dumps((False, exc))
@@ -600,7 +604,7 @@ def _masks_sized(width: int, sizes: range) -> bytes:
 
 
 def connected_class_forms(
-    n: int, workers: int = 1, *, lazy: bool = False
+    n: int, workers: int = 1, *, build: str = "forms"
 ) -> tuple[bytes, ...] | None:
     """Sorted canonical forms of all connected isomorphism classes.
 
@@ -608,39 +612,57 @@ def connected_class_forms(
     is never rebuilt.  Each row of the table of order n - 1, cached or
     built first, is one job (``_augment_parent``).  The jobs of order n
     are dealt into at most ``workers`` shares, all but one computed in
-    forked children (``_map``); lower orders are built in this process.
-    The jobs' outputs are disjoint, so their five columns are
+    forked children (``_jobs_in_shares``); lower orders are built in this
+    process.  The jobs' outputs are disjoint, so their five columns are
     concatenated in job order.  If a job fails, its exception is raised
-    and no table is cached.  The forms are read off the table: each pair
-    string is labeled once (``_minimal_triangle``), in as many shares,
-    and the sorted triangles are kept with the table.  An
-    order outside 1..MAX_SEARCH_ORDER raises ValueError before any order
-    is built.
+    and nothing is cached.  The forms are read off the table: each pair
+    string is labeled once, in as many shares, and the sorted triangles
+    are kept with the table.  An order outside 1..MAX_SEARCH_ORDER, or an
+    unknown ``build``, raises ValueError before any order is built.
 
-    ``lazy`` builds or finds the table and returns None: the route of
-    ``class_table``.  The benchmark's tracer names this function's spans
-    ``search.enumerate[n]``, and ``perfbench/run.py`` ``sweep_traced``
-    reads the build's time from ``outer[0]`` of the ``search.enumerate[8]``
-    spans of a traced sweep; a span of ``class_table``'s own would let
-    the keyword go.
+    ``build`` names what to build or find: the forms (``"forms"``), or,
+    returning None, the table only (``"table"``, for ``class_table``) or
+    the records of order n only (``"records"``, ``_build_records``).  The
+    benchmark's tracer names this function's spans ``search.enumerate[n]``,
+    and ``perfbench/run.py`` ``sweep_traced`` reads the build's time from
+    ``outer[0]`` of the ``search.enumerate[8]`` spans of a traced sweep.
     """
     if not 1 <= n <= MAX_SEARCH_ORDER:
         raise ValueError(f"order {n} outside the supported range 1..{MAX_SEARCH_ORDER}")
+    if build not in ("forms", "table", "records"):
+        raise ValueError(f"unknown build {build!r}; expected 'forms', 'table' or 'records'")
+    if build == "records":
+        _record_cache[n] = _record_cache.get(n) or _build_records(n, workers)
+        return None
     table = _table_cache.get(n)
     if table is None:
         table = _table_cache[n] = _build_table(n, workers)
-    if lazy:
+    if build == "table":
         return None
     if table.triangles is None:
-        labeled = _map(functools.partial(_minimal_triangle, n), table.forms, workers)
+        shares = _in_shares(functools.partial(_minimal_triangles, n), table.forms, workers)
         # one order's triangles have one length, so the ints sort as the forms
-        table = _table_cache[n] = replace(table, triangles=array("Q", sorted(labeled)))
+        labeled = array("Q", sorted(tri for share in shares for tri in share))
+        table = _table_cache[n] = replace(table, triangles=labeled)
     return tuple(form_from_triangle(n, tri) for tri in table.triangles)
 
 
-def _minimal_triangle(n: int, pairs: int) -> int:
-    """The minimal triangle of the class that ``pairs`` packs on n vertices."""
-    return canonical_labeling(from_packed_pairs(n, pairs))[0]
+def _minimal_triangles(n: int, forms: Sequence[int]) -> list[int]:
+    """The sorted minimal triangles of the classes that ``forms`` pack on n vertices."""
+    return sorted(canonical_labeling(from_packed_pairs(n, pairs))[0] for pairs in forms)
+
+
+def _jobs_in_shares(n: int, workers: int, reduce) -> list:
+    """``reduce`` of the columns of each job of a share, for each share of
+    order n's jobs (``_in_shares``).  Job i extends row i of the table of
+    order n - 1, which a forked share inherits, so no job is sent."""
+    t = class_table(n - 1)
+
+    def share(jobs: range):
+        rows = ((n - 1, t.forms[i], t.chromatic[i], t.independence[i]) for i in jobs)
+        return reduce(map(_augment_parent, rows))
+
+    return _in_shares(share, range(len(t.forms)), workers)
 
 
 def _build_table(n: int, workers: int) -> ClassTable:
@@ -648,15 +670,58 @@ def _build_table(n: int, workers: int) -> ClassTable:
     if n == 1:  # K1: χ = α = 1, no pendants, no edges
         parts = [([0], [1], [1], [0], [0.0])]
     else:
-        parents = class_table(n - 1)
-        rows = zip(parents.forms, parents.chromatic, parents.independence)
-        jobs = [(n - 1, *row) for row in rows]
-        parts = _map(_augment_parent, jobs, workers)
+        shares = _jobs_in_shares(n, workers, list)
+        size = len(shares)
+        parts = (shares[i % size][i // size] for i in range(sum(map(len, shares))))
     columns = _new_columns()
     for part in parts:
         for column, piece in zip(columns, part):
             column.extend(piece)
     return ClassTable(*columns)
+
+
+def _build_records(n: int, workers: int) -> dict:
+    """The records of order n: for each bucket (kind, value) that holds a
+    class, and for ("none", None), ``[class count, max ABS, candidates]``,
+    the candidates being the (ABS, path string) pairs of its classes
+    within TIE_TOLERANCE of the max.  A cached table (or order 1's) is
+    folded; otherwise each share folds its jobs' columns and sends only
+    its records, and the shares' records are merged."""
+    if n in _table_cache or n == 1:
+        t = class_table(n)
+        return _fold({}, (t.forms, t.chromatic, t.independence, t.pendants, t.abs_value))
+    shares = _jobs_in_shares(n, workers, lambda parts: functools.reduce(_fold, parts, {}))
+    for records in shares[1:]:
+        for key, record in records.items():
+            _tally(shares[0], key, *record)
+    return shares[0]
+
+
+def _fold(records: dict, columns: Sequence[Sequence]) -> dict:
+    """``records`` with each row of the five ``ClassTable`` columns tallied
+    into its three buckets and ("none", None)."""
+    forms, *buckets, values = columns
+    for kind, column in zip(CONSTRAINT_KINDS, (*buckets, (None,) * len(forms))):
+        for k, v, form in zip(column, values, forms):
+            record = records.get((kind, k))
+            if record and record[1] - v > TIE_TOLERANCE:  # as _tally, without a call
+                record[0] += 1
+            else:
+                _tally(records, (kind, k), 1, v, [(v, form)])
+    return records
+
+
+def _tally(records: dict, key: tuple, count: int, best: float, tied: list) -> None:
+    """Add ``count`` classes with max ABS ``best`` and candidates ``tied``
+    to the record of ``key``, keeping the candidates of both within
+    TIE_TOLERANCE of the larger max.  The max only grows and rounded
+    subtraction is monotone, so a candidate dropped here is dropped by
+    every later max too: any merge order keeps what a scan would."""
+    record = records.setdefault(key, [0, best, []])
+    record[0] += count
+    top = record[1] = max(record[1], best)
+    if top - best <= TIE_TOLERANCE:
+        record[2] = [c for c in record[2] + tied if top - c[0] <= TIE_TOLERANCE]
 
 
 def enumerate_connected(n: int) -> list[Graph]:
@@ -719,42 +784,41 @@ class ClassTable:
 
 
 def class_table(n: int, workers: int = 1) -> ClassTable:
-    """The cached invariant table of order n, for verdicts.
+    """The cached invariant table of order n, for parents and for the
+    checks that read every class; a verdict reads records instead
+    (``max_abs_under``).
 
     A cached table is returned as it is.  Otherwise it is built
-    (``connected_class_forms(n, lazy=True)``): each row is computed in
-    the augmentation job that finds its class, from that job's parent
+    (``connected_class_forms(n, build="table")``): each row is computed
+    in the augmentation job that finds its class, from that job's parent
     (``_augment_parent``), and only the children whose acceptance needs
     a labeling get one.  Order n's jobs are dealt into at most
-    ``workers`` shares, each but one in a forked child (``_map``); the
-    lower orders it needs are built in this process.
+    ``workers`` shares, each but one in a forked child (``_in_shares``);
+    the lower orders it needs are built in this process.
     """
-    connected_class_forms(n, workers, lazy=True)
+    connected_class_forms(n, workers, build="table")
     return _table_cache[n]
 
 
 def max_abs_under(constraint: Constraint) -> SearchReport:
     """Exact maximum of the ABS index over the constrained classes.
 
-    Scans ``class_table(order)``, built serially unless cached.  All
-    graphs within TIE_TOLERANCE of the maximum are collected, so a
-    false uniqueness claim would surface as multiple maximizers; they
-    are labeled and reported by canonical form, in ascending order.
+    Reads the record of the constraint's bucket; the records of its order
+    are cached, folded from a cached table, or else reduced from the
+    order's jobs in this process, and then no table of that order is
+    stored (``connected_class_forms(n, build="records")``).  A record
+    keeps all classes within TIE_TOLERANCE of the maximum, so a false
+    uniqueness claim would surface as multiple maximizers; only they are
+    labeled, and they are reported by canonical form, in ascending order.
     """
     n = constraint.order
-    table = class_table(n)
-    if constraint.kind == "none":
-        selected = range(len(table.forms))
-    else:
-        column = getattr(table, constraint.kind)
-        selected = [i for i, v in enumerate(column) if v == constraint.value]
-    values = table.abs_value
-    best = max((values[i] for i in selected), default=None)
-    tied = [table.forms[i] for i in selected if best - values[i] <= TIE_TOLERANCE]
-    winners = sorted(_minimal_triangle(n, pairs) for pairs in tied)
+    connected_class_forms(n, build="records")
+    key = (constraint.kind, None if constraint.kind == "none" else constraint.value)
+    count, best, tied = _record_cache[n].get(key, (0, None, ()))
+    winners = _minimal_triangles(n, [pairs for _, pairs in tied])
     return SearchReport(
         constraint=constraint,
-        graph_count=len(selected),
+        graph_count=count,
         max_value=best,
         maximizer_forms=tuple(form_from_triangle(n, tri) for tri in winners),
         maximizer_graph6=tuple(encode_graph6(from_packed_pairs(n, tri)) for tri in winners),
@@ -765,7 +829,7 @@ def max_abs_under(constraint: Constraint) -> SearchReport:
 def verify_theorem(theorem: str, n: int, k: int) -> SearchReport:
     """Exhaustively test one extremal characterization at one (n, k).
 
-    Scans ``class_table(n)`` through ``max_abs_under``.  Where the
+    Reads the records of order n through ``max_abs_under``.  Where the
     claimed maximizer does not exist there is no claim: the report says
     ``construction_match=False`` and ``in_hypothesis=False``.
     """

@@ -1,5 +1,6 @@
 import contextlib
 import os
+import pickle
 import random
 import types
 
@@ -29,19 +30,24 @@ def gnp_graphs():
 
 @contextlib.contextmanager
 def _emptied_class_cache():
-    """An empty class cache inside the block; the warm one comes back after."""
-    saved = dict(search._table_cache)
-    search._table_cache.clear()
+    """Empty class caches, the tables' and the records', inside the block;
+    the warm ones come back after."""
+    caches = (search._table_cache, search._record_cache)
+    saved = [dict(cache) for cache in caches]
+    for cache in caches:
+        cache.clear()
     try:
         yield
     finally:
-        search._table_cache.clear()
-        search._table_cache.update(saved)
+        for cache, warm in zip(caches, saved):
+            cache.clear()
+            cache.update(warm)
 
 
 @pytest.fixture
 def cold_caches():
-    """An empty class cache for one test; the warm one comes back after."""
+    """Empty class caches, the tables' and the records', for one test; the
+    warm ones come back after."""
     with _emptied_class_cache():
         yield
 
@@ -67,24 +73,26 @@ def order_9(slow):
 
 @pytest.fixture
 def shares(monkeypatch):
-    """Records how ``search._map`` deals jobs into shares (``search._shares``).
+    """Records how ``search._in_shares`` deals jobs into shares
+    (``search._shares``), whose function takes a whole share.
 
     Yields a function that sets the number of usable cores; the returned
-    namespace lists each split's number of shares and number of jobs.
-    The shares are forked as usual, or with ``fork=False`` computed in
-    this process, so that a test may ask for more shares than it should
-    start processes.
+    namespace lists each split's number of shares and number of jobs,
+    and ``sent``, the bytes that each share but the first pickles, as a
+    forked child sends its result.  The shares are forked as usual, or
+    with ``fork=False`` computed in this process, so that a test may ask
+    for more shares than it should start processes.
     """
-    seen = types.SimpleNamespace(sizes=[], batches=[])
+    seen = types.SimpleNamespace(sizes=[], batches=[], sent=[])
     forked = search._shares
 
     def with_cores(cores, fork=True):
         def recorded(fn, parts):
             seen.sizes.append(len(parts))
             seen.batches.append(sum(map(len, parts)))
-            if fork:
-                return forked(fn, parts)
-            return [[fn(job) for job in part] for part in parts]
+            results = forked(fn, parts) if fork else [fn(part) for part in parts]
+            seen.sent += [len(pickle.dumps((True, result))) for result in results[1:]]
+            return results
 
         monkeypatch.setattr(search, "_shares", recorded)
         cpus = set(range(cores))

@@ -239,12 +239,36 @@ class TestVerify:
         assert out == committed.read_text()
 
     def test_order_9_sweep_from_cold_caches(self, capsys, slow, cold_caches):
-        # as a first run builds it: the table of every order, order 9's in
-        # two shares, with only the children still tied labeled
+        # as a first run builds it: the table of every order below 9, and
+        # order 9's records in two shares, with only the children still
+        # tied labeled; no order-9 table is built
         code, out, _ = run(capsys, "verify", "--n", "9", "--workers", "2")
         assert code == 0
         committed = Path(__file__).parent.parent / "results" / "verify_n9.csv"
         assert out == committed.read_text()
+        assert 9 not in search._table_cache
+        assert 8 in search._table_cache
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="maxrss in kB")
+    def test_order_9_sweep_peak_rss(self, slow):
+        # a fresh `verify --n 9 --workers 2`, started by a process of its
+        # own so that RUSAGE_CHILDREN holds only its peak and its share's:
+        # 41.6 MB when the order-9 table was stored, about 18.4 MB with
+        # records (2 shared cores, Python 3.11.7)
+        code = (
+            "import resource, subprocess, sys\n"
+            "argv = [sys.executable, '-m', 'absindex', 'verify', '--n', '9', '--workers', '2']\n"
+            "sys.stdout.write(subprocess.run(argv, stdout=subprocess.PIPE, text=True).stdout)\n"
+            "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss, file=sys.stderr)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"))
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            env=env, capture_output=True, text=True, timeout=300, check=True,
+        )
+        committed = Path(__file__).parent.parent / "results" / "verify_n9.csv"
+        assert done.stdout == committed.read_text()
+        assert int(done.stderr) < 28 * 1024
 
 
 class TestAudit:
@@ -372,8 +396,10 @@ class TestDeterminism:
         code, shared, _ = run(capsys, "verify", "--n", "5..7", "--workers", "2")
         assert code == 0
         assert seen.sizes == [2]
-        assert seen.batches == [112]  # order 7; orders 1..6 in this process
+        assert seen.batches == [112]  # order 7's records; orders 1..6 in this process
+        assert sorted(search._table_cache) == [1, 2, 3, 4, 5, 6]
         search._table_cache.clear()
+        search._record_cache.clear()
         _, serial, _ = run(capsys, "verify", "--n", "5..7", "--workers", "1")
         assert seen.sizes == [2]
         assert shared == serial
@@ -382,9 +408,10 @@ class TestDeterminism:
         self, capsys, cold_caches, shares, monkeypatch
     ):
         # the benchmark's tracer times the build by the spans of
-        # connected_class_forms, perfbench/run.py's sweep_traced by
-        # outer[0] of the search.enumerate[8] spans of a traced sweep, so
-        # verify builds its top order through that function first
+        # connected_class_forms, wherever the name is bound, and
+        # perfbench/run.py's sweep_traced by outer[0] of the
+        # search.enumerate[8] spans of a traced sweep, so verify builds
+        # its top order's records through that function first
         shares(cores=2)
         calls = []
         forms, verify = search.connected_class_forms, cli.verify_theorem
@@ -397,13 +424,28 @@ class TestDeterminism:
             calls.append(("verify", args))
             return verify(*args)
 
-        monkeypatch.setattr(search, "connected_class_forms", recorded_forms)
+        for module in (search, cli):
+            monkeypatch.setattr(module, "connected_class_forms", recorded_forms)
         monkeypatch.setattr(cli, "verify_theorem", recorded_verify)
         code, _, _ = run(capsys, "verify", "--n", "5..6", "--workers", "2")
         assert code == 0
-        route = ("forms", (6, 2), {"lazy": True})
+        route = ("forms", (6, 2), {"build": "records"})
         assert calls.count(route) == 1
         assert calls.index(route) < next(i for i, c in enumerate(calls) if c[0] == "verify")
+        assert 6 not in search._table_cache
+
+    def test_the_top_order_is_sent_as_records(self, capsys, cold_caches, shares):
+        # a cold order-8 sweep in two shares: the forked share pickles its
+        # records, not its jobs' columns (140,449 bytes), and no order-8
+        # table is built
+        seen = shares(cores=2)
+        code, out, _ = run(capsys, "verify", "--n", "8", "--workers", "2")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == N8_STDOUT_SHA256
+        assert (seen.sizes, seen.batches) == ([2], [853])
+        assert len(seen.sent) == 1 and seen.sent[0] < 4096
+        assert 8 not in search._table_cache
+        assert 7 in search._table_cache
 
     def test_workers_env_override(self, capsys, cold_caches, shares, monkeypatch):
         # ABSINDEX_WORKERS no longer overrides the default of one worker:
@@ -487,6 +529,7 @@ class TestUsage:
         assert code == 0
         assert seen.sizes == [2]
         search._table_cache.clear()
+        search._record_cache.clear()
         _, one, _ = run(capsys, "verify", "--n", "6..6", "--workers", "1")
         assert many == one
 
@@ -612,6 +655,26 @@ class TestClosedStreams:
         assert code == 2
         assert err == f"{argv[0]}: cannot write stdout: Bad file descriptor\n"
 
+    @pytest.mark.parametrize(
+        "argv", [("compute", "Bw"), ("verify", "--n", "7"), ("lemmas", "--n", "4")]
+    )
+    def test_read_only_stdout_is_found_before_the_work(
+        self, argv, capsys, cold_caches, monkeypatch
+    ):
+        # fd 1 open for reading only: a zero-byte write fails with EBADF
+        with open(os.devnull) as read_only:
+            code, err = run_process(argv, read_only)
+        assert code == 2
+        assert err == f"{argv[0]}: cannot write stdout: Bad file descriptor\n"
+        # the same in this process, where no table is built
+        monkeypatch.setattr(search, "_augment_parent", lambda row: pytest.fail("table built"))
+        with open(os.devnull) as read_only:
+            monkeypatch.setattr(sys, "stdout", read_only)
+            assert main(list(argv)) == 2
+            monkeypatch.undo()
+        assert capsys.readouterr().err == err
+        assert search._table_cache == {} == search._record_cache
+
     def test_closed_stdin(self):
         code, err = run_process(
             ("compute",), subprocess.DEVNULL, preexec_fn=lambda: os.close(0)
@@ -627,7 +690,7 @@ class TestClosedStreams:
         assert err == "compute: cannot read stdin: Bad file descriptor\n"
 
     def test_closed_stdout_is_found_before_the_work(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "class_table", lambda *a: pytest.fail("table built"))
+        monkeypatch.setattr(cli, "connected_class_forms", lambda *a, **k: pytest.fail("built"))
         monkeypatch.setattr(sys, "stdout", None)
         assert main(["verify", "--n", "7"]) == 2
         monkeypatch.undo()

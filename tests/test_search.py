@@ -489,6 +489,7 @@ class TestClassTable:
         assert all(search._table_cache[n].triangles is None for n in range(1, 9))
         rows_only = [max_abs_under(c) for c in constraints]
         search._table_cache.clear()
+        search._record_cache.clear()
         for n in range(1, 9):
             connected_class_forms(n)
         assert all(search._table_cache[n].triangles is not None for n in range(1, 9))
@@ -539,7 +540,65 @@ class TestClassTable:
                     ValueError, match=rf"^order {n} outside the supported range 1\.\.9$"
                 ):
                     search_at(n)
-        assert search._table_cache == {}
+        assert search._table_cache == {} == search._record_cache
+
+
+def scanned_records(n):
+    """The records of order n by a scan of ``class_table(n)``: for each
+    bucket (kind, value) and ("none", None), its class count, its max ABS
+    and the sorted path strings of its classes within TIE_TOLERANCE of it."""
+    table = class_table(n)
+    buckets = {}
+    for form, chi, alpha, pend, value in zip(
+        table.forms, table.chromatic, table.independence, table.pendants, table.abs_value
+    ):
+        for key in (("chromatic", chi), ("independence", alpha), ("pendants", pend), ("none", None)):
+            buckets.setdefault(key, []).append((value, form))
+    records = {}
+    for key, members in buckets.items():
+        best = max(value for value, _ in members)
+        tied = sorted(form for value, form in members if best - value <= search.TIE_TOLERANCE)
+        records[key] = (len(members), best, tied)
+    return records
+
+
+def sorted_records(records):
+    """``records`` with each record's candidates as sorted path strings."""
+    return {
+        key: (count, best, sorted(form for _, form in tied))
+        for key, (count, best, tied) in records.items()
+    }
+
+
+class TestRecords:
+    @pytest.mark.parametrize(
+        "workers, fork, shared", [(1, True, []), (2, True, [2] * 5), (64, False, [64] * 2)]
+    )
+    def test_records_equal_a_scan_of_the_table(
+        self, cold_caches, shares, workers, fork, shared
+    ):
+        # each order's records reduced from its jobs, in shares, before its
+        # table is built, and then folded from that table
+        seen = shares(cores=workers, fork=fork)
+        for n in range(1, 9):
+            connected_class_forms(n, workers, build="records")
+            assert (n in search._table_cache) == (n == 1)
+            reduced = sorted_records(search._record_cache.pop(n))
+            assert reduced == scanned_records(n)
+            connected_class_forms(n, workers, build="records")
+            assert sorted_records(search._record_cache[n]) == reduced
+        # orders 4..8 have two parents or more, orders 7 and 8 at least 64
+        assert seen.sizes == shared
+
+    def test_unknown_build_builds_nothing(self, cold_caches):
+        with pytest.raises(ValueError, match="^unknown build 'record'; expected"):
+            connected_class_forms(5, build="record")
+        assert search._table_cache == {} == search._record_cache
+
+    def test_a_max_abs_under_keeps_no_table_of_its_order(self, cold_caches):
+        report = max_abs_under(Constraint(8, "chromatic", 3))
+        assert sorted(search._table_cache) == list(range(1, 8))
+        assert report.graph_count == scanned_records(8)[("chromatic", 3)][0]
 
 
 def _subset_image(mask, perm):
@@ -839,7 +898,7 @@ class Unpicklable(Exception):
 
 
 class TestWorkerPool:
-    """``search._map``: shares of jobs, all but the first in forked children."""
+    """``search._in_shares``: shares of jobs, all but the first in forked children."""
 
     def test_clamped_to_usable_cores(self, cold_caches, shares):
         seen = shares(cores=3)
@@ -909,6 +968,7 @@ class TestWorkerPool:
         shares(cores=2)
         shared = class_table(7, workers=2)
         search._table_cache.clear()
+        search._record_cache.clear()
         assert class_table(7) == shared
 
     def test_tables_equal_for_1_2_and_64_workers(self, cold_caches, shares):
@@ -916,6 +976,7 @@ class TestWorkerPool:
         tables = []
         for workers in (1, 2, 64):
             search._table_cache.clear()
+            search._record_cache.clear()
             forms = connected_class_forms(7, workers)
             tables.append((search._table_cache[7], search._table_cache[7].triangles, forms))
             assert_no_children()
