@@ -395,11 +395,13 @@ def _cmd_lemmas(args, out) -> int:
 
 def _theorem_list(text: str) -> list[str]:
     items = [t.strip() for t in text.split(",") if t.strip()]
-    for t in items:
+    for i, t in enumerate(items):
         if t not in THEOREMS:
             raise argparse.ArgumentTypeError(
                 f"unknown theorem {t!r}; choose from {','.join(THEOREMS)}"
             )
+        if t in items[:i]:
+            raise argparse.ArgumentTypeError(f"theorem {t!r} given twice")
     if not items:
         raise argparse.ArgumentTypeError("empty theorem list")
     return items

@@ -22,11 +22,16 @@ refines and searches once, and the search also gives generators of the
 automorphism group: twin swaps and a map from the first minimal order
 to each later one (McKay and Piperno, "Practical graph isomorphism, II",
 2014).
+
+The chi backtracking (``_colorable``) is the one colouring search:
+``chromatic_number`` stops it at the first colouring, and
+``colour_classes`` walks it over every chi-colouring to list their
+classes, from which the enumeration answers each child's chi.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 from .graphs import Graph, GraphError, from_packed_pairs, packed_pairs
@@ -69,23 +74,35 @@ def chromatic_number(g: Graph) -> int:
     lower = _greedy_clique_size(rows, order)
     upper = _greedy_coloring_size(rows, order)
     for k in range(lower, upper):
-        if _colorable(rows, order, k):
+        if _colorable(rows, order, k, _first):
             return k
     return upper
 
 
-def is_colorable(g: Graph, k: int) -> bool:
-    """Whether g has a proper k-coloring (exact), for k >= 1.
+def _first(classes: list[int]) -> bool:
+    """Stops ``_colorable`` at the first colouring it finds."""
+    return True
 
-    The decision ``chromatic_number`` makes for each k, in the same vertex
-    order, after the same greedy clique bound.
+
+def colour_classes(rows: Sequence[int], k: int) -> list[int]:
+    """Every vertex set that is a colour class of some proper k-colouring
+    of the graph on ``rows``, ascending, where k is its chromatic number,
+    so that every colouring uses all k colours and no class is empty.
+
+    ``chromatic_number``'s search, in its vertex order, walked to the end:
+    it meets each partition into k colour classes once.
     """
-    rows = g.rows
-    order = _by_degree(rows)
-    return _greedy_clique_size(rows, order) <= k and _colorable(rows, order, k)
+    found: set[int] = set()
+
+    def collect(classes: list[int]) -> bool:
+        found.update(classes)
+        return False
+
+    _colorable(rows, _by_degree(rows), k, collect)
+    return sorted(found)
 
 
-def _by_degree(rows: tuple[int, ...]) -> list[int]:
+def _by_degree(rows: Sequence[int]) -> list[int]:
     """The vertices by descending degree, lowest index first among ties."""
     degs = [row.bit_count() for row in rows]
     return sorted(range(len(rows)), key=degs.__getitem__, reverse=True)
@@ -113,13 +130,18 @@ def _greedy_coloring_size(rows: tuple[int, ...], order: list[int]) -> int:
     return len(classes)
 
 
-def _colorable(rows: tuple[int, ...], order: list[int], k: int) -> bool:
+def _colorable(
+    rows: Sequence[int], order: list[int], k: int, stop: Callable[[list[int]], bool]
+) -> bool:
+    """Whether ``stop(classes)`` holds for some proper k-colouring, held as
+    its k class bitmasks; the vertices take colours in ``order``, and
+    ``stop`` is called at each colouring in turn until it holds."""
     n = len(order)
     classes = [0] * k
 
     def assign(idx: int, used: int) -> bool:
         if idx == n:
-            return True
+            return stop(classes)
         v = order[idx]
         row = rows[v]
         bit = 1 << v

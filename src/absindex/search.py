@@ -37,8 +37,10 @@ only the rest are built as graphs and labeled.  The row of an accepted
 child follows from the parent too: χ from whether a colour class misses
 the new vertex's neighbours, α from one bounded independent-set search
 outside them, the pendant count from the parent's degrees, and ABS as
-the fsum of the child's edge weights, read off the parent's edges.
-``_augment_parent`` has the argument for each rule.
+the fsum of the child's edge weights, read off the parent's edges.  The
+colour classes come from the library's one colouring search, the one
+that computes χ (``invariants.colour_classes``).  ``_augment_parent``
+has the argument for each rule.
 
 Each order has one table, built once and cached (``class_table``), with
 each class under its path string: its parent's row one column up, then
@@ -81,6 +83,7 @@ from .index import _WEIGHT_BY_EDGE_DEGREE, edge_weight, gain_contrast, shift_gai
 from .invariants import (
     canonical_form,
     canonical_labeling,
+    colour_classes,
     form_from_triangle,
     graph_from_canonical_form,
     independence_within,
@@ -262,7 +265,7 @@ class _Parent:
         self.packed = _subset_sums([_DEGREE_WEIGHT[k] for k in degrees])
         self.chromatic = chromatic
         self.independence = independence
-        self.colour_classes = _colour_classes(rows, chromatic)
+        self.colour_classes = colour_classes(rows, chromatic)
         # each edge as the mask of its ends and its edge degree
         self.edges = [
             (1 << u | 1 << v, degrees[u] + degrees[v] - 2) for u, v in self.graph.edges()
@@ -389,30 +392,6 @@ def _accepted_by_labeling(rows: list[int], tied: list[int]) -> bool:
     return last == new or bool(_orbit(generators, new) >> last & 1)
 
 
-def _colour_classes(rows: Sequence[int], k: int) -> list[int]:
-    """Every vertex set that is a colour class of some proper k-colouring
-    of the graph on ``rows``, ascending, where k is its chromatic number,
-    so that every colouring uses all k colours and no class is empty."""
-    n = len(rows)
-    classes = [0] * k
-    found = set()
-
-    def assign(v: int, used: int) -> None:
-        if v == n:
-            found.update(classes)
-            return
-        row, bit = rows[v], 1 << v
-        # colours are interchangeable: of the unused ones, only the first
-        for c in range(min(k, used + 1)):
-            if not classes[c] & row:
-                classes[c] |= bit
-                assign(v + 1, used + (c == used))
-                classes[c] ^= bit
-
-    assign(0, 0)
-    return sorted(found)
-
-
 def _subset_sums(values: list[int]) -> list[int]:
     """``sums[mask]``: the sum of ``values[v]`` over the vertices v in mask."""
     sums = [0]
@@ -519,7 +498,8 @@ def _augment_parent(
       that misses N: the new vertex joins that class, and a χ(P)-colouring
       of C restricts to one of P whose new vertex's class, less the new
       vertex, misses N.  The classes of all χ(P)-colourings of P are
-      listed once (``_colour_classes``).
+      listed once, by the search that computes χ walked over every
+      χ(P)-colouring (``invariants.colour_classes``).
     - α.  An independent set of C without the new vertex lies in P; one
       with it is the new vertex plus an independent set of P - N.  So
       α(C) = max(α(P), 1 + α(P - N)), and as α(P - N) <= α(P) the

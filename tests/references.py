@@ -2,12 +2,14 @@
 checks that ``Graph(order, rows)`` runs on the caller's rows, the graph6
 encoder as it was before it wrote the packed pair string, the
 augmentation's max-key test as it was before it was answered from the
-parent, the canonical labeling search as it was before it packed the
-columns, the automorphism generators as they were before the canonical
-labeling search found them, the labeled sweep that the augmentation
-replaced, the edge-addition check as it was before its margins came from
-degrees, the theorem verifier as it was before it read the claim table,
-and the printed bounds as they were before each term was written once.
+parent, the augmentation's colour classes as they were before they came
+from the chromatic number's search, the canonical labeling search as it
+was before it packed the columns, the automorphism generators as they
+were before the canonical labeling search found them, the labeled sweep
+that the augmentation replaced, the edge-addition check as it was before
+its margins came from degrees, the theorem verifier as it was before it
+read the claim table, and the printed bounds as they were before each
+term was written once.
 
 Each function here is the old body of the library function with the same
 name, kept unchanged as the reference the rewritten kernels must match
@@ -235,6 +237,30 @@ def _colorable(g, k):
         return False
 
     return assign(0, 0)
+
+
+def colour_classes(rows: Sequence[int], k: int) -> list[int]:
+    """Every vertex set that is a colour class of some proper k-colouring
+    of the graph on ``rows``, ascending, where k is its chromatic number,
+    so that every colouring uses all k colours and no class is empty."""
+    n = len(rows)
+    classes = [0] * k
+    found = set()
+
+    def assign(v: int, used: int) -> None:
+        if v == n:
+            found.update(classes)
+            return
+        row, bit = rows[v], 1 << v
+        # colours are interchangeable: of the unused ones, only the first
+        for c in range(min(k, used + 1)):
+            if not classes[c] & row:
+                classes[c] |= bit
+                assign(v + 1, used + (c == used))
+                classes[c] ^= bit
+
+    assign(0, 0)
+    return sorted(found)
 
 
 def independence_number(g):

@@ -473,6 +473,19 @@ class TestUsage:
         assert (code, out) == (2, "")
         assert "bad order range 'five'" in err
 
+    def test_repeated_theorem(self, capsys, tmp_path):
+        # refused like an unknown id, before any row is built or written,
+        # instead of printing each of its rows twice
+        out = tmp_path / "t.csv"
+        code, stdout, err = run(
+            capsys, "verify", "--theorems", "T2,T3,T2", "--n", "4", "--out", str(out)
+        )
+        assert (code, stdout) == (2, "")
+        assert err.splitlines()[-1] == (
+            "absindex verify: error: argument --theorems: theorem 'T2' given twice"
+        )
+        assert not out.exists()
+
     def test_empty_theorem_list(self, capsys):
         code, out, err = run(capsys, "verify", "--theorems", ",")
         assert (code, out) == (2, "")

@@ -363,9 +363,10 @@ def _count_calls(codes, work, limit=None) -> tuple[int, ...]:
 
 
 def search_nodes(graphs) -> tuple[int, int, int]:
-    """Calls of α's ``expand``, χ's ``assign`` and the canonical labeling's
-    ``place`` (one per search node) while α, χ and the canonical labeling
-    of each graph are computed."""
+    """Calls of α's ``expand``, χ's ``assign`` (in ``_colorable``, the one
+    colouring search, which ``colour_classes`` shares) and the canonical
+    labeling's ``place`` (one per search node) while α, χ and the canonical
+    labeling of each graph are computed."""
 
     def work():
         for g in graphs:

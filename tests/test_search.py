@@ -799,9 +799,20 @@ class TestAcceptRule:
                 assert search._accepted_by_labeling(rows, finer)
         assert accepted > 0
 
+    def test_colour_classes_match_the_reference(self):
+        # the classes of every χ-colouring of every class of order <= 8,
+        # from χ's search in its vertex order, are the old search's
+        for n in range(1, 9):
+            for _, pairs, chromatic, _ in _table_rows(n):
+                rows = from_packed_pairs(n, pairs).rows
+                assert invariants.colour_classes(rows, chromatic) == (
+                    references.colour_classes(rows, chromatic)
+                )
+
     def test_parent_columns_match_the_kernels(self):
         # χ from the parent's colour classes, the pendant count and ABS of
-        # every child at n <= 7 are the direct kernels' on the built child
+        # every child at n <= 7 are the reference χ's and the direct
+        # kernels' on the built child
         for parent, nbrs, rows in every_child(7):
             assert columns_unlike_kernels(parent, nbrs, rows) is None
 
@@ -853,12 +864,14 @@ def every_child(max_order):
 
 def columns_unlike_kernels(parent, nbrs, rows):
     """None if the parent's χ(parent)-colourability, pendant count and ABS
-    of the child on ``nbrs`` equal the direct kernels on its ``rows``, ABS
-    bit for bit; else the parent's pair string, ``nbrs`` and both triples."""
+    of the child on ``nbrs`` equal the reference kernels on its ``rows``
+    (χ from ``references.chromatic_number``, which shares no code with the
+    library's colouring search), ABS bit for bit; else the parent's pair
+    string, ``nbrs`` and both triples."""
     child = Graph(len(rows), rows)
     ours = (parent.colourable(nbrs), parent.pendants(nbrs), parent.abs_value(nbrs).hex())
     direct = (
-        invariants.is_colorable(child, parent.chromatic),
+        references.chromatic_number(child) == parent.chromatic,
         pendant_count(child),
         abs_index(child).hex(),
     )
@@ -909,6 +922,17 @@ class TestWorkerPool:
         assert seen.batches == [21, 112]
         assert len(forms) == 112
         assert_no_children()
+
+    def test_cores_without_affinity(self, shares, monkeypatch):
+        # where os has no sched_getaffinity (macOS), the usable cores are
+        # os.cpu_count(), or one core where that is unknown
+        seen = shares(cores=1, fork=False)
+        monkeypatch.delattr(search.os, "sched_getaffinity")
+        for count, cores in ((3, 3), (None, 1)):
+            monkeypatch.setattr(search.os, "cpu_count", lambda: count)
+            assert search._usable_cores() == cores
+            assert len(search._in_shares(list, range(10), workers=4)) == cores
+        assert seen.sizes == [3]  # a single share is not dealt
 
     def test_no_pool_for_batches_below_its_size(self, cold_caches, shares):
         seen = shares(cores=64, fork=False)
