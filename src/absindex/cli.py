@@ -458,7 +458,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument(
         "--workers", type=int, default=1,
-        help="worker processes for the class tables (default 1)",
+        help="forked shares for the top order's records (default 1); "
+        "the lower orders' tables are built in the main process",
     )
     p.add_argument(
         "--enable-n8", action="store_true",

@@ -54,17 +54,16 @@ A verdict reads one record and labels only its candidates
 (``max_abs_under``).  The top order of a sweep is reduced to records
 inside the shares, and its table is never built.
 
-Only ``connected_class_forms`` and ``class_table`` take a worker count:
-the jobs of the requested order, each the row index of its parent one
-order down, are dealt into shares, one per worker up to the usable
-cores, and so are the labelings of its forms read (``_in_shares``).
-This process computes the first share and forks a child for each other
-one, which inherits the parent table and sends its share's result back
-through a pipe: its jobs' columns, or one record set.  A job's exception
-in a child is raised here, and no child outlives the call.  Every lower
-order is built in this process.  Columns are concatenated in job order
-and records merge in any order to the same values, so the reports are
-identical for any worker count.
+Only ``connected_class_forms`` takes a worker count, and only its
+records build forks (``_build_records``): the jobs of the requested
+order, each the row index of its parent one order down, are dealt into
+shares, one per worker up to the usable cores (``_in_shares``).  This
+process computes the first share and forks a child for each other one,
+which inherits the parent table and sends its share's records back
+through a pipe.  A job's exception in a child is raised here, and no
+child outlives the call.  Every table and every forms read is built in
+this process, job by job.  Records merge in any order to the same
+values, so the reports are identical for any worker count.
 """
 
 from __future__ import annotations
@@ -73,7 +72,7 @@ import functools
 import math
 import os
 from array import array
-from collections.abc import Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field, replace
 from typing import NoReturn
 
@@ -589,20 +588,22 @@ def connected_class_forms(
     """Sorted canonical forms of all connected isomorphism classes.
 
     Builds, or finds in the cache, the ``ClassTable`` of order n, which
-    is never rebuilt.  Each row of the table of order n - 1, cached or
-    built first, is one job (``_augment_parent``).  The jobs of order n
-    are dealt into at most ``workers`` shares, all but one computed in
-    forked children (``_jobs_in_shares``); lower orders are built in this
-    process.  The jobs' outputs are disjoint, so their five columns are
-    concatenated in job order.  If a job fails, its exception is raised
-    and nothing is cached.  The forms are read off the table: each pair
-    string is labeled once, in as many shares, and the sorted triangles
-    are kept with the table.  An order outside 1..MAX_SEARCH_ORDER, or an
-    unknown ``build``, raises ValueError before any order is built.
+    is never rebuilt (``_build_table``): each row of the table of order
+    n - 1, cached or built first, is one job (``_augment_parent``), and
+    the jobs' outputs are disjoint, so their five columns are appended in
+    job order.  If a job fails, its exception is raised and nothing is
+    cached.  The forms are read off the table: each pair string is
+    labeled once, and the sorted triangles are kept with the table.
+    Every table and every forms read is built in this process.
 
     ``build`` names what to build or find: the forms (``"forms"``), or,
     returning None, the table only (``"table"``, for ``class_table``) or
-    the records of order n only (``"records"``, ``_build_records``).  The
+    the records of order n only (``"records"``, ``_build_records``).
+    Only the records build forks: its jobs are dealt into at most
+    ``workers`` shares, all but one computed in forked children.  An
+    order outside 1..MAX_SEARCH_ORDER, an unknown ``build``, a worker
+    count that is not a positive int, or one other than 1 for the forms
+    or the table, raises ValueError before any order is built.  The
     benchmark's tracer names this function's spans ``search.enumerate[n]``,
     and ``perfbench/run.py`` ``sweep_traced`` reads the build's time from
     ``outer[0]`` of the ``search.enumerate[8]`` spans of a traced sweep.
@@ -611,18 +612,19 @@ def connected_class_forms(
         raise ValueError(f"order {n} outside the supported range 1..{MAX_SEARCH_ORDER}")
     if build not in ("forms", "table", "records"):
         raise ValueError(f"unknown build {build!r}; expected 'forms', 'table' or 'records'")
+    if not isinstance(workers, int) or workers < 1 or workers > 1 and build != "records":
+        raise ValueError(f"workers {workers!r}: expected 1, or a positive int for 'records'")
     if build == "records":
         _record_cache[n] = _record_cache.get(n) or _build_records(n, workers)
         return None
     table = _table_cache.get(n)
     if table is None:
-        table = _table_cache[n] = _build_table(n, workers)
+        table = _table_cache[n] = _build_table(n)
     if build == "table":
         return None
     if table.triangles is None:
-        shares = _in_shares(functools.partial(_minimal_triangles, n), table.forms, workers)
         # one order's triangles have one length, so the ints sort as the forms
-        labeled = array("Q", sorted(tri for share in shares for tri in share))
+        labeled = array("Q", _minimal_triangles(n, table.forms))
         table = _table_cache[n] = replace(table, triangles=labeled)
     return tuple(form_from_triangle(n, tri) for tri in table.triangles)
 
@@ -632,27 +634,22 @@ def _minimal_triangles(n: int, forms: Sequence[int]) -> list[int]:
     return sorted(canonical_labeling(from_packed_pairs(n, pairs))[0] for pairs in forms)
 
 
-def _jobs_in_shares(n: int, workers: int, reduce) -> list:
-    """``reduce`` of the columns of each job of a share, for each share of
-    order n's jobs (``_in_shares``).  Job i extends row i of the table of
-    order n - 1, which a forked share inherits, so no job is sent."""
-    t = class_table(n - 1)
-
-    def share(jobs: range):
-        rows = ((n - 1, t.forms[i], t.chromatic[i], t.independence[i]) for i in jobs)
-        return reduce(map(_augment_parent, rows))
-
-    return _in_shares(share, range(len(t.forms)), workers)
+def _jobs(n: int, indices: Iterable[int]) -> Iterator[tuple[int, int, int, int]]:
+    """The jobs of order n at ``indices``: job i is the order and row i
+    of the table of order n - 1, which must be cached (a forked share
+    inherits it)."""
+    t = _table_cache[n - 1]
+    return ((n - 1, t.forms[i], t.chromatic[i], t.independence[i]) for i in indices)
 
 
-def _build_table(n: int, workers: int) -> ClassTable:
-    """The class table of order n, its rows in job order."""
+def _build_table(n: int) -> ClassTable:
+    """The class table of order n, its rows in job order.  Each job's
+    columns are appended as it returns, so no earlier job's output is
+    kept."""
     if n == 1:  # K1: χ = α = 1, no pendants, no edges
         parts = [([0], [1], [1], [0], [0.0])]
     else:
-        shares = _jobs_in_shares(n, workers, list)
-        size = len(shares)
-        parts = (shares[i % size][i // size] for i in range(sum(map(len, shares))))
+        parts = map(_augment_parent, _jobs(n, range(len(class_table(n - 1).forms))))
     columns = _new_columns()
     for part in parts:
         for column, piece in zip(columns, part):
@@ -665,12 +662,18 @@ def _build_records(n: int, workers: int) -> dict:
     class, and for ("none", None), ``[class count, max ABS, candidates]``,
     the candidates being the (ABS, path string) pairs of its classes
     within TIE_TOLERANCE of the max.  A cached table (or order 1's) is
-    folded; otherwise each share folds its jobs' columns and sends only
-    its records, and the shares' records are merged."""
+    folded.  Otherwise this is the one build that forks: order n's jobs
+    are dealt into at most ``workers`` shares (``_in_shares``), each
+    share folds its jobs' columns and sends only its records, and the
+    shares' records are merged."""
     if n in _table_cache or n == 1:
         t = class_table(n)
         return _fold({}, (t.forms, t.chromatic, t.independence, t.pendants, t.abs_value))
-    shares = _jobs_in_shares(n, workers, lambda parts: functools.reduce(_fold, parts, {}))
+
+    def share(jobs: range) -> dict:
+        return functools.reduce(_fold, map(_augment_parent, _jobs(n, jobs)), {})
+
+    shares = _in_shares(share, range(len(class_table(n - 1).forms)), workers)
     for records in shares[1:]:
         for key, record in records.items():
             _tally(shares[0], key, *record)
@@ -763,20 +766,19 @@ class ClassTable:
     triangles: array | None = field(default=None, compare=False)
 
 
-def class_table(n: int, workers: int = 1) -> ClassTable:
+def class_table(n: int) -> ClassTable:
     """The cached invariant table of order n, for parents and for the
     checks that read every class; a verdict reads records instead
     (``max_abs_under``).
 
-    A cached table is returned as it is.  Otherwise it is built
-    (``connected_class_forms(n, build="table")``): each row is computed
-    in the augmentation job that finds its class, from that job's parent
-    (``_augment_parent``), and only the children whose acceptance needs
-    a labeling get one.  Order n's jobs are dealt into at most
-    ``workers`` shares, each but one in a forked child (``_in_shares``);
-    the lower orders it needs are built in this process.
+    A cached table is returned as it is.  Otherwise it is built in this
+    process (``connected_class_forms(n, build="table")``), with the lower
+    orders it needs: each row is computed in the augmentation job that
+    finds its class, from that job's parent (``_augment_parent``), and
+    only the children whose acceptance needs a labeling get one.  Only
+    the records build forks (``_build_records``).
     """
-    connected_class_forms(n, workers, build="table")
+    connected_class_forms(n, build="table")
     return _table_cache[n]
 
 

@@ -62,12 +62,11 @@ def slow():
 @pytest.fixture(scope="session")
 def order_9(slow):
     """Order 9's class table, built once per session from empty caches
-    in two shares, one of them forked, with its forms read in two shares
-    too, for every test that reads it; the warm caches come back after
-    the session.
+    in this process, with its forms read, for every test that reads it;
+    the warm caches come back after the session.
     Skips unless ABSINDEX_SLOW=1."""
     with _emptied_class_cache():
-        search.connected_class_forms(9, workers=2)
+        search.connected_class_forms(9)
         yield
 
 

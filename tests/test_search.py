@@ -6,6 +6,7 @@ import signal
 import subprocess
 import sys
 import time
+import weakref
 from pathlib import Path
 
 import pytest
@@ -58,7 +59,7 @@ class TestEnumeration:
         assert hashlib.sha256(b"".join(sorted(forms))).hexdigest() == ORDER_8_DIGEST
 
     def test_order_9_forms_digest(self, order_9):
-        forms = connected_class_forms(9, workers=2)
+        forms = connected_class_forms(9)
         assert len(forms) == A001349[8]
         assert hashlib.sha256(b"".join(forms)).hexdigest() == ORDER_9_DIGEST
 
@@ -117,7 +118,7 @@ class TestPolyaCounts:
             assert edge_histogram(n, class_table(n).forms) == counts[n]
 
     def test_order_9_edge_histogram(self, order_9):
-        forms = class_table(9, workers=2).forms
+        forms = class_table(9).forms
         assert edge_histogram(9, forms) == references.connected_counts_by_edges(9)[9]
 
 
@@ -147,7 +148,7 @@ class TestLabeledCounts:
             assert orbit_weighted_counts(n, class_table(n).forms) == counts[n], n
 
     def test_order_9_orbit_weighted_counts(self, order_9):
-        forms = class_table(9, workers=2).forms
+        forms = class_table(9).forms
         assert orbit_weighted_counts(9, forms) == (
             references.labeled_connected_counts_by_edges(9)[9]
         )
@@ -476,6 +477,22 @@ class TestClassTable:
     def test_table_is_cached(self):
         assert class_table(5) is class_table(5)
 
+    def test_the_table_build_streams(self, cold_caches, monkeypatch):
+        # each job's columns are appended as it returns: when a job starts,
+        # at most the one before it is still alive
+        class_table(6)
+        augment, forms, alive = search._augment_parent, [], []
+
+        def recorded(row):
+            alive.append(sum(form() is not None for form in forms))
+            columns = augment(row)
+            forms.append(weakref.ref(columns[0]))
+            return columns
+
+        monkeypatch.setattr(search, "_augment_parent", recorded)
+        assert len(class_table(7).forms) == 853
+        assert len(alive) == 112 and max(alive) <= 1
+
     def test_lazy_reports_equal_labeled_reports(self, cold_caches):
         # every kind and value at every order, on verdict rows built from
         # cold caches and then on tables whose forms were read first
@@ -594,6 +611,18 @@ class TestRecords:
         with pytest.raises(ValueError, match="^unknown build 'record'; expected"):
             connected_class_forms(5, build="record")
         assert search._table_cache == {} == search._record_cache
+
+    @pytest.mark.parametrize(
+        "workers, build",
+        [(0, "records"), (-3, "records"), (2.5, "records"), (2, "forms"), (2, "table")],
+    )
+    def test_bad_worker_counts_build_nothing(self, cold_caches, shares, workers, build):
+        # only the records build forks, with any positive int of workers
+        seen = shares(cores=4)
+        with pytest.raises(ValueError, match=rf"^workers {workers!r}: expected 1, or a"):
+            connected_class_forms(7, workers, build=build)
+        assert search._table_cache == {} == search._record_cache
+        assert seen.sizes == []
 
     def test_a_max_abs_under_keeps_no_table_of_its_order(self, cold_caches):
         report = max_abs_under(Constraint(8, "chromatic", 3))
@@ -915,12 +944,10 @@ class TestWorkerPool:
 
     def test_clamped_to_usable_cores(self, cold_caches, shares):
         seen = shares(cores=3)
-        forms = connected_class_forms(6, workers=64)
-        assert seen.sizes == [3, 3]
-        # order 6's jobs, then its pair strings labeled; orders 1..5 in
-        # this process
-        assert seen.batches == [21, 112]
-        assert len(forms) == 112
+        connected_class_forms(6, 64, build="records")
+        assert seen.sizes == [3]
+        assert seen.batches == [21]  # order 6's jobs; orders 1..5 in this process
+        assert search._record_cache[6][("none", None)][0] == 112
         assert_no_children()
 
     def test_cores_without_affinity(self, shares, monkeypatch):
@@ -936,17 +963,20 @@ class TestWorkerPool:
 
     def test_no_pool_for_batches_below_its_size(self, cold_caches, shares):
         seen = shares(cores=64, fork=False)
-        assert len(connected_class_forms(6, workers=64)) == 112
-        # order 6's 21 jobs run in this process, its 112 labelings shared
+        # order 6's 21 jobs run in this process, order 7's 112 are shared
+        connected_class_forms(6, 64, build="records")
+        connected_class_forms(7, 64, build="records")
         assert (seen.sizes, seen.batches) == ([64], [112])
+        assert search._record_cache[6][("none", None)][0] == 112
 
     def test_one_pool_for_the_requested_order(self, cold_caches, shares):
         seen = shares(cores=2)
-        table = class_table(7, workers=2)
+        connected_class_forms(7, 2, build="records")
         assert seen.sizes == [2]
         assert seen.batches == [112]  # order 7; orders 1..6 in this process
         assert_no_children()
-        assert len(table.forms) == len(table.abs_value) == 853
+        assert search._record_cache[7][("none", None)][0] == 853
+        assert 7 not in search._table_cache
 
     def test_failed_job_terminates_the_pool(self, cold_caches, shares, monkeypatch):
         seen = shares(cores=2)
@@ -960,14 +990,14 @@ class TestWorkerPool:
 
         monkeypatch.setattr(search, "_augment_parent", augment_or_fail)
         with pytest.raises(RuntimeError, match="job failed"):
-            class_table(7, workers=2)
+            connected_class_forms(7, 2, build="records")
         assert seen.sizes == [2]
         assert_no_children()
-        assert 7 not in search._table_cache
+        assert 7 not in search._record_cache
 
     def test_one_worker_forks_nothing(self, cold_caches, shares):
         seen = shares(cores=8)
-        class_table(7)
+        connected_class_forms(7, 1, build="records")
         assert seen.sizes == []
 
     def test_importing_the_library_loads_no_multiprocessing(self):
@@ -978,7 +1008,7 @@ class TestWorkerPool:
             "loaded = lambda: [m for m in ('multiprocessing', 'pickle') if m in sys.modules]\n"
             "print(loaded())\n"
             "os.sched_getaffinity = lambda pid: {0, 1}\n"
-            "absindex.search.class_table(7, 2)\n"
+            "absindex.search.connected_class_forms(7, 2, build='records')\n"
             "print(loaded())\n"
         )
         env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"))
@@ -987,26 +1017,6 @@ class TestWorkerPool:
             env=env, capture_output=True, text=True, timeout=60, check=True,
         )
         assert done.stdout == "[]\n['pickle']\n"
-
-    def test_pooled_table_matches_serial(self, cold_caches, shares):
-        shares(cores=2)
-        shared = class_table(7, workers=2)
-        search._table_cache.clear()
-        search._record_cache.clear()
-        assert class_table(7) == shared
-
-    def test_tables_equal_for_1_2_and_64_workers(self, cold_caches, shares):
-        seen = shares(cores=4)
-        tables = []
-        for workers in (1, 2, 64):
-            search._table_cache.clear()
-            search._record_cache.clear()
-            forms = connected_class_forms(7, workers)
-            tables.append((search._table_cache[7], search._table_cache[7].triangles, forms))
-            assert_no_children()
-        # order 7's jobs and its labelings, in 2 and then 4 shares
-        assert seen.sizes == [2, 2, 4, 4]
-        assert tables[0] == tables[1] == tables[2]
 
     @pytest.mark.parametrize(
         "error, raised, message",
@@ -1021,18 +1031,18 @@ class TestWorkerPool:
         shares(cores=2)
         fail_in_child(lambda: raise_(error), monkeypatch)
         with pytest.raises(raised, match=message) as info:
-            class_table(7, workers=2)
+            connected_class_forms(7, 2, build="records")
         assert info.type is raised
         assert_no_children()
-        assert 7 not in search._table_cache
+        assert 7 not in search._record_cache
 
     def test_child_killed_by_a_signal_is_named(self, cold_caches, shares, monkeypatch):
         shares(cores=2)
         fail_in_child(lambda: os.kill(os.getpid(), signal.SIGKILL), monkeypatch)
         with pytest.raises(RuntimeError, match="^share 1 ended by SIGKILL without its results$"):
-            class_table(7, workers=2)
+            connected_class_forms(7, 2, build="records")
         assert_no_children()
-        assert 7 not in search._table_cache
+        assert 7 not in search._record_cache
 
     @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
     def test_failure_in_own_share_kills_the_children(
@@ -1060,8 +1070,8 @@ class TestWorkerPool:
         monkeypatch.setattr(os, "waitpid", recorded_waitpid)
         start = time.monotonic()
         with pytest.raises(error, match="own share failed"):
-            class_table(7, workers=2)
+            connected_class_forms(7, 2, build="records")
         assert time.monotonic() - start < 30
         assert ends == [-signal.SIGKILL]
         assert_no_children()
-        assert 7 not in search._table_cache
+        assert 7 not in search._record_cache
